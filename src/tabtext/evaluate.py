@@ -1,7 +1,9 @@
 """Cross-validated with-text vs. without-text experiments and their reports."""
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -93,6 +95,7 @@ class ExperimentSpec:
                 "feature_cap": self.feature_cap,
                 "row_cap": self.row_cap,
                 "seed": self.seed,
+                "corr_method": self.corr_method,
             },
             sort_keys=True,
         )
@@ -249,42 +252,46 @@ def result_rows(results: list[EvalResult]) -> list[dict]:
     return rows
 
 
-CSV_HEADER = (
-    "dataset,task,metric,model,embedder,selector,with_text,selector_applied,mean,std,folds,seed"
-)
+CSV_COLUMNS = [
+    "dataset", "task", "metric", "model", "embedder", "selector",
+    "with_text", "selector_applied", "mean", "std", "folds", "seed",
+]
 
 
 def format_results_csv(results: list[EvalResult]) -> str:
-    lines = [CSV_HEADER]
+    buf = io.StringIO()
+    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
     for row in result_rows(results):
-        lines.append(
-            ",".join(
-                [
-                    row["dataset"],
-                    row["task"],
-                    row["metric"],
-                    row["model"],
-                    row["embedder"],
-                    row["selector"],
-                    str(row["with_text"]).lower(),
-                    str(row["selector_applied"]).lower(),
-                    repr(row["mean"]),
-                    repr(row["std"]),
-                    "|".join(repr(v) for v in row["folds"]),
-                    str(row["seed"]),
-                ]
-            )
+        writer.writerow(
+            [
+                row["dataset"],
+                row["task"],
+                row["metric"],
+                row["model"],
+                row["embedder"],
+                row["selector"],
+                str(row["with_text"]).lower(),
+                str(row["selector_applied"]).lower(),
+                repr(row["mean"]),
+                repr(row["std"]),
+                "|".join(repr(v) for v in row["folds"]),
+                str(row["seed"]),
+            ]
         )
-    return "\n".join(lines) + "\n"
+    return buf.getvalue()
 
 
 def parse_results_csv(text: str) -> list[dict]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
+    records = [r for r in csv.reader(io.StringIO(text)) if "".join(r).strip()]
+    if not records or records[0] != CSV_COLUMNS:
         raise TabTextError("unrecognized results.csv header")
     rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
+    for i, parts in enumerate(records[1:], start=1):
+        if len(parts) != len(CSV_COLUMNS):
+            raise TabTextError(
+                f"results.csv row {i} has {len(parts)} fields, expected {len(CSV_COLUMNS)}"
+            )
         rows.append(
             {
                 "dataset": parts[0],

@@ -102,19 +102,32 @@ def make_model(spec: dict) -> ModelKind:
 
 
 # ---------------------------------------------------------------------------
-# Ridge regression (closed form, unpenalized intercept via centering)
+# Ridge regression (closed form, unpenalized intercept via centering; solves
+# whichever of the d×d primal and n×n dual systems is smaller)
 
 
 def ridge_solve(X: np.ndarray, y: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
+    """Minimize ||Xw + b - y||² + alpha·||w||² over (w, b).
+
+    A design wider than tall (d > n) is solved in the dual,
+    (Xc Xcᵀ + αI) a = y − ȳ with w = Xcᵀ a (Saunders, Gammerman & Vovk,
+    ICML 1998), so no d×d matrix is formed; otherwise the primal
+    (Xcᵀ Xc + αI) w = Xcᵀ (y − ȳ). Both give the same w.
+    """
     n, d = X.shape
     x_mean = X.mean(axis=0)
     y_mean = y.mean()
     Xc = X - x_mean
     if alpha == 0.0 and np.linalg.matrix_rank(Xc) < d:
         raise SingularSystem("rank-deficient design with alpha=0")
-    A = Xc.T @ Xc + alpha * np.eye(d)
+    dual = d > n
+    A = Xc @ Xc.T if dual else Xc.T @ Xc
+    A[np.diag_indices_from(A)] += alpha
     try:
-        w = np.linalg.solve(A, Xc.T @ (y - y_mean))
+        if dual:
+            w = Xc.T @ np.linalg.solve(A, y - y_mean)
+        else:
+            w = np.linalg.solve(A, Xc.T @ (y - y_mean))
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
     b = y_mean - float(x_mean @ w)

@@ -217,6 +217,13 @@ class TestRunExperiment:
                 model=Logistic(), with_text=True, k_folds=1,
             )
 
+    def test_spec_hash_covers_corr_method(self):
+        spec = ExperimentSpec(
+            manifest=reg_manifest(), embedder=TfIdf(), selector="correlation",
+            model=Ridge(), with_text=True,
+        )
+        assert spec.spec_hash() != replace(spec, corr_method="spearman").spec_hash()
+
     def test_inapplicable_selector_rejected(self):
         spec = ExperimentSpec(
             manifest=reg_manifest(),
@@ -287,6 +294,29 @@ class TestReports:
         assert len(rows) == 2
         assert rows[0]["mean"] == results[0].mean
         assert rows[0]["folds"] == results[0].per_fold
+
+    @pytest.mark.parametrize(
+        "name", ["beers, craft", 'the "best" beers', "beers\ncraft"]
+    )
+    def test_round_trip_csv_any_dataset_name(self, name):
+        spec = ExperimentSpec(
+            manifest=reg_manifest(name), embedder=TfIdf(), selector=None,
+            model=Ridge(), with_text=False,
+        )
+        r = EvalResult(spec, [0.5, 0.25], 0.375, 0.125, "r2")
+        (row,) = parse_results_csv(format_results_csv([r]))
+        assert row["dataset"] == name
+        assert (row["with_text"], row["mean"], row["folds"]) == (False, 0.375, [0.5, 0.25])
+
+    def test_plain_names_keep_unquoted_bytes(self):
+        spec = ExperimentSpec(
+            manifest=reg_manifest("plain-name"), embedder=TfIdf(), selector=None,
+            model=Ridge(), with_text=True, seed=3,
+        )
+        r = EvalResult(spec, [0.5, 0.25], 0.375, 0.125, "r2")
+        assert format_results_csv([r]).splitlines()[1] == (
+            "plain-name,regression,r2,ridge,tfidf,all,true,false,0.375,0.125,0.5|0.25,3"
+        )
 
     def test_emit_report_files(self, tmp_path):
         results = self.make_results()

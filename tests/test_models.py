@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabtext.core import Column, ColumnRole, Table, TaskKind
 from tabtext.embed import FeatureMatrix
@@ -48,10 +52,61 @@ class TestRidge:
         with pytest.raises(SingularSystem):
             ridge_solve(X, np.arange(10.0), alpha=0.0)
 
+    def test_singular_wide_design(self):
+        X = np.random.default_rng(2).standard_normal((5, 12))
+        with pytest.raises(SingularSystem):
+            ridge_solve(X, np.arange(5.0), alpha=0.0)
+
     def test_non_finite_rejected(self):
         X = np.array([[1.0], [np.nan]])
         with pytest.raises(NonFiniteInput):
             fit(Ridge(), X, np.array([1.0, 2.0]), R)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 30),
+        width=st.sampled_from(["narrow", "square", "wide"]),
+        extra=st.integers(1, 40),
+        alpha=st.floats(1e-6, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_agrees_with_primal_reference(self, n, width, extra, alpha, seed):
+        d = {"narrow": max(1, n - extra), "square": n, "wide": n + extra}[width]
+        rng = np.random.default_rng(seed)
+        # entries of variance 1/max(n, d) keep ||Xc||² near 4, so the
+        # systems' condition number stays below ~4/alpha = 4e6 and rounding
+        # error (eps × condition) stays far below the 1e-8 tolerance
+        X = rng.standard_normal((n, d)) / np.sqrt(max(n, d)) + rng.standard_normal(d)
+        y = rng.standard_normal(n) + 5.0
+        w, b = ridge_solve(X, y, alpha)
+
+        x_mean, y_mean = X.mean(axis=0), y.mean()
+        Xc = X - x_mean
+        w_ref = np.linalg.solve(Xc.T @ Xc + alpha * np.eye(d), Xc.T @ (y - y_mean))
+        b_ref = y_mean - float(x_mean @ w_ref)
+        if d <= n:
+            # the primal path is the reference's arithmetic, bit for bit
+            assert np.array_equal(w, w_ref) and b == b_ref
+        scale = np.linalg.norm(w_ref)
+        assert np.linalg.norm(w - w_ref) <= 1e-8 * scale
+        assert abs(b - b_ref) <= 1e-8 * (abs(b_ref) + scale * np.linalg.norm(x_mean))
+
+        resid = X @ w + b - y
+        grad = np.append(X.T @ resid + alpha * w, resid.sum())
+        assert np.linalg.norm(grad) <= 1e-8 * (1.0 + np.linalg.norm(y))
+
+    def test_wide_design_memory_stays_near_input_size(self):
+        # the d×d primal system alone would be 5000² × 8 B = 200 MB
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((40, 5000))
+        y = rng.standard_normal(40)
+        tracemalloc.start()
+        try:
+            ridge_solve(X, y, alpha=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * X.nbytes
 
 
 class TestLogistic:
