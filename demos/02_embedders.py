@@ -15,6 +15,7 @@ TEST = ["citrus ipa with oak notes", "completely unseen vocabulary here"]
 
 
 def show(name, matrix):
+    matrix = np.asarray(matrix)  # tf-idf and hashed blocks are sparse (CSR)
     with np.printoptions(precision=3, suppress=True, threshold=12):
         print(f"{name:28s} dim={matrix.shape[1]:5d}  row0[:6]={matrix[0, :6]}")
 
@@ -22,7 +23,7 @@ def show(name, matrix):
 def main():
     tfidf = TfIdf().fit(TRAIN)
     show("tf-idf (word 1-2 grams)", tfidf.transform(TEST))
-    print(f"{'':28s} unseen-vocab doc norm = {np.linalg.norm(tfidf.transform(TEST)[1]):.1f}"
+    print(f"{'':28s} unseen-vocab doc norm = {np.linalg.norm(tfidf.transform(TEST).toarray()[1]):.1f}"
           " (out-of-vocabulary collapses to zero)")
 
     hashed = HashedNgram(buckets=64)

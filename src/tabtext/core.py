@@ -19,6 +19,25 @@ class ClassTooSmall(TabTextError):
     pass
 
 
+class MemoryBudgetExceeded(TabTextError):
+    pass
+
+
+# The largest single array the pipeline may allocate (a densified feature
+# matrix, a ridge system); larger requests fail fast instead of exhausting RAM.
+MEMORY_BUDGET_BYTES = 2 << 30
+
+
+def require_memory(nbytes: int, what: str) -> None:
+    """Raise MemoryBudgetExceeded, before allocating, when `what` needs more
+    than MEMORY_BUDGET_BYTES."""
+    if nbytes > MEMORY_BUDGET_BYTES:
+        raise MemoryBudgetExceeded(
+            f"{what} needs {nbytes / 2**20:.1f} MiB, over the "
+            f"{MEMORY_BUDGET_BYTES / 2**20:.1f} MiB memory budget"
+        )
+
+
 class _Missing:
     """Singleton marker for a missing cell. Falsy, hashable, reprs as MISSING."""
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import MISSING, ColumnRole, FoldAssignment, TabTextError, Table, TaskKind
+from .sparse import CsrMatrix, all_finite, hstack
 
 
 class EmptyCorpus(TabTextError):
@@ -94,17 +95,21 @@ class TfIdfModel:
     def dim(self) -> int:
         return len(self.vocab)
 
-    def transform(self, texts: list[str]) -> np.ndarray:
-        out = np.zeros((len(texts), self.dim))
+    def transform(self, texts: list[str]) -> CsrMatrix:
         lo, hi = self.config.ngram_lo, self.config.ngram_hi
         get = self.vocab.get
+        rows, cols, counts = [], [], []
         for r, text in enumerate(texts):
             for term, count in Counter(word_ngrams(tokenize(text), lo, hi)).items():
                 col = get(term)
                 if col is not None:
-                    out[r, col] = count * self.idf[col]
-        norms = np.sqrt((out * out).sum(axis=1))
-        out /= np.where(norms > 0, norms, 1.0)[:, None]
+                    rows.append(r)
+                    cols.append(col)
+                    counts.append(count)
+        out = CsrMatrix.from_coo(rows, cols, counts, (len(texts), self.dim))
+        out.data *= self.idf[out.indices]
+        norms = out.row_norms()
+        out.data /= np.repeat(np.where(norms > 0, norms, 1.0), np.diff(out.indptr))
         return out
 
 
@@ -209,21 +214,20 @@ class HashedNgram:
     def dim(self) -> int:
         return self.buckets + (3 if self.add_length_features else 0)
 
-    def _bucket(self, term: str) -> int:
-        return _bucket_of(term, self.buckets)
-
-    def transform(self, texts: list[str]) -> np.ndarray:
-        out = np.zeros((len(texts), self.dim))
+    def transform(self, texts: list[str]) -> CsrMatrix:
+        rows, cols, vals = [], [], []
         for r, text in enumerate(texts):
-            for gram in word_ngrams(tokenize(text), 1, 3):
-                out[r, _bucket_of(gram, self.buckets)] += 1.0
+            grams = word_ngrams(tokenize(text), 1, 3)
+            rows += [r] * len(grams)
+            cols += [_bucket_of(gram, self.buckets) for gram in grams]
+            vals += [1.0] * len(grams)  # from_coo sums a bucket's repeats
             if self.add_length_features:
                 n_chars = len(text)
                 upper = sum(1 for ch in text if ch.isupper())
-                out[r, self.buckets] = n_chars
-                out[r, self.buckets + 1] = len(text.split())
-                out[r, self.buckets + 2] = upper / n_chars if n_chars else 0.0
-        return out
+                rows += [r] * 3
+                cols += [self.buckets, self.buckets + 1, self.buckets + 2]
+                vals += [n_chars, len(text.split()), upper / n_chars if n_chars else 0.0]
+        return CsrMatrix.from_coo(rows, cols, vals, (len(texts), self.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +371,18 @@ def load_external_embeddings(embedding_file: str | Path, table: Table) -> np.nda
 EmbedderKind = TfIdf | WordVecAvg | HashedNgram | TopicFactorization | ExternalEmbedding
 
 
+def embedder_key(embedder: EmbedderKind) -> str:
+    """The embedder's configuration plus, for the embedders that read a file,
+    the sha256 of its bytes, so a rewritten file at the same path changes it."""
+    if isinstance(embedder, WordVecAvg):
+        path = embedder.vector_file
+    elif isinstance(embedder, ExternalEmbedding):
+        path = embedder.embedding_file
+    else:
+        return repr(embedder)
+    return f"{embedder!r} sha256={hashlib.sha256(Path(path).read_bytes()).hexdigest()}"
+
+
 def make_embedder(spec: dict) -> EmbedderKind:
     """Build an embedder from a config mapping, e.g. {"kind": "tfidf"}."""
     kinds = {
@@ -391,10 +407,11 @@ def make_embedder(spec: dict) -> EmbedderKind:
 
 @dataclass
 class EmbeddingBlock:
-    """One embedded text column: the source name and its dense matrix."""
+    """One embedded text column: the source name and its matrix (CSR for
+    the n-gram embedders, dense otherwise)."""
 
     source_column: str
-    matrix: np.ndarray
+    matrix: np.ndarray | CsrMatrix
 
     @property
     def dim(self) -> int:
@@ -408,17 +425,17 @@ class EmbeddingBlock:
                 f"embedding block for {self.source_column!r} has "
                 f"{self.matrix.shape[0]} rows, expected {n_rows}"
             )
-        if not np.isfinite(self.matrix).all():
+        if not all_finite(self.matrix):
             raise TabTextError(f"non-finite entries in block for {self.source_column!r}")
         return self
 
 
 @dataclass
 class FeatureMatrix:
-    """Dense numeric matrix with per-column provenance
-    (source column, encoder tag, index within block)."""
+    """Numeric matrix with per-column provenance (source column, encoder
+    tag, index within block). X is CSR when a text block is, else dense."""
 
-    X: np.ndarray
+    X: np.ndarray | CsrMatrix
     provenance: list[tuple[str, str, int]]
     y: np.ndarray | list
 
@@ -454,8 +471,8 @@ def assemble_features(
     """
     train_rows = fold.train_rows(test_fold)
     test_rows = fold.fold_rows(test_fold)
-    tr_blocks: list[np.ndarray] = []
-    te_blocks: list[np.ndarray] = []
+    tr_blocks: list[np.ndarray | CsrMatrix] = []
+    te_blocks: list[np.ndarray | CsrMatrix] = []
     provenance: list[tuple[str, str, int]] = []
 
     external = isinstance(embedder, ExternalEmbedding)
@@ -513,8 +530,8 @@ def assemble_features(
     if not tr_blocks:
         raise TabTextError("no features survived assembly")
 
-    X_tr = np.hstack(tr_blocks)
-    X_te = np.hstack(te_blocks)
+    X_tr = hstack(tr_blocks)
+    X_te = hstack(te_blocks)
     y_all = table.target_column.values
     if table.task is TaskKind.REGRESSION:
         y_tr: np.ndarray | list = np.array([float(y_all[i]) for i in train_rows])

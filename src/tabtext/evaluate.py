@@ -13,7 +13,7 @@ import numpy as np
 
 from . import select
 from .core import TabTextError, Table, TaskKind, k_fold_split, subsample_rows
-from .embed import EmbedderKind, FeatureMatrix, assemble_features
+from .embed import EmbedderKind, FeatureMatrix, assemble_features, embedder_key
 from .ingest import DatasetManifest, ingest_dataset
 from .models import External, FittedModel, ModelKind, fit, run_external
 
@@ -87,7 +87,7 @@ class ExperimentSpec:
         payload = json.dumps(
             {
                 "dataset": self.dataset_name,
-                "embedder": repr(self.embedder),
+                "embedder": embedder_key(self.embedder),
                 "selector": self.selector,
                 "model": repr(self.model),
                 "with_text": self.with_text,

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MISSING, TabTextError, Table, TaskKind
+from .core import MISSING, TabTextError, Table, TaskKind, require_memory
 from .embed import FeatureMatrix
+from .sparse import CsrMatrix, all_finite
 
 
 class SingularSystem(TabTextError):
@@ -106,15 +107,21 @@ def make_model(spec: dict) -> ModelKind:
 # whichever of the d×d primal and n×n dual systems is smaller)
 
 
-def ridge_solve(X: np.ndarray, y: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
+def ridge_solve(X: np.ndarray | CsrMatrix, y: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
     """Minimize ||Xw + b - y||² + alpha·||w||² over (w, b).
 
     A design wider than tall (d > n) is solved in the dual,
     (Xc Xcᵀ + αI) a = y − ȳ with w = Xcᵀ a (Saunders, Gammerman & Vovk,
     ICML 1998), so no d×d matrix is formed; otherwise the primal
-    (Xcᵀ Xc + αI) w = Xcᵀ (y − ȳ). Both give the same w.
+    (Xcᵀ Xc + αI) w = Xcᵀ (y − ȳ). Both give the same w. A wide CSR design
+    stays sparse; a narrow one is densified for the primal.
     """
     n, d = X.shape
+    require_memory(8 * min(n, d) ** 2, f"a {min(n, d)}×{min(n, d)} ridge system")
+    if isinstance(X, CsrMatrix):
+        if d > n:
+            return _sparse_dual(X, y, alpha)
+        X = X.toarray()
     x_mean = X.mean(axis=0)
     y_mean = y.mean()
     Xc = X - x_mean
@@ -130,6 +137,24 @@ def ridge_solve(X: np.ndarray, y: np.ndarray, alpha: float) -> tuple[np.ndarray,
             w = np.linalg.solve(A, Xc.T @ (y - y_mean))
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
+    b = y_mean - float(x_mean @ w)
+    return w, b
+
+
+def _sparse_dual(X: CsrMatrix, y: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
+    """The dual on a CSR design, with no dense or centered copy of X:
+    Xc Xcᵀ comes from the sparse row Gram and Xcᵀ a = Xᵀa − x̄·Σa."""
+    if alpha == 0.0:  # centered, d > n columns have rank < d
+        raise SingularSystem("rank-deficient design with alpha=0")
+    x_mean = X.col_mean()
+    y_mean = y.mean()
+    A = X.gram(center=x_mean)
+    A[np.diag_indices_from(A)] += alpha
+    try:
+        a = np.linalg.solve(A, y - y_mean)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(str(exc)) from exc
+    w = X.rmatvec(a) - x_mean * a.sum()
     b = y_mean - float(x_mean @ w)
     return w, b
 
@@ -399,7 +424,7 @@ class FittedModel:
             return np.array([]) if self.task is TaskKind.REGRESSION else []
         if self.task is TaskKind.REGRESSION:
             if isinstance(self._inner, _GbdtFit):
-                return _gbdt_scores(self._inner, X, self.task, 0)
+                return _gbdt_scores(self._inner, np.asarray(X), self.task, 0)
             w, b = self._inner
             return X @ w + b
         proba = self.predict_proba(X)
@@ -409,15 +434,17 @@ class FittedModel:
         self._check(X)
         if self.task is TaskKind.REGRESSION:
             raise TabTextError("probabilities are undefined for regression")
+        X = np.asarray(X)
         if isinstance(self._inner, _GbdtFit):
             return _gbdt_scores(self._inner, X, self.task, len(self.classes))
         W, b = self._inner
         return _softmax(X @ W + b)
 
 
-def fit(kind: ModelKind, X: np.ndarray, y, task: TaskKind) -> FittedModel:
-    X = np.asarray(X, dtype=float)
-    if not np.isfinite(X).all():
+def fit(kind: ModelKind, X: np.ndarray | CsrMatrix, y, task: TaskKind) -> FittedModel:
+    if not (isinstance(kind, Ridge) and isinstance(X, CsrMatrix)):
+        X = np.asarray(X, dtype=float)
+    if not all_finite(X):
         raise NonFiniteInput("feature matrix contains non-finite values")
     if X.shape[0] != len(y):
         raise ValueError("X and y disagree on row count")
@@ -461,8 +488,9 @@ def _write_matrix_csv(path: Path, fm: FeatureMatrix, include_target: bool):
         if include_target:
             header = header + [TARGET_FIELD]
         writer.writerow(header)
+        X = np.asarray(fm.X)
         for i in range(fm.n_rows):
-            row = [repr(float(v)) for v in fm.X[i]]
+            row = [repr(float(v)) for v in X[i]]
             if include_target:
                 row.append(str(fm.y[i]))
             writer.writerow(row)

@@ -9,6 +9,7 @@ import numpy as np
 from .core import TabTextError, TaskKind
 from .embed import FeatureMatrix
 from .models import _softmax, logistic_solve, ridge_solve
+from .sparse import CsrMatrix
 
 SELECTOR_KINDS = (
     "ttest",
@@ -147,8 +148,8 @@ def select_anova(X: np.ndarray, y, k: int) -> SelectorResult:
 # Unsupervised filters
 
 
-def select_variance(X: np.ndarray, k: int) -> SelectorResult:
-    return _top_k("variance", X.var(axis=0), k)
+def select_variance(X: np.ndarray | CsrMatrix, k: int) -> SelectorResult:
+    return _top_k("variance", X.col_var() if isinstance(X, CsrMatrix) else X.var(axis=0), k)
 
 
 def select_pca(X: np.ndarray, k: int) -> SelectorResult:
@@ -407,12 +408,15 @@ def run_selector(
 ) -> SelectorResult:
     if not applicable(kind, task):
         raise SelectorNotApplicable(f"{kind} does not support {task.value}")
+    if kind == "variance":
+        return select_variance(X, k)
+    if kind == "random":
+        return select_random(X.shape[1], k, seed)
+    X = np.asarray(X)  # the other selectors work on a dense matrix
     if kind == "ttest":
         return select_ttest(X, y, k)
     if kind == "anova":
         return select_anova(X, y, k)
-    if kind == "variance":
-        return select_variance(X, k)
     if kind == "pca":
         return select_pca(X, k)
     if kind == "l1":
@@ -421,8 +425,6 @@ def run_selector(
         return select_correlation(X, np.asarray(y, dtype=float), k, corr_method)
     if kind == "shap":
         return select_shap(X, y, task, k, seed)
-    if kind == "random":
-        return select_random(X.shape[1], k, seed)
     raise ValueError(f"unknown selector kind: {kind!r}")
 
 
@@ -434,6 +436,5 @@ def apply_selection(matrix: FeatureMatrix, result: SelectorResult) -> FeatureMat
     if any(j < 0 or j >= d for j in result.selected):
         raise IndexOutOfRange(f"selected indices outside [0, {d})")
     cols = sorted(result.selected)
-    return FeatureMatrix(
-        matrix.X[:, cols], [matrix.provenance[j] for j in cols], matrix.y
-    )
+    X = matrix.X.take_columns(cols) if isinstance(matrix.X, CsrMatrix) else matrix.X[:, cols]
+    return FeatureMatrix(X, [matrix.provenance[j] for j in cols], matrix.y)

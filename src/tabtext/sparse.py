@@ -1,0 +1,266 @@
+"""Compressed sparse row (CSR) matrices in plain numpy.
+
+Only the operations the feature pipeline needs are here, so n-gram text
+blocks reach the ridge solve without ever becoming dense n×d arrays. The
+column reductions reproduce numpy's dense results bit for bit, because a
+variance top-k selection can flip on a 1-ulp difference.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from .core import require_memory
+
+# A column stored in more than 1/_DENSE_COLUMN_SHARE of the rows goes into
+# the dense BLAS block of the row Gram: expanding its c² entry pairs would
+# cost more than one dense product.
+_DENSE_COLUMN_SHARE = 16
+# Entry pairs the row Gram expands at once; bounds its scratch memory.
+_PAIR_CHUNK = 1 << 21
+# Dense scratch elements per block of rows in col_var and row_norms.
+_BLOCK = 1 << 20
+
+
+class CsrMatrix:
+    """Row i holds the columns indices[indptr[i]:indptr[i+1]] (strictly
+    increasing) with the values in the same slice of data."""
+
+    ndim = 2
+
+    def __init__(self, data, indices, indptr, shape: tuple[int, int]):
+        self.data = np.asarray(data, dtype=float)
+        self.indices = np.asarray(indices, dtype=np.intp)
+        self.indptr = np.asarray(indptr, dtype=np.intp)
+        self.shape = (int(shape[0]), int(shape[1]))
+        if (
+            len(self.indptr) != self.shape[0] + 1
+            or len(self.indices) != len(self.data)
+            or self.indptr[-1] != len(self.data)
+        ):
+            raise ValueError("inconsistent CSR arrays")
+
+    @classmethod
+    def from_dense(cls, X: np.ndarray) -> "CsrMatrix":
+        X = np.asarray(X, dtype=float)
+        rows, cols = np.nonzero(X)
+        return cls.from_coo(rows, cols, X[rows, cols], X.shape)
+
+    @classmethod
+    def from_coo(cls, rows, cols, vals, shape: tuple[int, int]) -> "CsrMatrix":
+        """Entries given as (row, column, value) triples in any order; the
+        values at a repeated position are summed in the order given."""
+        n, d = shape
+        keys = np.asarray(rows, dtype=np.intp) * d + np.asarray(cols, dtype=np.intp)
+        keys, slot = np.unique(keys, return_inverse=True)
+        data = np.bincount(slot, weights=np.asarray(vals, dtype=float), minlength=len(keys))
+        rows, cols = np.divmod(keys, max(d, 1))
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return cls(data, cols, indptr, shape)
+
+    # -- size ---------------------------------------------------------------
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    @property
+    def size(self) -> int:
+        return self.shape[0] * self.shape[1]
+
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+    def _row_ids(self) -> np.ndarray:
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    # -- conversion and columns -------------------------------------------
+
+    def toarray(self) -> np.ndarray:
+        n, d = self.shape
+        require_memory(8 * n * d, f"a dense {n}×{d} matrix")
+        out = np.zeros(self.shape)
+        out[self._row_ids(), self.indices] = self.data
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a CSR matrix has no dense view; densifying copies")
+        out = self.toarray()
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+    def take_columns(self, cols) -> "CsrMatrix":
+        """The given columns, in the given (strictly increasing) order."""
+        cols = np.asarray(cols, dtype=np.intp)
+        d = self.shape[1]
+        if cols.size and (cols[0] < 0 or cols[-1] >= d or np.any(np.diff(cols) <= 0)):
+            raise ValueError(f"columns must be strictly increasing within [0, {d})")
+        new_of = np.full(d, -1, dtype=np.intp)
+        new_of[cols] = np.arange(cols.size)
+        mapped = new_of[self.indices]
+        keep = mapped >= 0
+        kept_before = np.concatenate(([0], np.cumsum(keep)))
+        return CsrMatrix(
+            self.data[keep], mapped[keep], kept_before[self.indptr], (self.shape[0], cols.size)
+        )
+
+    # -- products -----------------------------------------------------------
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """X @ v for a vector v of length d."""
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.shape[1],):
+            raise ValueError(f"cannot multiply {self.shape} by {v.shape}")
+        return np.bincount(
+            self._row_ids(), weights=self.data * v[self.indices], minlength=self.shape[0]
+        )
+
+    def rmatvec(self, a: np.ndarray) -> np.ndarray:
+        """Xᵀ @ a for a vector a of length n."""
+        a = np.asarray(a, dtype=float)
+        if a.shape != (self.shape[0],):
+            raise ValueError(f"cannot multiply {self.shape}ᵀ by {a.shape}")
+        return np.bincount(
+            self.indices, weights=self.data * a[self._row_ids()], minlength=self.shape[1]
+        )
+
+    def gram(self, center: np.ndarray | None = None) -> np.ndarray:
+        """The n×n row Gram (X − 1cᵀ)(X − 1cᵀ)ᵀ for a column offset c
+        (default zero), without forming X − 1cᵀ.
+
+        Frequent columns, such as a standardized numeric one, are centered
+        explicitly and go through one dense BLAS product. Every other column
+        adds the products of its own entry pairs, so the cost follows
+        Σ_j nnz(column j)² rather than n²·d, and its offset is folded in as
+        XXᵀ − u1ᵀ − 1uᵀ + (c·c)11ᵀ with u = Xc.
+        """
+        n, d = self.shape
+        require_memory(8 * n * n, f"a {n}×{n} row Gram")
+        c = np.zeros(d) if center is None else np.asarray(center, dtype=float)
+        counts = np.bincount(self.indices, minlength=d)
+        frequent = counts * _DENSE_COLUMN_SHARE > n
+        if frequent.any():
+            cols = np.flatnonzero(frequent)
+            D = self.take_columns(cols).toarray() - c[cols]
+            G = D @ D.T
+        else:
+            G = np.zeros((n, n))
+        # entries of the other columns grouped by column, rows ascending
+        rest = np.flatnonzero(~frequent[self.indices])
+        order = rest[np.argsort(self.indices[rest], kind="stable")]
+        rows, vals = self._row_ids()[order], self.data[order]
+        sizes = counts[~frequent & (counts > 0)]  # group sizes in column order
+        starts = np.cumsum(sizes) - sizes  # each group's first entry
+        # groups whose pairs start inside the same _PAIR_CHUNK window share a chunk
+        chunk = (np.cumsum(sizes * sizes) - sizes * sizes) // _PAIR_CHUNK
+        cuts = np.flatnonzero(np.diff(chunk)) + 1
+        flat = G.reshape(-1)
+        for g in np.split(np.arange(sizes.size), cuts):
+            if g.size == 0:
+                continue
+            lo = starts[g[0]]
+            size = np.repeat(sizes[g], sizes[g])  # group size of each entry
+            first = np.repeat(starts[g] - lo, sizes[g])  # its group's first entry
+            left = np.repeat(np.arange(size.size), size)
+            run = np.cumsum(size) - size  # where each entry's pairs begin
+            right = np.arange(left.size) - np.repeat(run - first, size)
+            r, v = rows[lo : lo + size.size], vals[lo : lo + size.size]
+            np.add.at(flat, r[left] * n + r[right], v[left] * v[right])
+        c_rest = np.where(frequent, 0.0, c)
+        if c_rest.any():
+            u = self @ c_rest
+            G -= u[:, None]
+            G -= u[None, :]
+            G += c_rest @ c_rest
+        return G
+
+    # -- reductions ---------------------------------------------------------
+
+    def sum(self, axis: int) -> np.ndarray:
+        if axis == 0:
+            return self._col_sum()
+        if axis == 1:
+            return np.bincount(self._row_ids(), weights=self.data, minlength=self.shape[0])
+        raise ValueError(f"axis must be 0 or 1, got {axis}")
+
+    def _col_sum(self) -> np.ndarray:
+        if self.shape[1] == 1:
+            # one column is contiguous, and numpy sums it pairwise
+            return self.toarray().sum(axis=0)
+        # numpy reduces a C-ordered matrix over axis 0 row after row; bincount
+        # adds the entries in the same (row-major) order
+        return np.bincount(self.indices, weights=self.data, minlength=self.shape[1])
+
+    def col_mean(self) -> np.ndarray:
+        """Bit-equal to X.toarray().mean(axis=0)."""
+        return self._col_sum() / self.shape[0]
+
+    def col_var(self) -> np.ndarray:
+        """Bit-equal to X.toarray().var(axis=0): (x − mean)² is accumulated
+        row after row, the implicit zeros contributing mean² in their rows."""
+        n, d = self.shape
+        if d == 1:
+            return self.toarray().var(axis=0)
+        mean = self.col_mean()
+        zero_dev = mean * mean
+        dev = self.data - mean[self.indices]
+        dev *= dev
+        acc = np.zeros(d)
+        for block, rows, span in self._dense_row_blocks(extra=1):
+            # block[0] carries the running sum, so the axis-0 sum continues the
+            # same row-by-row order across blocks
+            block[0] = acc
+            block[1:] = zero_dev
+            block[rows + 1, self.indices[span]] = dev[span]
+            block.sum(axis=0, out=acc)
+        return acc / n
+
+    def row_norms(self) -> np.ndarray:
+        """Bit-equal to np.sqrt((D * D).sum(axis=1)) for D = X.toarray():
+        each row is summed as a dense row, in numpy's pairwise order."""
+        sq = np.empty(self.shape[0])
+        start = 0
+        for block, rows, span in self._dense_row_blocks():
+            block[:] = 0.0
+            block[rows, self.indices[span]] = self.data[span] * self.data[span]
+            block.sum(axis=1, out=sq[start : start + len(block)])
+            start += len(block)
+        return np.sqrt(sq)
+
+    def _dense_row_blocks(self, extra: int = 0):
+        """Consecutive row blocks as dense scratch arrays of about _BLOCK
+        elements. Yields (block, rows, span): the block has `extra` leading
+        scratch rows before the block's own rows, rows holds each entry's row
+        within the block's own rows, and span slices the block's entries."""
+        n, d = self.shape
+        step = max(1, _BLOCK // max(d, 1))
+        buf = np.empty((min(step, n) + extra, d))
+        row_ids = self._row_ids()
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            span = slice(self.indptr[lo], self.indptr[hi])
+            yield buf[: hi - lo + extra], row_ids[span] - lo, span
+
+
+def all_finite(X) -> bool:
+    """Whether every stored value is finite (a CSR's implicit zeros are)."""
+    return bool(np.isfinite(X.data if isinstance(X, CsrMatrix) else X).all())
+
+
+def hstack(blocks: list) -> "np.ndarray | CsrMatrix":
+    """Column-wise concatenation: a CSR matrix when any block is CSR, else
+    the dense np.hstack."""
+    if not any(isinstance(b, CsrMatrix) for b in blocks):
+        return np.hstack(blocks)
+    parts = [b if isinstance(b, CsrMatrix) else CsrMatrix.from_dense(b) for b in blocks]
+    n = parts[0].shape[0]
+    if any(p.shape[0] != n for p in parts):
+        raise ValueError("blocks disagree on row count")
+    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
+    return CsrMatrix.from_coo(
+        np.concatenate([p._row_ids() for p in parts]),
+        np.concatenate([p.indices + off for p, off in zip(parts, offsets)]),
+        np.concatenate([p.data for p in parts]),
+        (n, int(offsets[-1])),
+    )

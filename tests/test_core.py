@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabtext.core import (
     MISSING,
@@ -89,6 +91,63 @@ class TestKFoldSplit:
     def test_class_too_small(self):
         with pytest.raises(ClassTooSmall):
             k_fold_split(make_binary_table(3, 40), 5, seed=0)
+
+
+def make_class_table(counts, seed):
+    """A classification table with counts[c] rows of label c, shuffled."""
+    y = [f"c{c}" for c, n in enumerate(counts) for _ in range(n)]
+    y = [y[i] for i in np.random.default_rng(seed).permutation(len(y))]
+    x = [float(i) for i in range(len(y))]
+    return Table(
+        "cls",
+        [Column("x", ColumnRole.NUMERICAL, x), Column("y", None, y)],
+        "y",
+        TaskKind.MULTICLASS,
+    )
+
+
+class TestSplitProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        k=st.integers(2, 6),
+        extra=st.lists(st.integers(0, 25), min_size=2, max_size=4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_stratified_folds_partition_and_balance(self, k, extra, seed):
+        table = make_class_table([k + e for e in extra], seed)
+        fold = k_fold_split(table, k, seed)
+        rows = [i for f in range(k) for i in fold.fold_rows(f)]
+        assert sorted(rows) == list(range(table.n_rows))
+        y = table.target_column.values
+        for label in set(y):
+            sizes = [sum(1 for i in fold.fold_rows(f) if y[i] == label) for f in range(k)]
+            assert max(sizes) - min(sizes) <= 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(2, 8), extra=st.integers(0, 100), seed=st.integers(0, 2**16))
+    def test_regression_folds_partition_and_balance(self, k, extra, seed):
+        table = make_regression_table(k + extra, seed=seed)
+        fold = k_fold_split(table, k, seed)
+        rows = [i for f in range(k) for i in fold.fold_rows(f)]
+        assert sorted(rows) == list(range(table.n_rows))
+        sizes = [len(fold.fold_rows(f)) for f in range(k)]
+        assert max(sizes) - min(sizes) <= 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        counts=st.lists(st.integers(1, 60), min_size=2, max_size=5),
+        cap_share=st.floats(0.01, 0.99),
+        seed=st.integers(0, 2**16),
+    )
+    def test_subsample_keeps_class_shares_within_one_over_cap(self, counts, cap_share, seed):
+        table = make_class_table(counts, seed)
+        n = table.n_rows
+        cap = max(1, int(cap_share * n))
+        out = subsample_rows(table, cap, seed)
+        assert out.n_rows == cap
+        kept = out.target_column.values
+        for c, count in enumerate(counts):
+            assert abs(kept.count(f"c{c}") / cap - count / n) <= 1 / cap
 
 
 class TestSubsampleRows:

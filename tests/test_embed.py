@@ -13,6 +13,7 @@ from tabtext.embed import (
     TfIdf,
     TopicFactorization,
     WordVecModel,
+    _bucket_of,
     assemble_features,
     factorize_counts,
     load_external_embeddings,
@@ -42,12 +43,12 @@ class TestTfIdf:
 
     def test_oov_document_is_zero_vector(self):
         model = TfIdf().fit(["alpha beta", "beta gamma"])
-        out = model.transform(["zzz qqq unknown"])
+        out = model.transform(["zzz qqq unknown"]).toarray()
         assert np.all(out == 0.0)
 
     def test_rows_l2_normalized(self):
         model = TfIdf().fit(["alpha beta gamma", "beta gamma delta", "alpha delta"])
-        out = model.transform(["alpha beta beta", "gamma delta"])
+        out = model.transform(["alpha beta beta", "gamma delta"]).toarray()
         for row in out:
             assert np.linalg.norm(row) == pytest.approx(1.0, abs=1e-9)
 
@@ -110,18 +111,18 @@ class TestWordVec:
 class TestHashedNgram:
     def test_token_twice_counts_two(self):
         emb = HashedNgram(buckets=64, add_length_features=False)
-        out = emb.transform(["apple apple"])
-        bucket = emb._bucket("apple")
+        out = emb.transform(["apple apple"]).toarray()
+        bucket = _bucket_of("apple", emb.buckets)
         assert out[0, bucket] == 2.0
 
     def test_word_count_feature(self):
         emb = HashedNgram(buckets=64, add_length_features=True)
-        out = emb.transform(["apple mountain positive girl"])
+        out = emb.transform(["apple mountain positive girl"]).toarray()
         assert out[0, 65] == 4.0
 
     def test_uppercase_ratio(self):
         emb = HashedNgram(buckets=16, add_length_features=True)
-        out = emb.transform(["ABcd"])
+        out = emb.transform(["ABcd"]).toarray()
         assert out[0, 16] == 4.0
         assert out[0, 18] == pytest.approx(0.5)
 
@@ -225,7 +226,7 @@ class TestAssembleFeatures:
         fold = fold_all_but_last(6)
         train, _ = assemble_features(table, TfIdf(), True, fold, 0)
         num_col = [i for i, (_, tag, _) in enumerate(train.provenance) if tag == "num"][0]
-        col = train.X[:, num_col]
+        col = train.X.toarray()[:, num_col]
         assert col.mean() == pytest.approx(0.0, abs=1e-9)
         assert col.std() == pytest.approx(1.0, abs=1e-9)
 
@@ -234,14 +235,14 @@ class TestAssembleFeatures:
         fold = fold_all_but_last(6)  # "w" appears only in the test row
         train, test = assemble_features(table, TfIdf(), True, fold, 0)
         cat_col = [i for i, (_, tag, _) in enumerate(train.provenance) if tag == "cat"][0]
-        assert test.X[0, cat_col] == -1.0
+        assert test.X.toarray()[0, cat_col] == -1.0
 
     def test_missing_text_becomes_empty_string(self):
         table = tiny_table()
         fold = FoldAssignment(2, [1, 1, 0, 1, 1, 1], seed=0)  # missing text row is test
         train, test = assemble_features(table, TfIdf(), True, fold, 0)
         text_cols = [i for i, (_, tag, _) in enumerate(train.provenance) if tag == "tfidf"]
-        assert np.all(test.X[0, text_cols] == 0.0)
+        assert np.all(test.X.toarray()[0, text_cols] == 0.0)
 
     def test_no_leak_when_test_rows_change(self):
         t1 = tiny_table()
@@ -262,7 +263,7 @@ class TestAssembleFeatures:
         fold = fold_all_but_last(6)
         _, test = assemble_features(table, TfIdf(), True, fold, 0)
         text_cols = [i for i, (_, tag, _) in enumerate(test.provenance) if tag == "tfidf"]
-        assert np.all(test.X[0, text_cols] == 0.0)
+        assert np.all(test.X.toarray()[0, text_cols] == 0.0)
 
     def test_with_text_width_at_least_without(self):
         table = tiny_table()

@@ -1,10 +1,11 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tabtext.core import Column, ColumnRole, Table, TaskKind
-from tabtext.embed import HashedNgram, TfIdf
+from tabtext.core import Column, ColumnRole, Table, TaskKind, k_fold_split
+from tabtext.embed import ExternalEmbedding, HashedNgram, TfIdf, WordVecAvg, assemble_features
 from tabtext.evaluate import (
     ConstantTarget,
     EvalResult,
@@ -223,6 +224,53 @@ class TestRunExperiment:
             model=Ridge(), with_text=True,
         )
         assert spec.spec_hash() != replace(spec, corr_method="spearman").spec_hash()
+
+    @pytest.mark.parametrize("make", [WordVecAvg, ExternalEmbedding])
+    def test_spec_hash_covers_file_content(self, tmp_path, make):
+        path = tmp_path / "vectors.txt"
+        spec = ExperimentSpec(
+            manifest=reg_manifest(), embedder=make(str(path)), selector=None,
+            model=Ridge(), with_text=True,
+        )
+        path.write_text("1 2\napple 1.0 2.0\n")
+        first = spec.spec_hash()
+        assert spec.spec_hash() == first
+        path.write_text("1 2\napple 1.0 2.5\n")
+        assert spec.spec_hash() != first
+        path.write_text("1 2\napple 1.0 2.0\n")
+        assert spec.spec_hash() == first
+
+    def test_wide_tfidf_ridge_cell_stays_sparse(self):
+        rng = np.random.default_rng(5)
+        n = 1000
+        x = rng.standard_normal(n)
+        words = [f"w{i}" for i in range(5000)]
+        table = Table(
+            "wide",
+            [
+                Column("x", ColumnRole.NUMERICAL, [float(v) for v in x]),
+                Column("txt", ColumnRole.TEXTUAL,
+                       [" ".join(words[j] for j in rng.integers(0, 5000, 4)) for _ in range(n)]),
+                Column("y", None, [float(v) for v in 3.0 * x + 0.1 * rng.standard_normal(n)]),
+            ],
+            "y",
+            TaskKind.REGRESSION,
+        )
+        spec = ExperimentSpec(
+            manifest=reg_manifest(), embedder=TfIdf(), selector=None, model=Ridge(),
+            with_text=True,
+        )
+        train, _ = assemble_features(table, TfIdf(), True, k_fold_split(table, 5, 0), 0)
+        assert train.width > train.n_rows  # the ridge dual path
+        dense_train_bytes = 8 * train.n_rows * train.width
+        tracemalloc.start()
+        try:
+            result = run_experiment(spec, table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert min(result.per_fold) > 0.99
+        assert peak < dense_train_bytes
 
     def test_inapplicable_selector_rejected(self):
         spec = ExperimentSpec(

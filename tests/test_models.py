@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tabtext.core import Column, ColumnRole, Table, TaskKind
+from tabtext import core
+from tabtext.core import Column, ColumnRole, MemoryBudgetExceeded, Table, TaskKind
 from tabtext.embed import FeatureMatrix
 from tabtext.models import (
     BadOutputShape,
@@ -20,6 +21,7 @@ from tabtext.models import (
     ridge_solve,
     run_external,
 )
+from tabtext.sparse import CsrMatrix
 
 R, B, M = TaskKind.REGRESSION, TaskKind.BINARY, TaskKind.MULTICLASS
 
@@ -54,8 +56,9 @@ class TestRidge:
 
     def test_singular_wide_design(self):
         X = np.random.default_rng(2).standard_normal((5, 12))
-        with pytest.raises(SingularSystem):
-            ridge_solve(X, np.arange(5.0), alpha=0.0)
+        for design in (X, CsrMatrix.from_dense(X)):
+            with pytest.raises(SingularSystem):
+                ridge_solve(design, np.arange(5.0), alpha=0.0)
 
     def test_non_finite_rejected(self):
         X = np.array([[1.0], [np.nan]])
@@ -69,16 +72,19 @@ class TestRidge:
         extra=st.integers(1, 40),
         alpha=st.floats(1e-6, 10.0),
         seed=st.integers(0, 2**32 - 1),
+        as_csr=st.booleans(),
     )
-    def test_agrees_with_primal_reference(self, n, width, extra, alpha, seed):
+    def test_agrees_with_primal_reference(self, n, width, extra, alpha, seed, as_csr):
         d = {"narrow": max(1, n - extra), "square": n, "wide": n + extra}[width]
         rng = np.random.default_rng(seed)
         # entries of variance 1/max(n, d) keep ||Xc||² near 4, so the
         # systems' condition number stays below ~4/alpha = 4e6 and rounding
         # error (eps × condition) stays far below the 1e-8 tolerance
         X = rng.standard_normal((n, d)) / np.sqrt(max(n, d)) + rng.standard_normal(d)
+        if as_csr:  # 80% zeros; column 0 stays dense, as a numeric column does
+            X[:, 1:] *= rng.random((n, d - 1)) < 0.2
         y = rng.standard_normal(n) + 5.0
-        w, b = ridge_solve(X, y, alpha)
+        w, b = ridge_solve(CsrMatrix.from_dense(X) if as_csr else X, y, alpha)
 
         x_mean, y_mean = X.mean(axis=0), y.mean()
         Xc = X - x_mean
@@ -107,6 +113,20 @@ class TestRidge:
         finally:
             tracemalloc.stop()
         assert peak < 8 * X.nbytes
+
+
+    @pytest.mark.parametrize("shape", [(30, 4), (4, 30)])
+    def test_memory_budget_checked_before_the_system(self, monkeypatch, shape):
+        X = np.random.default_rng(4).standard_normal(shape)
+        y = np.arange(float(shape[0]))
+        m = min(shape)
+        monkeypatch.setattr(core, "MEMORY_BUDGET_BYTES", 8 * m * m - 1)
+        for design in (X, CsrMatrix.from_dense(X)):
+            with pytest.raises(MemoryBudgetExceeded):
+                ridge_solve(design, y, alpha=1.0)
+        monkeypatch.setattr(core, "MEMORY_BUDGET_BYTES", 8 * X.size)
+        ridge_solve(X, y, alpha=1.0)
+        ridge_solve(CsrMatrix.from_dense(X), y, alpha=1.0)
 
 
 class TestLogistic:

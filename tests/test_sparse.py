@@ -1,0 +1,186 @@
+from collections import Counter
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from tabtext import core, sparse
+from tabtext.core import MemoryBudgetExceeded
+from tabtext.embed import HashedNgram, TfIdf, _bucket_of, tokenize, word_ngrams
+from tabtext.sparse import CsrMatrix, hstack
+
+
+@st.composite
+def matrices(draw, n=None, max_d=12):
+    """Random dense matrices with an empty row, an empty column or a fully
+    dense column; + 0.0 turns any -0.0 into 0.0, which CSR cannot store."""
+    n = draw(st.integers(1, 12)) if n is None else n
+    d = draw(st.integers(1, max_d))
+    values = draw(
+        arrays(float, (n, d), elements=st.floats(-1e3, 1e3, allow_subnormal=False))
+    )
+    X = np.where(draw(arrays(bool, (n, d))), values, 0.0) + 0.0
+    feature = draw(st.sampled_from(["empty_row", "empty_col", "dense_col"]))
+    if feature == "empty_row":
+        X[draw(st.integers(0, n - 1))] = 0.0
+    elif feature == "empty_col":
+        X[:, draw(st.integers(0, d - 1))] = 0.0
+    else:
+        j = draw(st.integers(0, d - 1))
+        X[:, j] = np.where(X[:, j] == 0.0, 1.5, X[:, j])
+    return X
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def close(got, want, scale) -> bool:
+    """|got − want| ≤ 1e-12 · scale elementwise, scale being the sum of the
+    magnitudes of the terms (the usual bound for rounding error)."""
+    return bool(np.all(np.abs(got - want) <= 1e-12 * scale))
+
+
+class TestCsrAgainstDense:
+    @settings(max_examples=200, deadline=None)
+    @given(X=matrices(), block=st.sampled_from([1, 7, 1 << 20]))
+    def test_exact_operations(self, X, block):
+        S = CsrMatrix.from_dense(X)
+        with mock.patch.object(sparse, "_BLOCK", block):  # 1: one row per block
+            assert same_bits(S.col_var(), X.var(axis=0))
+            assert same_bits(S.row_norms(), np.sqrt((X * X).sum(axis=1)))
+        assert same_bits(S.toarray(), X)
+        assert same_bits(np.asarray(S), X)
+        assert S.shape == X.shape and S.ndim == 2 and S.size == X.size
+        assert S.nnz == np.count_nonzero(X)
+        assert same_bits(S.col_mean(), X.mean(axis=0))
+        assert same_bits(S.sum(axis=0), X.sum(axis=0))
+        assert close(S.sum(axis=1), X.sum(axis=1), np.abs(X).sum(axis=1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(X=matrices(), data=st.data())
+    def test_column_take_and_hstack(self, X, data):
+        S = CsrMatrix.from_dense(X)
+        keep = data.draw(arrays(bool, X.shape[1]))
+        cols = np.flatnonzero(keep)
+        assert same_bits(S.take_columns(cols).toarray(), X[:, cols])
+        Y = data.draw(matrices(n=X.shape[0]))
+        stacked = hstack([Y, S, X[:, :1], CsrMatrix.from_dense(Y)])
+        assert isinstance(stacked, CsrMatrix)
+        assert same_bits(stacked.toarray(), np.hstack([Y, X, X[:, :1], Y]))
+        dense = hstack([Y, X])
+        assert isinstance(dense, np.ndarray) and same_bits(dense, np.hstack([Y, X]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        X=matrices(),
+        data=st.data(),
+        share=st.sampled_from([1, 2, 16, 1000]),
+        chunk=st.sampled_from([1, 7, 1 << 21]),
+    )
+    def test_products(self, X, data, share, chunk):
+        n, d = X.shape
+        S = CsrMatrix.from_dense(X)
+        v = data.draw(arrays(float, d, elements=st.floats(-10, 10)))
+        a = data.draw(arrays(float, n, elements=st.floats(-10, 10)))
+        c = X.mean(axis=0) if data.draw(st.booleans()) else None
+        Xc = X if c is None else X - c
+        absXc = np.abs(X) + (0.0 if c is None else np.abs(c))
+        assert close(S @ v, X @ v, np.abs(X) @ np.abs(v))
+        assert close(S.rmatvec(a), X.T @ a, np.abs(X).T @ np.abs(a))
+        # share 1 sends every column through the entry-pair path, 1000 every
+        # stored column through the dense block; chunk 1 gives a chunk per column
+        with mock.patch.object(sparse, "_DENSE_COLUMN_SHARE", share), mock.patch.object(
+            sparse, "_PAIR_CHUNK", chunk
+        ):
+            G = S.gram(center=c)
+        assert close(G, Xc @ Xc.T, absXc @ absXc.T)
+
+    @pytest.mark.parametrize("shape", [(3000, 2), (2400, 300), (40, 20000)])
+    def test_reductions_bit_equal_at_scale(self, shape):
+        rng = np.random.default_rng(shape[1])
+        X = rng.standard_normal(shape) * (rng.random(shape) < 0.05)
+        X[:, 0] = rng.standard_normal(shape[0])
+        S = CsrMatrix.from_dense(X)
+        assert same_bits(S.col_mean(), X.mean(axis=0))
+        assert same_bits(S.col_var(), X.var(axis=0))
+        assert same_bits(S.row_norms(), np.sqrt((X * X).sum(axis=1)))
+
+    def test_take_columns_rejects_unordered(self):
+        S = CsrMatrix.from_dense(np.eye(3))
+        with pytest.raises(ValueError):
+            S.take_columns([2, 0])
+        with pytest.raises(ValueError):
+            S.take_columns([0, 3])
+
+
+def dense_tfidf(model, texts):
+    """The dense TF-IDF transform the CSR one must reproduce bit for bit."""
+    out = np.zeros((len(texts), model.dim))
+    lo, hi = model.config.ngram_lo, model.config.ngram_hi
+    for r, text in enumerate(texts):
+        for term, count in Counter(word_ngrams(tokenize(text), lo, hi)).items():
+            col = model.vocab.get(term)
+            if col is not None:
+                out[r, col] = count * model.idf[col]
+    norms = np.sqrt((out * out).sum(axis=1))
+    out /= np.where(norms > 0, norms, 1.0)[:, None]
+    return out
+
+
+def dense_hashed(emb, texts):
+    out = np.zeros((len(texts), emb.dim))
+    for r, text in enumerate(texts):
+        for gram in word_ngrams(tokenize(text), 1, 3):
+            out[r, _bucket_of(gram, emb.buckets)] += 1.0
+        if emb.add_length_features:
+            n_chars = len(text)
+            upper = sum(1 for ch in text if ch.isupper())
+            out[r, emb.buckets] = n_chars
+            out[r, emb.buckets + 1] = len(text.split())
+            out[r, emb.buckets + 2] = upper / n_chars if n_chars else 0.0
+    return out
+
+
+def corpus(seed, n, pool):
+    rng = np.random.default_rng(seed)
+    texts = [
+        " ".join(f"w{j}" for j in rng.integers(0, pool, size=rng.integers(0, 12)))
+        for _ in range(n)
+    ]
+    return [t.upper() if i % 7 == 0 else t for i, t in enumerate(texts)]
+
+
+class TestEmbeddersMatchDense:
+    @pytest.mark.parametrize("pool", [30, 12000])
+    def test_tfidf_bit_equal(self, pool):
+        # the wide vocabulary gives rows longer than numpy's pairwise-sum blocks
+        texts = corpus(0, 400, pool)
+        model = TfIdf(max_vocab=20000).fit(texts[:300])
+        out = model.transform(texts[300:] + ["", "unseen only"])
+        assert isinstance(out, CsrMatrix)
+        assert same_bits(out.toarray(), dense_tfidf(model, texts[300:] + ["", "unseen only"]))
+
+    @pytest.mark.parametrize("length", [True, False])
+    def test_hashed_bit_equal(self, length):
+        emb = HashedNgram(buckets=64, add_length_features=length)
+        texts = corpus(1, 200, 80) + ["", "ABC def"]
+        out = emb.transform(texts)
+        assert isinstance(out, CsrMatrix)
+        assert same_bits(out.toarray(), dense_hashed(emb, texts))
+
+
+class TestMemoryBudget:
+    def test_toarray_refuses_before_allocating(self, monkeypatch):
+        S = CsrMatrix.from_dense(np.eye(20))
+        monkeypatch.setattr(core, "MEMORY_BUDGET_BYTES", 8 * 20 * 20 - 1)
+        with pytest.raises(MemoryBudgetExceeded):
+            S.toarray()
+        with pytest.raises(MemoryBudgetExceeded):
+            np.asarray(S)
+        monkeypatch.setattr(core, "MEMORY_BUDGET_BYTES", 8 * 20 * 20)
+        assert same_bits(S.toarray(), np.eye(20))
