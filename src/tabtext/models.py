@@ -103,8 +103,13 @@ def make_model(spec: dict) -> ModelKind:
 
 
 # ---------------------------------------------------------------------------
-# Ridge regression (closed form, unpenalized intercept via centering; solves
-# whichever of the d×d primal and n×n dual systems is smaller)
+# Ridge regression (unpenalized intercept via centering; the d×d primal by LU
+# when d ≤ n, else the n×n dual by conjugate gradients)
+
+# Conjugate gradients on the dual stop once ‖r‖ ≤ _CG_TOL·α·‖a‖. The dual
+# matrix's smallest eigenvalue is at least α, so this bounds the relative
+# error of a by _CG_TOL.
+_CG_TOL = 1e-12
 
 
 def ridge_solve(X: np.ndarray | CsrMatrix, y: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
@@ -118,45 +123,95 @@ def ridge_solve(X: np.ndarray | CsrMatrix, y: np.ndarray, alpha: float) -> tuple
     """
     n, d = X.shape
     require_memory(8 * min(n, d) ** 2, f"a {min(n, d)}×{min(n, d)} ridge system")
+    if d > n:
+        return _dual(X, y, alpha)
     if isinstance(X, CsrMatrix):
-        if d > n:
-            return _sparse_dual(X, y, alpha)
         X = X.toarray()
+    require_memory(8 * n * d, f"a centered {n}×{d} design")
     x_mean = X.mean(axis=0)
     y_mean = y.mean()
     Xc = X - x_mean
     if alpha == 0.0 and np.linalg.matrix_rank(Xc) < d:
         raise SingularSystem("rank-deficient design with alpha=0")
-    dual = d > n
-    A = Xc @ Xc.T if dual else Xc.T @ Xc
-    A[np.diag_indices_from(A)] += alpha
-    try:
-        if dual:
-            w = Xc.T @ np.linalg.solve(A, y - y_mean)
-        else:
-            w = np.linalg.solve(A, Xc.T @ (y - y_mean))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
+    w = _solve_shifted(Xc.T @ Xc, Xc.T @ (y - y_mean), alpha)
     b = y_mean - float(x_mean @ w)
     return w, b
 
 
-def _sparse_dual(X: CsrMatrix, y: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
-    """The dual on a CSR design, with no dense or centered copy of X:
-    Xc Xcᵀ comes from the sparse row Gram and Xcᵀ a = Xᵀa − x̄·Σa."""
+def _dual(X: np.ndarray | CsrMatrix, y: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
+    """The dual (Xc Xcᵀ + αI) a = y − ȳ by conjugate gradients (Hestenes &
+    Stiefel, 1952) on v ↦ Xc(Xcᵀv) + αv, so no n×n matrix is formed. A CSR
+    design is never centered or densified: Xc u = Xu − x̄·u and
+    Xcᵀv = Xᵀv − x̄·Σv. A solve that does not converge within n products
+    falls back to forming Xc Xcᵀ and solving it directly."""
     if alpha == 0.0:  # centered, d > n columns have rank < d
         raise SingularSystem("rank-deficient design with alpha=0")
-    x_mean = X.col_mean()
+    n, d = X.shape
     y_mean = y.mean()
-    A = X.gram(center=x_mean)
-    A[np.diag_indices_from(A)] += alpha
-    try:
-        a = np.linalg.solve(A, y - y_mean)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    w = X.rmatvec(a) - x_mean * a.sum()
+    if isinstance(X, CsrMatrix):
+        x_mean = X.col_mean()
+        times, times_t = X.centered_products(x_mean)
+
+        def gram():
+            return X.gram(center=x_mean)
+    else:
+        require_memory(8 * n * d, f"a centered {n}×{d} design")
+        x_mean = X.mean(axis=0)
+        Xc = X - x_mean
+
+        def times(u):
+            return Xc @ u
+
+        def times_t(v):
+            return Xc.T @ v
+
+        def gram():
+            return Xc @ Xc.T
+
+    rhs = y - y_mean
+    a = _conjugate_gradients(lambda v: times(times_t(v)) + alpha * v, rhs, _CG_TOL * alpha, n)
+    if a is None:
+        a = _solve_shifted(gram(), rhs, alpha)
+    w = times_t(a)
     b = y_mean - float(x_mean @ w)
     return w, b
+
+
+def _conjugate_gradients(apply, rhs: np.ndarray, tol: float, max_iter: int) -> np.ndarray | None:
+    """Solve apply(a) = rhs for a symmetric positive definite operator; None
+    when ‖rhs − apply(a)‖ ≤ tol·‖a‖ is not reached within max_iter products."""
+    a = np.zeros_like(rhs)
+    r = rhs.copy()
+    rr = r @ r
+    if rr == 0.0:
+        return a
+    p = r.copy()
+    for _ in range(max_iter):
+        q = apply(p)
+        pq = p @ q
+        if not pq > 0.0:  # not positive definite: a negative alpha
+            return None
+        step = rr / pq
+        a += step * p
+        r -= step * q
+        rr, rr_old = r @ r, rr
+        if np.sqrt(rr) <= tol * np.linalg.norm(a):
+            # the updated residual drifts from rhs − apply(a); check the latter
+            r = rhs - apply(a)
+            rr = r @ r
+            if np.sqrt(rr) <= tol * np.linalg.norm(a):
+                return a
+        p = r + (rr / rr_old) * p
+    return None
+
+
+def _solve_shifted(A: np.ndarray, rhs: np.ndarray, alpha: float) -> np.ndarray:
+    """Solve (A + αI) x = rhs by LU, overwriting A's diagonal."""
+    A[np.diag_indices_from(A)] += alpha
+    try:
+        return np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tabtext.core import MISSING, Column, ColumnRole, FoldAssignment, Table, TaskKind
 from tabtext.embed import (
@@ -255,6 +258,51 @@ class TestAssembleFeatures:
         tr2, _ = assemble_features(t2, TfIdf(), True, fold, 0)
         assert np.array_equal(tr1.X, tr2.X)
         assert tr1.provenance == tr2.provenance
+
+    _CELL = st.one_of(
+        st.lists(st.sampled_from(["alpha", "Beta", "gamma", "δelta", "x1"]), max_size=6).map(" ".join),
+        st.text(max_size=30),
+        st.just(MISSING),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        embedder=st.one_of(st.builds(TfIdf, max_vocab=st.integers(1, 8)), st.just(HashedNgram(16))),
+        cells=st.lists(st.tuples(st.booleans(), _CELL, _CELL), min_size=2, max_size=12),
+    )
+    def test_test_fold_text_never_changes_the_fitted_embedder(self, embedder, cells):
+        # each row: (is a test row, its text, the text it is changed to if it is)
+        assume(any(test for test, _, _ in cells) and not all(test for test, _, _ in cells))
+        train_texts = ["" if t is MISSING else t for test, t, _ in cells if not test]
+        assume(any(tokenize(t) for t in train_texts))
+        fold = FoldAssignment(2, [int(not test) for test, _, _ in cells], seed=0)
+
+        def fitted(texts):
+            table = Table(
+                "t",
+                [Column("txt", ColumnRole.TEXTUAL, texts), Column("y", None, [1.0] * len(texts))],
+                "y",
+                TaskKind.REGRESSION,
+            )
+            models = []
+            real_fit = type(embedder).fit
+
+            def spy(self, train):
+                models.append(real_fit(self, train))
+                return models[-1]
+
+            with mock.patch.object(type(embedder), "fit", spy):
+                train, _ = assemble_features(table, embedder, True, fold, 0)
+            return train, models[0]
+
+        train1, model1 = fitted([t for _, t, _ in cells])
+        train2, model2 = fitted([new if test else t for test, t, new in cells])
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(train1.X, name), getattr(train2.X, name))
+        assert train1.provenance == train2.provenance
+        if isinstance(embedder, TfIdf):
+            assert model1.vocab == model2.vocab
+            assert np.array_equal(model1.idf, model2.idf)
 
     def test_tfidf_ood_mechanism(self):
         # test fold of entirely unseen tokens embeds to the zero vector

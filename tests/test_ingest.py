@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabtext.core import MISSING, Column, ColumnRole, TaskKind
 from tabtext.ingest import (
@@ -91,6 +93,27 @@ class TestClassifyColumn:
         col = Column("bad", None, ["1", "x", "y", "2"])
         with pytest.raises(CoercionFailure):
             coerce_numeric_column(col)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.text(max_size=20),
+                # what the timestamp and number-with-affix parsers look for
+                st.from_regex(r"\d{4}-\d{2}-\d{2}([T ]\d{2}:\d{2}(:\d{2}(\.\d+)?)?)?", fullmatch=True),
+                st.from_regex(r".{0,6}[+-]?\d+(\.\d+)?.{0,6}", fullmatch=True),
+                st.just(MISSING),
+            ),
+            max_size=20,
+        )
+    )
+    def test_coercion_raises_only_coercion_failure(self, values):
+        try:
+            col = coerce_numeric_column(Column("c", None, values))
+        except CoercionFailure:
+            return
+        assert len(col.values) == len(values)
+        assert all(v is MISSING or isinstance(v, float) for v in col.values)
 
     def test_role_stable_under_row_permutation(self):
         values = ["15s", "20s", "30s", "junk"] * 5

@@ -1,11 +1,12 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tabtext import core
+from tabtext import core, models
 from tabtext.core import Column, ColumnRole, MemoryBudgetExceeded, Table, TaskKind
 from tabtext.embed import FeatureMatrix
 from tabtext.models import (
@@ -114,6 +115,80 @@ class TestRidge:
             tracemalloc.stop()
         assert peak < 8 * X.nbytes
 
+    @staticmethod
+    def _wide_design(rng, n, d, as_csr):
+        # entries of variance 1/d keep ||Xc||² below ~4, so for alpha ≥ 1
+        # conjugate gradients need ~35 products, fewer than the n ≥ 40 cap
+        X = rng.standard_normal((n, d)) / np.sqrt(d)
+        X[:, 0] += 5.0  # a dense column with a large mean, as a numeric one
+        if as_csr:
+            X[:, 1:] *= rng.random((n, d - 1)) < 0.2
+        return X
+
+    @staticmethod
+    def _primal_reference(X, y, alpha):
+        x_mean, y_mean = X.mean(axis=0), y.mean()
+        Xc = X - x_mean
+        w = np.linalg.solve(Xc.T @ Xc + alpha * np.eye(X.shape[1]), Xc.T @ (y - y_mean))
+        return w, y_mean - float(x_mean @ w)
+
+    def _assert_agrees(self, X, y, alpha, w, b):
+        w_ref, b_ref = self._primal_reference(X, y, alpha)
+        scale = np.linalg.norm(w_ref)
+        assert np.linalg.norm(w - w_ref) <= 1e-8 * scale
+        assert abs(b - b_ref) <= 1e-8 * (abs(b_ref) + scale * np.linalg.norm(X.mean(axis=0)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(40, 80),
+        extra=st.integers(1, 80),
+        alpha=st.floats(1.0, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+        as_csr=st.booleans(),
+    )
+    def test_wide_dual_by_conjugate_gradients(self, n, extra, alpha, seed, as_csr):
+        rng = np.random.default_rng(seed)
+        X = self._wide_design(rng, n, n + extra, as_csr)
+        y = rng.standard_normal(n) + 5.0
+        design = CsrMatrix.from_dense(X) if as_csr else X
+        fallback = mock.patch.object(
+            models, "_solve_shifted", side_effect=AssertionError("fell back to the direct solve")
+        )
+        with fallback:
+            w, b = ridge_solve(design, y, alpha)
+        self._assert_agrees(X, y, alpha, w, b)
+
+    @pytest.mark.parametrize("as_csr", [False, True])
+    def test_unconverged_dual_falls_back_to_direct_solve(self, as_csr):
+        rng = np.random.default_rng(5)
+        X = self._wide_design(rng, 50, 120, as_csr)
+        y = rng.standard_normal(50) + 5.0
+        design = CsrMatrix.from_dense(X) if as_csr else X
+        # a zero tolerance is never met, so every product up to the cap runs
+        with mock.patch.object(models, "_CG_TOL", 0.0), mock.patch.object(
+            models, "_solve_shifted", wraps=models._solve_shifted
+        ) as direct:
+            w, b = ridge_solve(design, y, alpha=1.0)
+        direct.assert_called_once()
+        self._assert_agrees(X, y, 1.0, w, b)
+
+    def test_sparse_dual_memory_stays_near_input_size(self):
+        # a TF-IDF-like fold: 2400 rows, a standardized numeric column and
+        # 4000 text columns 0.15% nonzero; its n×n Gram alone would be 46 MB
+        n, d, nnz = 2400, 4001, 14400
+        rng = np.random.default_rng(6)
+        rows = np.concatenate([np.arange(n), rng.integers(0, n, nnz)])
+        cols = np.concatenate([np.zeros(n, dtype=int), rng.integers(1, d, nnz)])
+        vals = np.concatenate([rng.standard_normal(n), rng.random(nnz)])
+        X = CsrMatrix.from_coo(rows, cols, vals, (n, d))
+        y = X @ rng.standard_normal(d) + rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            ridge_solve(X, y, alpha=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * X.nbytes
 
     @pytest.mark.parametrize("shape", [(30, 4), (4, 30)])
     def test_memory_budget_checked_before_the_system(self, monkeypatch, shape):
