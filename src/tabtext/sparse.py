@@ -125,24 +125,6 @@ class CsrMatrix:
             self.indices, weights=self.data * a[self._row_ids()], minlength=self.shape[1]
         )
 
-    def centered_products(self, center: np.ndarray):
-        """The maps u ↦ (X − 1cᵀ)u and v ↦ (X − 1cᵀ)ᵀv for a column offset c,
-        for repeated use: they share one row-id array and never form X − 1cᵀ.
-        Each agrees bit for bit with X @ u − c·u and X.rmatvec(v) − c·Σv."""
-        n, d = self.shape
-        rows = self._row_ids()
-
-        def times(u):
-            return np.bincount(rows, weights=self.data * u[self.indices], minlength=n) - center @ u
-
-        def times_t(v):
-            return (
-                np.bincount(self.indices, weights=self.data * v[rows], minlength=d)
-                - center * v.sum()
-            )
-
-        return times, times_t
-
     def gram(self, center: np.ndarray | None = None) -> np.ndarray:
         """The n×n row Gram (X − 1cᵀ)(X − 1cᵀ)ᵀ for a column offset c
         (default zero), without forming X − 1cᵀ.

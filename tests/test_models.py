@@ -116,16 +116,6 @@ class TestRidge:
         assert peak < 8 * X.nbytes
 
     @staticmethod
-    def _wide_design(rng, n, d, as_csr):
-        # entries of variance 1/d keep ||Xc||² below ~4, so for alpha ≥ 1
-        # conjugate gradients need ~35 products, fewer than the n ≥ 40 cap
-        X = rng.standard_normal((n, d)) / np.sqrt(d)
-        X[:, 0] += 5.0  # a dense column with a large mean, as a numeric one
-        if as_csr:
-            X[:, 1:] *= rng.random((n, d - 1)) < 0.2
-        return X
-
-    @staticmethod
     def _primal_reference(X, y, alpha):
         x_mean, y_mean = X.mean(axis=0), y.mean()
         Xc = X - x_mean
@@ -138,37 +128,83 @@ class TestRidge:
         assert np.linalg.norm(w - w_ref) <= 1e-8 * scale
         assert abs(b - b_ref) <= 1e-8 * (abs(b_ref) + scale * np.linalg.norm(X.mean(axis=0)))
 
+    @staticmethod
+    def _no_fallback():
+        return mock.patch.object(
+            models, "_solve_shifted", side_effect=AssertionError("fell back to the direct solve")
+        )
+
+    @staticmethod
+    def _text_fold(rng, n, column_mean=0.0):
+        # a TF-IDF-like fold: one standardized numeric column, shifted by
+        # column_mean, and 1.6n text columns with ~6 nonzeros a row
+        d, nnz = int(1.6 * n), 6 * n
+        num = rng.standard_normal(n)
+        num = (num - num.mean()) / num.std() + column_mean
+        rows = np.concatenate([np.arange(n), rng.integers(0, n, nnz)])
+        cols = np.concatenate([np.zeros(n, dtype=int), rng.integers(1, d, nnz)])
+        X = CsrMatrix.from_coo(rows, cols, np.concatenate([num, rng.random(nnz)]), (n, d))
+        return X, X @ rng.standard_normal(d) + rng.standard_normal(n)
+
     @settings(max_examples=100, deadline=None)
     @given(
         n=st.integers(40, 80),
         extra=st.integers(1, 80),
         alpha=st.floats(1.0, 10.0),
         seed=st.integers(0, 2**32 - 1),
-        as_csr=st.booleans(),
     )
-    def test_wide_dual_by_conjugate_gradients(self, n, extra, alpha, seed, as_csr):
+    def test_sparse_dual_by_conjugate_gradients(self, n, extra, alpha, seed):
         rng = np.random.default_rng(seed)
-        X = self._wide_design(rng, n, n + extra, as_csr)
+        d = n + extra
+        # entries of variance 1/d keep ||Xc||² below ~4, so for alpha ≥ 1
+        # conjugate gradients need ~35 products, fewer than the n ≥ 40 cap
+        X = rng.standard_normal((n, d)) / np.sqrt(d)
+        X[:, 0] += 5.0  # a dense column with a large mean, as a numeric one
+        X[:, 1:] *= rng.random((n, d - 1)) < 0.2
         y = rng.standard_normal(n) + 5.0
-        design = CsrMatrix.from_dense(X) if as_csr else X
-        fallback = mock.patch.object(
-            models, "_solve_shifted", side_effect=AssertionError("fell back to the direct solve")
-        )
-        with fallback:
-            w, b = ridge_solve(design, y, alpha)
+        with self._no_fallback():
+            w, b = ridge_solve(CsrMatrix.from_dense(X), y, alpha)
         self._assert_agrees(X, y, alpha, w, b)
 
-    @pytest.mark.parametrize("as_csr", [False, True])
-    def test_unconverged_dual_falls_back_to_direct_solve(self, as_csr):
-        rng = np.random.default_rng(5)
-        X = self._wide_design(rng, 50, 120, as_csr)
-        y = rng.standard_normal(50) + 5.0
-        design = CsrMatrix.from_dense(X) if as_csr else X
-        # a zero tolerance is never met, so every product up to the cap runs
-        with mock.patch.object(models, "_CG_TOL", 0.0), mock.patch.object(
+    @pytest.mark.parametrize("alpha", [1e-3, 1e-4])
+    def test_sparse_dual_converges_at_the_rounding_floor(self, alpha):
+        # ||Xc||²/alpha ≥ n/alpha ≥ 1e6: the residual cannot reach
+        # 1e-12·alpha·||a|| in floating point, only the rounding floor
+        X, y = self._text_fold(np.random.default_rng(0), 1000)
+        with self._no_fallback():
+            w, b = ridge_solve(X, y, alpha)
+        self._assert_agrees(X.toarray(), y, alpha, w, b)
+
+    def test_stalled_sparse_dual_falls_back_early(self):
+        # a numeric column of mean 100 and std 1 that is not standardized:
+        # centering by its mean cancels, and the residual stalls above the
+        # floor, so the solve falls back long before the n-product cap
+        n = 1000
+        X, y = self._text_fold(np.random.default_rng(0), n, column_mean=100.0)
+        products = []
+        solve = models._conjugate_gradients
+
+        def counted(apply, *args):
+            return solve(lambda v: products.append(v) or apply(v), *args)
+
+        with mock.patch.object(models, "_conjugate_gradients", counted), mock.patch.object(
             models, "_solve_shifted", wraps=models._solve_shifted
         ) as direct:
-            w, b = ridge_solve(design, y, alpha=1.0)
+            w, b = ridge_solve(X, y, alpha=1.0)
+        direct.assert_called_once()
+        assert len(products) < n // 4
+        self._assert_agrees(X.toarray(), y, 1.0, w, b)
+
+    def test_unconverged_sparse_dual_falls_back_to_direct_solve(self):
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((50, 120)) / np.sqrt(120)
+        X[:, 1:] *= rng.random((50, 119)) < 0.2
+        y = rng.standard_normal(50) + 5.0
+        # a zero tolerance is never met, so every product up to the cap runs
+        with mock.patch.object(models, "_CG_TOL", 0.0), mock.patch.object(
+            models, "_CG_FLOOR", 0.0
+        ), mock.patch.object(models, "_solve_shifted", wraps=models._solve_shifted) as direct:
+            w, b = ridge_solve(CsrMatrix.from_dense(X), y, alpha=1.0)
         direct.assert_called_once()
         self._assert_agrees(X, y, 1.0, w, b)
 
