@@ -112,10 +112,10 @@ def make_model(spec: dict) -> ModelKind:
 # the largest Rayleigh quotient p·q/p·p seen, a lower bound on the dual
 # matrix's norm. The second term is the rounding floor: a product with the
 # dual matrix is only exact to about ε·λ̂·‖a‖ (measured: at most 1.3 of it
-# on standardized designs of up to 16 000 rows), so a small α or a large
-# standardized column would otherwise make the test unreachable. The dual
-# matrix's smallest eigenvalue is at least α, so the relative error of a is
-# at most max(_CG_TOL, _CG_FLOOR·ε·λ̂/α).
+# on standardized designs of up to 16 000 rows), so a small α or many rows
+# would otherwise make the test unreachable. The dual matrix's smallest
+# eigenvalue is at least α, so the relative error of a is at most
+# max(_CG_TOL, _CG_FLOOR·ε·λ̂/α).
 _CG_TOL = 1e-12
 _CG_FLOOR = 8
 
