@@ -48,6 +48,84 @@ def word_ngrams(tokens: list[str], lo: int, hi: int) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# Tokenized corpora
+
+
+class TextCorpus:
+    """One text column's documents. Tokenizing and n-gram counting depend on
+    the text alone, so they run once, on first use, and are kept; the n-gram
+    embedders fit and transform on row views (`rows`) of the result."""
+
+    def __init__(self, texts: list[str]):
+        self.texts = list(texts)
+        self._memo: dict = {}
+
+    def rows(self, rows=None) -> "CorpusRows":
+        """A view of the given rows, in order (all rows when None)."""
+        rows = np.arange(len(self.texts)) if rows is None else np.asarray(rows, dtype=np.intp)
+        return CorpusRows(self, rows)
+
+    def memo(self, key, build):
+        """build(), computed once per key for this corpus."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def ngram_counts(self, lo: int, hi: int) -> tuple[list[str], dict[str, int], CsrMatrix]:
+        """The sorted list of word lo..hi-grams, their column index, and the
+        documents × terms count matrix."""
+        return self.memo(("ngrams", lo, hi), lambda: self._count_ngrams(lo, hi))
+
+    def _count_ngrams(self, lo: int, hi: int):
+        first_seen: dict[str, int] = {}
+        cols, sizes = [], []
+        for tokens in self.memo("tokens", lambda: [tokenize(text) for text in self.texts]):
+            grams = word_ngrams(tokens, lo, hi)
+            cols.extend(first_seen.setdefault(g, len(first_seen)) for g in grams)
+            sizes.append(len(grams))
+        terms = sorted(first_seen)
+        rank = np.empty(len(terms), dtype=np.intp)
+        rank[[first_seen[t] for t in terms]] = np.arange(len(terms))
+        counts = CsrMatrix.from_coo(
+            np.repeat(np.arange(len(self.texts)), sizes),
+            rank[np.asarray(cols, dtype=np.intp)],
+            np.ones(len(cols)),
+            (len(self.texts), len(terms)),
+        )
+        return terms, {t: i for i, t in enumerate(terms)}, counts
+
+
+class CorpusRows:
+    """Rows of a TextCorpus; reads as the sequence of their texts, so every
+    embedder accepts it where it accepts a list of strings."""
+
+    def __init__(self, corpus: TextCorpus, rows: np.ndarray):
+        self.corpus = corpus
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        texts = self.corpus.texts
+        return (texts[r] for r in self.rows)
+
+
+def corpus_rows(texts) -> CorpusRows:
+    """texts as a corpus view; a plain list of strings gets its own corpus."""
+    return texts if isinstance(texts, CorpusRows) else TextCorpus(texts).rows()
+
+
+def text_corpora(table: Table) -> dict[str, TextCorpus]:
+    """A corpus per text column, keyed by column name (MISSING reads as "")."""
+    return {
+        col.name: TextCorpus(_texts_of(col.values))
+        for col in table.feature_columns
+        if col.role is ColumnRole.TEXTUAL
+    }
+
+
+# ---------------------------------------------------------------------------
 # TF-IDF
 
 
@@ -65,21 +143,21 @@ class TfIdf:
         if self.ngram_lo > self.ngram_hi:
             raise ValueError("ngram_lo must not exceed ngram_hi")
 
-    def fit(self, train_texts: list[str]) -> "TfIdfModel":
-        if not train_texts:
+    def fit(self, train_texts: list[str] | CorpusRows) -> "TfIdfModel":
+        docs = corpus_rows(train_texts)
+        if not len(docs):
             raise EmptyCorpus("tf-idf fit needs at least one document")
-        df: Counter = Counter()
-        for text in train_texts:
-            df.update(set(word_ngrams(tokenize(text), self.ngram_lo, self.ngram_hi)))
-        if not df:
+        terms, _, counts = docs.corpus.ngram_counts(self.ngram_lo, self.ngram_hi)
+        # a row stores each of its terms once, so column counts are df
+        df = np.bincount(counts.take_rows(docs.rows).indices, minlength=len(terms))
+        seen = np.flatnonzero(df)
+        if not seen.size:
             raise EmptyCorpus("training corpus contains no terms")
-        # cap by document frequency, ties broken lexicographically
-        capped = sorted(df, key=lambda t: (-df[t], t))[: self.max_vocab]
-        vocab = {term: i for i, term in enumerate(sorted(capped))}
-        n_docs = len(train_texts)
-        idf = np.empty(len(vocab))
-        for term, i in vocab.items():
-            idf[i] = np.log((1.0 + n_docs) / (1.0 + df[term])) + 1.0
+        # cap by document frequency, ties broken lexicographically (terms
+        # are sorted, and the stable sort keeps their order within a df)
+        capped = np.sort(seen[np.argsort(-df[seen], kind="stable")[: self.max_vocab]])
+        vocab = {terms[c]: i for i, c in enumerate(capped)}
+        idf = np.log((1.0 + len(docs)) / (1.0 + df[capped])) + 1.0
         return TfIdfModel(self, vocab, idf)
 
 
@@ -95,18 +173,17 @@ class TfIdfModel:
     def dim(self) -> int:
         return len(self.vocab)
 
-    def transform(self, texts: list[str]) -> CsrMatrix:
-        lo, hi = self.config.ngram_lo, self.config.ngram_hi
-        get = self.vocab.get
-        rows, cols, counts = [], [], []
-        for r, text in enumerate(texts):
-            for term, count in Counter(word_ngrams(tokenize(text), lo, hi)).items():
-                col = get(term)
-                if col is not None:
-                    rows.append(r)
-                    cols.append(col)
-                    counts.append(count)
-        out = CsrMatrix.from_coo(rows, cols, counts, (len(texts), self.dim))
+    def transform(self, texts: list[str] | CorpusRows) -> CsrMatrix:
+        docs = corpus_rows(texts)
+        _, index, counts = docs.corpus.ngram_counts(self.config.ngram_lo, self.config.ngram_hi)
+        # vocabulary and corpus terms are both sorted, so the corpus columns
+        # of the vocabulary terms it holds are increasing
+        found = [(index[term], i) for term, i in self.vocab.items() if term in index]
+        corpus_cols, vocab_cols = np.array(found, dtype=np.intp).reshape(-1, 2).T
+        picked = counts.take_rows(docs.rows).take_columns(corpus_cols)
+        out = CsrMatrix(
+            picked.data, vocab_cols[picked.indices], picked.indptr, (len(docs), self.dim)
+        )
         out.data *= self.idf[out.indices]
         norms = out.row_norms()
         out.data /= np.repeat(np.where(norms > 0, norms, 1.0), np.diff(out.indptr))
@@ -214,20 +291,31 @@ class HashedNgram:
     def dim(self) -> int:
         return self.buckets + (3 if self.add_length_features else 0)
 
-    def transform(self, texts: list[str]) -> CsrMatrix:
-        rows, cols, vals = [], [], []
-        for r, text in enumerate(texts):
-            grams = word_ngrams(tokenize(text), 1, 3)
-            rows += [r] * len(grams)
-            cols += [_bucket_of(gram, self.buckets) for gram in grams]
-            vals += [1.0] * len(grams)  # from_coo sums a bucket's repeats
-            if self.add_length_features:
+    def transform(self, texts: list[str] | CorpusRows) -> CsrMatrix:
+        docs = corpus_rows(texts)
+        # each row's block depends on its text alone: build it once per corpus
+        block = docs.corpus.memo(self, lambda: self._block(docs.corpus))
+        return block.take_rows(docs.rows)
+
+    def _block(self, corpus: TextCorpus) -> CsrMatrix:
+        terms, _, counts = corpus.ngram_counts(1, 3)
+        bucket = np.array([_bucket_of(term, self.buckets) for term in terms], dtype=np.intp)
+        n = len(corpus.texts)
+        rows = [np.repeat(np.arange(n), np.diff(counts.indptr))]
+        cols, vals = [bucket[counts.indices]], [counts.data]
+        if self.add_length_features:
+            rows.append(np.repeat(np.arange(n), 3))
+            cols.append(np.tile(self.buckets + np.arange(3), n))
+            lengths = []
+            for text in corpus.texts:
                 n_chars = len(text)
                 upper = sum(1 for ch in text if ch.isupper())
-                rows += [r] * 3
-                cols += [self.buckets, self.buckets + 1, self.buckets + 2]
-                vals += [n_chars, len(text.split()), upper / n_chars if n_chars else 0.0]
-        return CsrMatrix.from_coo(rows, cols, vals, (len(texts), self.dim))
+                lengths += [n_chars, len(text.split()), upper / n_chars if n_chars else 0.0]
+            vals.append(np.asarray(lengths, dtype=float))
+        # from_coo sums the counts of the terms sharing a bucket
+        return CsrMatrix.from_coo(
+            np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), (n, self.dim)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -461,14 +549,18 @@ def assemble_features(
     with_text: bool,
     fold: FoldAssignment,
     test_fold: int,
+    corpora: dict[str, TextCorpus] | None = None,
 ) -> tuple[FeatureMatrix, FeatureMatrix]:
     """Build train/test feature matrices for one fold.
 
     Numeric columns are median-imputed and standardized with train-fold
     statistics, categoricals get train-learned ordinal codes (unseen -> -1),
     text columns are embedded (embedder fitted on the train fold only) or
-    dropped when with_text is false.
+    dropped when with_text is false. `corpora` (from `text_corpora(table)`)
+    lets the folds of one experiment share each column's tokenization.
     """
+    if corpora is None:
+        corpora = text_corpora(table)
     train_rows = fold.train_rows(test_fold)
     test_rows = fold.fold_rows(test_fold)
     tr_blocks: list[np.ndarray | CsrMatrix] = []
@@ -508,12 +600,11 @@ def assemble_features(
             te_blocks.append(te[:, None])
             provenance.append((col.name, "cat", 0))
         elif col.role is ColumnRole.TEXTUAL and with_text and not external:
-            model = embedder.fit(_texts_of([col.values[i] for i in train_rows]))
-            tr = EmbeddingBlock(
-                col.name, model.transform(_texts_of([col.values[i] for i in train_rows]))
-            ).validate(len(train_rows))
+            train_docs = corpora[col.name].rows(train_rows)
+            model = embedder.fit(train_docs)
+            tr = EmbeddingBlock(col.name, model.transform(train_docs)).validate(len(train_rows))
             te = EmbeddingBlock(
-                col.name, model.transform(_texts_of([col.values[i] for i in test_rows]))
+                col.name, model.transform(corpora[col.name].rows(test_rows))
             ).validate(len(test_rows))
             tr_blocks.append(tr.matrix)
             te_blocks.append(te.matrix)

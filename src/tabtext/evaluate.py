@@ -13,7 +13,14 @@ import numpy as np
 
 from . import select
 from .core import TabTextError, Table, TaskKind, k_fold_split, subsample_rows
-from .embed import EmbedderKind, FeatureMatrix, assemble_features, embedder_key
+from .embed import (
+    EmbedderKind,
+    FeatureMatrix,
+    TextCorpus,
+    assemble_features,
+    embedder_key,
+    text_corpora,
+)
 from .ingest import DatasetManifest, ingest_dataset
 from .models import External, FittedModel, ModelKind, fit, run_external
 
@@ -123,17 +130,20 @@ def _fold_fingerprint(train_fm: FeatureMatrix, model: FittedModel) -> str:
     h.update(np.ascontiguousarray(X.sum(axis=0)).tobytes())
     h.update(np.ascontiguousarray(X.sum(axis=1)).tobytes())
     h.update(repr(train_fm.provenance).encode())
-    h.update(repr(list(train_fm.y)).encode())
     if model.task is TaskKind.REGRESSION:
+        h.update(np.asarray(train_fm.y, dtype=float).tobytes())
         h.update(np.asarray(model.predict(train_fm.X)).tobytes())
     else:
+        h.update(repr(list(train_fm.y)).encode())
         h.update(repr(model.predict(train_fm.X)).encode())
     return h.hexdigest()[:16]
 
 
-def _score_fold(spec: ExperimentSpec, table: Table, fold, test_fold: int):
+def _score_fold(
+    spec: ExperimentSpec, table: Table, fold, test_fold: int, corpora: dict[str, TextCorpus]
+):
     train_fm, test_fm = assemble_features(
-        table, spec.embedder, spec.with_text, fold, test_fold
+        table, spec.embedder, spec.with_text, fold, test_fold, corpora=corpora
     )
     applied = False
     if spec.selector is not None and train_fm.width > spec.feature_cap:
@@ -182,12 +192,13 @@ def run_experiment(spec: ExperimentSpec, table: Table | None = None) -> EvalResu
         table, _ = ingest_dataset(spec.manifest)
     table = subsample_rows(table, spec.row_cap, spec.seed)
     fold = k_fold_split(table, spec.k_folds, spec.seed)
+    corpora = text_corpora(table)  # tokenized once, shared by the folds
     per_fold: list[float] = []
     fingerprints: list[str] = []
     applied_any = False
     for test_fold in range(spec.k_folds):
         try:
-            score, applied, fp = _score_fold(spec, table, fold, test_fold)
+            score, applied, fp = _score_fold(spec, table, fold, test_fold, corpora)
         except Exception as exc:
             raise ExperimentError(str(exc), test_fold) from exc
         per_fold.append(score)
@@ -261,9 +272,12 @@ CSV_COLUMNS = [
 def format_results_csv(results: list[EvalResult]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+    # QUOTE_MINIMAL quotes the line terminator's characters but not a lone
+    # "\r", which the reader takes for a line break
+    quoted = csv.writer(buf, quoting=csv.QUOTE_ALL, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in result_rows(results):
-        writer.writerow(
+        (quoted if "\r" in row["dataset"] else writer).writerow(
             [
                 row["dataset"],
                 row["task"],

@@ -90,6 +90,20 @@ class CsrMatrix:
         out = self.toarray()
         return out if dtype is None else out.astype(dtype, copy=False)
 
+    def take_rows(self, rows) -> "CsrMatrix":
+        """The given rows, in the given order; a row may repeat."""
+        rows = np.asarray(rows, dtype=np.intp)
+        n = self.shape[0]
+        if rows.size and (rows.min() < 0 or rows.max() >= n):
+            raise ValueError(f"rows must lie within [0, {n})")
+        starts = self.indptr[rows]
+        sizes = self.indptr[rows + 1] - starts
+        indptr = np.zeros(rows.size + 1, dtype=np.intp)
+        np.cumsum(sizes, out=indptr[1:])
+        # entry k of output row i is entry starts[i] + k of the source
+        pos = np.repeat(starts - indptr[:-1], sizes) + np.arange(indptr[-1])
+        return CsrMatrix(self.data[pos], self.indices[pos], indptr, (rows.size, self.shape[1]))
+
     def take_columns(self, cols) -> "CsrMatrix":
         """The given columns, in the given (strictly increasing) order."""
         cols = np.asarray(cols, dtype=np.intp)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,7 @@ from tabtext.embed import (
     HashedNgram,
     MalformedVectorFile,
     RowCountMismatch,
+    TextCorpus,
     TfIdf,
     TopicFactorization,
     WordVecModel,
@@ -331,3 +333,74 @@ class TestAssembleFeatures:
         ext_cols = [i for i, (_, tag, _) in enumerate(train.provenance) if tag == "external"]
         assert len(ext_cols) == 4
         assert test.X[0, ext_cols[0]] == 20.0  # row 5 of the file
+
+
+def reference_tfidf_fit(config, texts):
+    """The per-document Counter fit the corpus-based one must reproduce."""
+    df: Counter = Counter()
+    for text in texts:
+        df.update(set(word_ngrams(tokenize(text), config.ngram_lo, config.ngram_hi)))
+    capped = sorted(df, key=lambda t: (-df[t], t))[: config.max_vocab]
+    vocab = {term: i for i, term in enumerate(sorted(capped))}
+    idf = np.array([np.log((1.0 + len(texts)) / (1.0 + df[t])) + 1.0 for t in vocab])
+    return vocab, idf
+
+
+_NGRAM_EMBEDDERS = st.one_of(
+    st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 50)).map(
+        lambda t: TfIdf(min(t[:2]), max(t[:2]), t[2])
+    ),
+    st.builds(HashedNgram, buckets=st.integers(16, 64), add_length_features=st.booleans()),
+)
+_TEXT = st.one_of(
+    st.lists(st.sampled_from(["a", "B", "c", "a-b", "δ", "x1", "!"]), max_size=7).map(" ".join),
+    st.text(max_size=20),
+    st.just(""),
+    st.just(MISSING),
+)
+
+
+class TestTextCorpus:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        embedder=_NGRAM_EMBEDDERS,
+        pool=st.lists(_TEXT, min_size=1, max_size=6),
+        data=st.data(),
+    )
+    def test_fold_blocks_match_fresh_fits(self, embedder, pool, data):
+        # rows drawn from a small pool, so texts repeat
+        values = data.draw(st.lists(st.sampled_from(pool), min_size=2, max_size=14))
+        k = data.draw(st.integers(2, 4))
+        fold_of_row = data.draw(st.lists(st.integers(0, k - 1), min_size=len(values),
+                                         max_size=len(values)))
+        texts = ["" if v is MISSING else v for v in values]
+        corpus = TextCorpus(texts)  # shared by every fold, as in run_experiment
+        for f in range(k):
+            train = [i for i, g in enumerate(fold_of_row) if g != f]
+            test = [i for i, g in enumerate(fold_of_row) if g == f]
+            if not train:
+                continue
+            train_texts = [texts[i] for i in train]
+            try:
+                fresh = embedder.fit(train_texts)
+            except EmptyCorpus:
+                with pytest.raises(EmptyCorpus):
+                    embedder.fit(corpus.rows(train))
+                continue
+            model = embedder.fit(corpus.rows(train))
+            for rows in (train, test):
+                got = model.transform(corpus.rows(rows))
+                want = fresh.transform([texts[i] for i in rows])
+                assert got.shape == want.shape
+                for name in ("data", "indices", "indptr"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            if isinstance(embedder, TfIdf):
+                vocab, idf = reference_tfidf_fit(embedder, train_texts)
+                assert model.vocab == fresh.vocab == vocab
+                assert model.idf.tobytes() == fresh.idf.tobytes() == idf.tobytes()
+
+    def test_views_read_as_texts(self):
+        corpus = TextCorpus(["a b", "", "c"])
+        view = corpus.rows([2, 0, 2])
+        assert len(view) == 3 and list(view) == ["c", "a b", "c"]
+        assert list(corpus.rows()) == ["a b", "", "c"]

@@ -1,9 +1,13 @@
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tabtext import embed
 from tabtext.core import Column, ColumnRole, Table, TaskKind, k_fold_split
 from tabtext.embed import ExternalEmbedding, HashedNgram, TfIdf, WordVecAvg, assemble_features
 from tabtext.evaluate import (
@@ -155,6 +159,18 @@ class TestRunExperiment:
         b = run_experiment(spec, text_signal_table())
         assert a.per_fold == b.per_fold
         assert a.fold_fingerprints == b.fold_fingerprints
+
+    @pytest.mark.parametrize("embedder", [TfIdf(), HashedNgram(buckets=32)])
+    def test_each_text_tokenized_once_per_experiment(self, embedder):
+        base = linear_reg_table(n=60)
+        notes = Column("notes", ColumnRole.TEXTUAL, [f"note {i % 7} of {i}" for i in range(60)])
+        table = Table("synth-reg", base.columns[:2] + [notes] + base.columns[2:], "y",
+                      TaskKind.REGRESSION)
+        spec = ExperimentSpec(manifest=reg_manifest(), embedder=embedder, selector=None,
+                              model=Ridge(), with_text=True)
+        with mock.patch.object(embed, "tokenize", wraps=embed.tokenize) as spy:
+            run_experiment(spec, table)
+        assert spy.call_count == 2 * table.n_rows  # two text columns, five folds
 
     def test_mean_and_std_relation(self):
         spec = ExperimentSpec(
@@ -355,6 +371,29 @@ class TestReports:
         (row,) = parse_results_csv(format_results_csv([r]))
         assert row["dataset"] == name
         assert (row["with_text"], row["mean"], row["folds"]) == (False, 0.375, [0.5, 0.25])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        names=st.lists(st.text(), min_size=1, max_size=3),
+        scores=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=9),
+        with_text=st.booleans(),
+    )
+    def test_round_trip_csv_any_name_and_values(self, names, scores, with_text):
+        results = [
+            EvalResult(
+                ExperimentSpec(manifest=reg_manifest(name), embedder=TfIdf(), selector=None,
+                               model=Ridge(), with_text=with_text),
+                scores[2:], scores[0], scores[1], "r2",
+            )
+            for name in names
+        ]
+        rows = parse_results_csv(format_results_csv(results))
+        assert [row["dataset"] for row in rows] == names
+        for row, r in zip(rows, results):
+            got = np.array([row["mean"], row["std"], *row["folds"]])
+            want = np.array([r.mean, r.std, *r.per_fold])
+            assert got.tobytes() == want.tobytes()  # -0.0 and the last ulp too
+            assert row["with_text"] is with_text
 
     def test_plain_names_keep_unquoted_bytes(self):
         spec = ExperimentSpec(

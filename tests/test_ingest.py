@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tabtext.core import MISSING, Column, ColumnRole, TaskKind
+from tabtext.core import MISSING, Column, ColumnRole, Table, TaskKind
 from tabtext.ingest import (
     CoercionFailure,
     DatasetManifest,
@@ -249,6 +249,44 @@ class TestGeneralPreprocess:
         cleaned, report = general_preprocess(table)
         assert cleaned.n_rows == 2
         assert report.dropped_rows["missing-target"] == 1
+
+
+    # one kind of value per column; about 1 cell in 20 missing and 1 in 20 junk,
+    # which puts the 90% numeric-parse rule near its threshold
+    _KINDS = [
+        st.floats(-1e3, 1e3).map(repr),
+        st.integers(0, 99).map(lambda v: f"ABV {v}%"),
+        st.dates().map(str),
+        st.sampled_from(["red", "blue", "green"]),
+        st.text(max_size=8),
+    ]
+    _TARGET = st.one_of(st.floats(-1e3, 1e3).map(repr), st.just("junk"), st.just(MISSING))
+
+    @staticmethod
+    def _cells(kind):
+        return st.tuples(st.integers(0, 19), kind, st.text(max_size=3)).map(
+            lambda t: MISSING if t[0] == 0 else t[2] if t[0] == 1 else t[1]
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 80), n_cols=st.integers(1, 3), data=st.data())
+    def test_roles_invariant_under_row_permutation(self, n, n_cols, data):
+        # over 50 distinct values are needed for a textual role
+        kinds = [data.draw(st.sampled_from(self._KINDS)) for _ in range(n_cols)]
+        columns = [data.draw(st.lists(self._cells(k), min_size=n, max_size=n)) for k in kinds]
+        target = data.draw(st.lists(self._TARGET, min_size=n, max_size=n))
+        order = data.draw(st.permutations(range(n)))
+
+        def cleaned(rows):
+            cols = [Column(f"c{j}", None, [c[i] for i in rows]) for j, c in enumerate(columns)]
+            cols.append(Column("y", None, [target[i] for i in rows]))
+            try:
+                _, report = general_preprocess(Table("t", cols, "y", TaskKind.REGRESSION))
+            except (EmptyTable, CoercionFailure) as exc:
+                return type(exc)
+            return report.to_dict()
+
+        assert cleaned(order) == cleaned(range(n))
 
 
 class TestGoldenFixture:

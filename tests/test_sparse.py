@@ -110,6 +110,23 @@ class TestCsrAgainstDense:
         assert same_bits(S.col_var(), X.var(axis=0))
         assert same_bits(S.row_norms(), np.sqrt((X * X).sum(axis=1)))
 
+    @settings(max_examples=200, deadline=None)
+    @given(X=matrices(), data=st.data())
+    def test_row_take(self, X, data):
+        n, d = X.shape
+        X[data.draw(st.integers(0, n - 1))] = 0.0
+        X[:, data.draw(st.integers(0, d - 1))] = 0.0
+        # any order, repeats allowed
+        rows = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=20)), dtype=np.intp)
+        got = CsrMatrix.from_dense(X).take_rows(rows)
+        want = CsrMatrix.from_dense(X[rows])
+        assert got.shape == want.shape == (rows.size, d)
+        for name in ("data", "indices", "indptr"):
+            assert same_bits(getattr(got, name), getattr(want, name))
+        for bad in ([n], [-1]):
+            with pytest.raises(ValueError):
+                CsrMatrix.from_dense(X).take_rows(bad)
+
     def test_take_columns_rejects_unordered(self):
         S = CsrMatrix.from_dense(np.eye(3))
         with pytest.raises(ValueError):
