@@ -51,6 +51,27 @@ def word_ngrams(tokens: list[str], lo: int, hi: int) -> list[str]:
 # Tokenized corpora
 
 
+def _count_ngrams(texts: list[str], lo: int, hi: int) -> tuple[list[str], CsrMatrix]:
+    """The sorted list of the texts' word lo..hi-grams and the texts × terms
+    count matrix."""
+    first_seen: dict[str, int] = {}
+    cols, sizes = [], []
+    for text in texts:
+        grams = word_ngrams(tokenize(text), lo, hi)
+        cols.extend(first_seen.setdefault(g, len(first_seen)) for g in grams)
+        sizes.append(len(grams))
+    terms = sorted(first_seen)
+    rank = np.empty(len(terms), dtype=np.intp)
+    rank[[first_seen[t] for t in terms]] = np.arange(len(terms))
+    counts = CsrMatrix.from_coo(
+        np.repeat(np.arange(len(texts)), sizes),
+        rank[np.asarray(cols, dtype=np.intp)],
+        np.ones(len(cols)),
+        (len(texts), len(terms)),
+    )
+    return terms, counts
+
+
 class TextCorpus:
     """One text column's documents. Tokenizing and n-gram counting depend on
     the text alone, so they run once, on first use, and are kept; the n-gram
@@ -74,25 +95,12 @@ class TextCorpus:
     def ngram_counts(self, lo: int, hi: int) -> tuple[list[str], dict[str, int], CsrMatrix]:
         """The sorted list of word lo..hi-grams, their column index, and the
         documents × terms count matrix."""
-        return self.memo(("ngrams", lo, hi), lambda: self._count_ngrams(lo, hi))
 
-    def _count_ngrams(self, lo: int, hi: int):
-        first_seen: dict[str, int] = {}
-        cols, sizes = [], []
-        for tokens in self.memo("tokens", lambda: [tokenize(text) for text in self.texts]):
-            grams = word_ngrams(tokens, lo, hi)
-            cols.extend(first_seen.setdefault(g, len(first_seen)) for g in grams)
-            sizes.append(len(grams))
-        terms = sorted(first_seen)
-        rank = np.empty(len(terms), dtype=np.intp)
-        rank[[first_seen[t] for t in terms]] = np.arange(len(terms))
-        counts = CsrMatrix.from_coo(
-            np.repeat(np.arange(len(self.texts)), sizes),
-            rank[np.asarray(cols, dtype=np.intp)],
-            np.ones(len(cols)),
-            (len(self.texts), len(terms)),
-        )
-        return terms, {t: i for i, t in enumerate(terms)}, counts
+        def build():
+            terms, counts = _count_ngrams(self.texts, lo, hi)
+            return terms, {t: i for i, t in enumerate(terms)}, counts
+
+        return self.memo(("ngrams", lo, hi), build)
 
 
 class CorpusRows:
@@ -294,20 +302,21 @@ class HashedNgram:
     def transform(self, texts: list[str] | CorpusRows) -> CsrMatrix:
         docs = corpus_rows(texts)
         # each row's block depends on its text alone: build it once per corpus
-        block = docs.corpus.memo(self, lambda: self._block(docs.corpus))
+        block = docs.corpus.memo(self, lambda: self._block(docs.corpus.texts))
         return block.take_rows(docs.rows)
 
-    def _block(self, corpus: TextCorpus) -> CsrMatrix:
-        terms, _, counts = corpus.ngram_counts(1, 3)
+    def _block(self, texts: list[str]) -> CsrMatrix:
+        # the counts are not kept: once bucketed, nothing reads them again
+        terms, counts = _count_ngrams(texts, 1, 3)
         bucket = np.array([_bucket_of(term, self.buckets) for term in terms], dtype=np.intp)
-        n = len(corpus.texts)
+        n = len(texts)
         rows = [np.repeat(np.arange(n), np.diff(counts.indptr))]
         cols, vals = [bucket[counts.indices]], [counts.data]
         if self.add_length_features:
             rows.append(np.repeat(np.arange(n), 3))
             cols.append(np.tile(self.buckets + np.arange(3), n))
             lengths = []
-            for text in corpus.texts:
+            for text in texts:
                 n_chars = len(text)
                 upper = sum(1 for ch in text if ch.isupper())
                 lengths += [n_chars, len(text.split()), upper / n_chars if n_chars else 0.0]
