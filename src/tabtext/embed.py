@@ -73,9 +73,10 @@ def _count_ngrams(texts: list[str], lo: int, hi: int) -> tuple[list[str], CsrMat
 
 
 class TextCorpus:
-    """One text column's documents. Tokenizing and n-gram counting depend on
-    the text alone, so they run once, on first use, and are kept; the n-gram
-    embedders fit and transform on row views (`rows`) of the result."""
+    """One text column's documents. What depends on the text alone (the
+    n-gram counts of a range, a hashed block) is computed once, on first
+    use, and kept; the n-gram embedders fit and transform on row views
+    (`rows`) of it."""
 
     def __init__(self, texts: list[str]):
         self.texts = list(texts)

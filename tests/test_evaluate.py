@@ -170,7 +170,8 @@ class TestRunExperiment:
                               model=Ridge(), with_text=True)
         with mock.patch.object(embed, "tokenize", wraps=embed.tokenize) as spy:
             run_experiment(spec, table)
-        assert spy.call_count == 2 * table.n_rows  # two text columns, five folds
+        # once per row of each text column, across all five folds
+        assert spy.call_count == 2 * table.n_rows
 
     def test_mean_and_std_relation(self):
         spec = ExperimentSpec(

@@ -250,7 +250,6 @@ class TestGeneralPreprocess:
         assert cleaned.n_rows == 2
         assert report.dropped_rows["missing-target"] == 1
 
-
     # one kind of value per column; about 1 cell in 20 missing and 1 in 20 junk,
     # which puts the 90% numeric-parse rule near its threshold
     _KINDS = [
