@@ -5,7 +5,6 @@ import argparse
 import json
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import breaklab, vetting
@@ -113,24 +112,11 @@ def cmd_eval(args) -> int:
 
     results: list[EvalResult] = []
     failures: list[str] = []
-
-    def one(spec: ExperimentSpec):
+    for spec in specs:
         try:
-            return run_experiment(spec, tables.get(spec.dataset_name))
+            results.append(run_experiment(spec, tables.get(spec.dataset_name)))
         except Exception as exc:  # noqa: BLE001 - cell failures are reported, not fatal
-            return f"{spec.dataset_name}/{spec.condition()}: {exc}"
-
-    jobs = max(1, args.jobs)
-    if jobs == 1:
-        outcomes = [one(s) for s in specs]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(one, specs))
-    for outcome in outcomes:
-        if isinstance(outcome, EvalResult):
-            results.append(outcome)
-        else:
-            failures.append(outcome)
+            failures.append(f"{spec.dataset_name}/{spec.condition()}: {exc}")
 
     out_dir = args.out or config.get("out", "run")
     paths = emit_report(results, out_dir)
@@ -250,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Benchmark harness for tabular prediction tasks with text columns",
     )
     parser.add_argument("--seed", type=int, default=None, help="global seed (overrides config)")
-    parser.add_argument("--jobs", type=int, default=1, help="worker count for grid cells")
     parser.add_argument("--out", default=None, help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -269,13 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vet", help="curation rule checks and schema coverage")
     p.add_argument("manifests", nargs="+")
     p.add_argument("--pair", nargs=2, metavar=("A", "B"), default=None)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--mock", action="store_true", default=True,
-                       help="use canned LLM responses (default)")
-    group.add_argument("--live", action="store_true", default=False,
-                       help="use the HTTP chat-completion client")
+    p.add_argument("--live", action="store_true", default=False,
+                   help="use the HTTP chat-completion client instead of canned responses")
     p.add_argument("--fixtures", default=str(vetting.default_fixture_dir()),
-                   help="canned-response directory for --mock")
+                   help="canned-response directory, read unless --live is given")
     p.add_argument("--endpoint", default="https://api.openai.com/v1/chat/completions")
     p.add_argument("--model-name", default="gpt-4o")
     p.set_defaults(func=cmd_vet)

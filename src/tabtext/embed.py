@@ -367,13 +367,7 @@ class TopicFactorization:
             raise EmptyCorpus("training corpus contains no character n-grams")
         vocab = {g: i for i, g in enumerate(vocab_terms)}
         V = self._count_matrix(train_texts, vocab)
-        rng = np.random.default_rng(self.seed)
-        k = self.n_components
-        W = rng.random((V.shape[0], k)) + 0.01
-        H = rng.random((k, V.shape[1])) + 0.01
-        for _ in range(self.iters):
-            W *= (V @ H.T) / (W @ (H @ H.T) + _EPS)
-            H *= (W.T @ V) / ((W.T @ W) @ H + _EPS)
+        _, H = factorize_counts(V, self.n_components, self.iters, self.seed)
         # canonicalize the scale split between the factors: unit-norm topic
         # rows keep the output activations at count scale
         norms = np.linalg.norm(H, axis=1, keepdims=True)
@@ -406,18 +400,16 @@ class TopicModel:
 
 def factorize_counts(
     V: np.ndarray, n_components: int, iters: int, seed: int
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Multiplicative-update factorization V ~ W @ H with the per-iteration
-    Frobenius error trace (handy for convergence checks)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Multiplicative-update factorization V ~ W @ H (Lee & Seung), from a
+    seeded uniform start; the Frobenius error is non-increasing in iters."""
     rng = np.random.default_rng(seed)
     W = rng.random((V.shape[0], n_components)) + 0.01
     H = rng.random((n_components, V.shape[1])) + 0.01
-    errors = [float(np.linalg.norm(V - W @ H))]
     for _ in range(iters):
         W *= (V @ H.T) / (W @ (H @ H.T) + _EPS)
         H *= (W.T @ V) / ((W.T @ W) @ H + _EPS)
-        errors.append(float(np.linalg.norm(V - W @ H)))
-    return W, H, errors
+    return W, H
 
 
 # ---------------------------------------------------------------------------

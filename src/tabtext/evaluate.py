@@ -5,8 +5,7 @@ import csv
 import hashlib
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -15,14 +14,13 @@ from . import select
 from .core import TabTextError, Table, TaskKind, k_fold_split, subsample_rows
 from .embed import (
     EmbedderKind,
-    FeatureMatrix,
     TextCorpus,
     assemble_features,
     embedder_key,
     text_corpora,
 )
 from .ingest import DatasetManifest, ingest_dataset
-from .models import External, FittedModel, ModelKind, fit, run_external
+from .models import External, ModelKind, fit, run_external
 
 
 class LengthMismatch(TabTextError):
@@ -94,6 +92,13 @@ class ExperimentSpec:
         payload = json.dumps(
             {
                 "dataset": self.dataset_name,
+                "target_column": self.manifest.target_column,
+                "task": self.task.value,
+                "role_overrides": {
+                    col: role.value for col, role in self.manifest.role_overrides.items()
+                },
+                "manifest_row_cap": self.manifest.row_cap,
+                "delimiter": self.manifest.delimiter,
                 "embedder": embedder_key(self.embedder),
                 "selector": self.selector,
                 "model": repr(self.model),
@@ -117,26 +122,6 @@ class EvalResult:
     std: float
     metric_name: str
     selector_applied: bool = False
-    fold_fingerprints: list[str] = field(default_factory=list)
-
-
-def _fold_fingerprint(train_fm: FeatureMatrix, model: FittedModel) -> str:
-    """Cheap digest of the fitted pipeline: train-matrix aggregates plus the
-    model's own train predictions (wide matrices make full-byte hashing too
-    expensive for something recomputed every fold)."""
-    h = hashlib.sha256()
-    X = train_fm.X
-    h.update(repr(X.shape).encode())
-    h.update(np.ascontiguousarray(X.sum(axis=0)).tobytes())
-    h.update(np.ascontiguousarray(X.sum(axis=1)).tobytes())
-    h.update(repr(train_fm.provenance).encode())
-    if model.task is TaskKind.REGRESSION:
-        h.update(np.asarray(train_fm.y, dtype=float).tobytes())
-        h.update(np.asarray(model.predict(train_fm.X)).tobytes())
-    else:
-        h.update(repr(list(train_fm.y)).encode())
-        h.update(repr(model.predict(train_fm.X)).encode())
-    return h.hexdigest()[:16]
 
 
 def _score_fold(
@@ -166,19 +151,12 @@ def _score_fold(
         preds, _ = run_external(
             spec.model.command, train_fm, test_fm, timeout=spec.model.timeout
         )
-        if spec.task is TaskKind.REGRESSION:
-            score = metric_r2(test_fm.y, [float(p) for p in preds])
-        else:
-            score = metric_accuracy(test_fm.y, preds)
-        return score, applied, ""
-
-    model = fit(spec.model, train_fm.X, train_fm.y, spec.task)
-    preds = model.predict(test_fm.X)
-    if spec.task is TaskKind.REGRESSION:
-        score = metric_r2(test_fm.y, preds)
     else:
-        score = metric_accuracy(test_fm.y, preds)
-    return score, applied, _fold_fingerprint(train_fm, model)
+        preds = fit(spec.model, train_fm.X, train_fm.y, spec.task).predict(test_fm.X)
+    # metric_r2 parses an External model's CSV prediction strings as floats
+    if spec.task is TaskKind.REGRESSION:
+        return metric_r2(test_fm.y, preds), applied
+    return metric_accuracy(test_fm.y, preds), applied
 
 
 def run_experiment(spec: ExperimentSpec, table: Table | None = None) -> EvalResult:
@@ -194,15 +172,13 @@ def run_experiment(spec: ExperimentSpec, table: Table | None = None) -> EvalResu
     fold = k_fold_split(table, spec.k_folds, spec.seed)
     corpora = text_corpora(table)  # tokenized once, shared by the folds
     per_fold: list[float] = []
-    fingerprints: list[str] = []
     applied_any = False
     for test_fold in range(spec.k_folds):
         try:
-            score, applied, fp = _score_fold(spec, table, fold, test_fold, corpora)
+            score, applied = _score_fold(spec, table, fold, test_fold, corpora)
         except Exception as exc:
             raise ExperimentError(str(exc), test_fold) from exc
         per_fold.append(score)
-        fingerprints.append(fp)
         applied_any = applied_any or applied
     metric_name = "r2" if spec.task is TaskKind.REGRESSION else "accuracy"
     return EvalResult(
@@ -212,24 +188,14 @@ def run_experiment(spec: ExperimentSpec, table: Table | None = None) -> EvalResu
         float(np.std(per_fold)),
         metric_name,
         applied_any,
-        fingerprints,
     )
 
 
 def run_grid(
-    specs: list[ExperimentSpec],
-    tables: dict[str, Table] | None = None,
-    jobs: int = 1,
+    specs: list[ExperimentSpec], tables: dict[str, Table] | None = None
 ) -> list[EvalResult]:
     tables = tables or {}
-
-    def one(spec: ExperimentSpec) -> EvalResult:
-        return run_experiment(spec, tables.get(spec.dataset_name))
-
-    if jobs <= 1:
-        return [one(s) for s in specs]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(one, specs))
+    return [run_experiment(spec, tables.get(spec.dataset_name)) for spec in specs]
 
 
 # ---------------------------------------------------------------------------

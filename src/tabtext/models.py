@@ -504,6 +504,14 @@ class FittedModel:
         return _softmax(X @ W + b)
 
 
+def one_hot(y) -> tuple[list, np.ndarray]:
+    """The labels' classes, sorted by their string form, and the n x classes
+    0/1 indicator matrix of y over them."""
+    classes = sorted(set(y), key=str)
+    index = {c: i for i, c in enumerate(classes)}
+    return classes, np.eye(len(classes))[[index[v] for v in y]]
+
+
 def fit(kind: ModelKind, X: np.ndarray | CsrMatrix, y, task: TaskKind) -> FittedModel:
     if not (isinstance(kind, Ridge) and isinstance(X, CsrMatrix)):
         X = np.asarray(X, dtype=float)
@@ -524,14 +532,11 @@ def fit(kind: ModelKind, X: np.ndarray | CsrMatrix, y, task: TaskKind) -> Fitted
             raise TabTextError(f"{kind.tag} does not support regression")
         return FittedModel(kind, task, X.shape[1], None, inner)
 
-    classes = sorted(set(y), key=str)
-    index = {c: i for i, c in enumerate(classes)}
-    y_enc = np.array([index[v] for v in y], dtype=float)
+    classes, Y = one_hot(y)
     if isinstance(kind, Logistic):
-        Y = np.eye(len(classes))[y_enc.astype(int)]
         inner = logistic_solve(X, Y, kind.l2, kind.max_iter)
     elif isinstance(kind, Gbdt):
-        inner = _fit_gbdt(kind, X, y_enc, task, len(classes))
+        inner = _fit_gbdt(kind, X, Y.argmax(axis=1).astype(float), task, len(classes))
     else:
         raise TabTextError(f"{kind.tag} does not support classification")
     return FittedModel(kind, task, X.shape[1], classes, inner)

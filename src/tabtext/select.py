@@ -8,7 +8,7 @@ import numpy as np
 
 from .core import TabTextError, TaskKind
 from .embed import FeatureMatrix
-from .models import _softmax, logistic_solve, ridge_solve
+from .models import _softmax, logistic_solve, one_hot, ridge_solve
 from .sparse import CsrMatrix
 
 SELECTOR_KINDS = (
@@ -337,10 +337,7 @@ def select_l1(
         yc = y_arr - y_arr.mean()
         lam_max = np.abs(Xs.T @ yc).max() / n
     else:
-        classes = sorted(set(y), key=str)
-        Y = np.zeros((n, len(classes)))
-        for i, v in enumerate(y):
-            Y[i, classes.index(v)] = 1.0
+        _, Y = one_hot(y)
         lam_max = np.abs(Xs.T @ (Y.mean(axis=0) - Y)).max() / n
     if lam_max <= 0:
         return _top_k("l1", np.zeros(X.shape[1]), k)
@@ -379,10 +376,7 @@ def select_shap(X: np.ndarray, y, task: TaskKind, k: int, seed: int = 0) -> Sele
         phi = np.abs(Xs * w)
         scores = phi.mean(axis=0)
     else:
-        classes = sorted(set(y), key=str)
-        Y = np.zeros((X.shape[0], len(classes)))
-        for i, v in enumerate(y):
-            Y[i, classes.index(v)] = 1.0
+        _, Y = one_hot(y)
         W, _ = logistic_solve(Xs, Y, l2=1e-2, max_iter=500)
         per_class = np.stack([np.abs(Xs * W[:, c]).mean(axis=0) for c in range(Y.shape[1])])
         scores = per_class.mean(axis=0)

@@ -100,6 +100,29 @@ class TestEvalCommand:
         assert "not applicable" in err
         assert not (tmp_path / "x").exists()
 
+    def test_failed_cells_are_reported_and_skipped(self, tmp_path, capsys):
+        csv_path = tmp_path / "reg.csv"
+        rows = [f"note {i % 5} of batch {i},{i % 7},{1.5 * (i % 7) + i % 3}" for i in range(40)]
+        csv_path.write_text("notes,reading,score\n" + "\n".join(rows) + "\n")
+        manifest = tmp_path / "reg.json"
+        write_manifest(manifest, csv_path, name="reg", target="score", task="regression")
+        config = eval_config(tmp_path, manifest, models=[{"kind": "ridge"}, {"kind": "logistic"}])
+        out_dir = tmp_path / "run"
+        assert main(["--out", str(out_dir), "eval", str(config)]) == 3
+        assert "4 experiment(s) failed" in capsys.readouterr().err
+
+        csv_rows = (out_dir / "results.csv").read_text().strip().splitlines()[1:]
+        assert len(csv_rows) == 4  # ridge: 2 embedders x with/without text
+        assert all(row.split(",")[3] == "ridge" for row in csv_rows)
+        report, failures = (out_dir / "results.txt").read_text().split("\nfailures:\n")
+        assert "logistic" not in report
+        expected = sorted(
+            f"  reg/('logistic', '{emb}', 'all', {wt}): fold 0: logistic does not support regression"
+            for emb in ("tfidf", "hashed")
+            for wt in (True, False)
+        )
+        assert sorted(failures.splitlines()) == expected
+
 
 class TestBreakCommand:
     def test_default_run_prints_grid(self, tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""Edge-path coverage: timeouts, threaded grids, delimiters, multi-table
-break averages, and the HTTP chat client against a local stub server."""
+"""Edge-path coverage: timeouts, delimiters, multi-table break averages,
+and the HTTP chat client against a local stub server."""
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -15,7 +15,6 @@ from tabtext.ingest import DatasetManifest, load_csv
 from tabtext.models import ExternalTimeout, Gbdt, run_external
 from tabtext.vetting import HttpChatLlmClient
 
-from test_evaluate import clf_manifest, text_signal_table
 from test_models import make_fm
 
 
@@ -25,23 +24,6 @@ class TestExternalTimeout:
         stub.write_text("import time; time.sleep(30)\n")
         with pytest.raises(ExternalTimeout):
             run_external(f"python3 {stub}", make_fm(), make_fm(4, seed=1), timeout=0.5)
-
-
-class TestThreadedGrid:
-    def test_jobs_two_matches_sequential(self):
-        from tabtext.embed import HashedNgram
-        from tabtext.evaluate import ExperimentSpec, run_grid
-        from tabtext.models import Logistic
-
-        specs = [
-            ExperimentSpec(clf_manifest(), HashedNgram(buckets=32), None, Logistic(),
-                           with_text, seed=3)
-            for with_text in (True, False)
-        ]
-        tables = {"synth-clf": text_signal_table()}
-        seq = run_grid(specs, tables=tables, jobs=1)
-        par = run_grid(specs, tables=tables, jobs=2)
-        assert [r.per_fold for r in seq] == [r.per_fold for r in par]
 
 
 class TestDelimiterOverride:

@@ -153,7 +153,12 @@ class TestTopicFactorization:
     def test_error_non_increasing_on_fixed_matrix(self):
         rng = np.random.default_rng(42)
         V = rng.integers(0, 5, size=(10, 20)).astype(float)
-        _, _, errors = factorize_counts(V, n_components=3, iters=60, seed=7)
+
+        def error_after(iters):
+            W, H = factorize_counts(V, n_components=3, iters=iters, seed=7)
+            return np.linalg.norm(V - W @ H)
+
+        errors = [error_after(iters) for iters in range(61)]
         for before, after in zip(errors, errors[1:]):
             assert after <= before + 1e-9
 

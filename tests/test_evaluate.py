@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tabtext import embed
+from tabtext import embed, evaluate
 from tabtext.core import Column, ColumnRole, Table, TaskKind, k_fold_split
 from tabtext.embed import ExternalEmbedding, HashedNgram, TfIdf, WordVecAvg, assemble_features
 from tabtext.evaluate import (
@@ -25,8 +25,9 @@ from tabtext.evaluate import (
     run_grid,
 )
 from tabtext.ingest import DatasetManifest
-from tabtext.models import Logistic, Ridge
+from tabtext.models import External, Logistic, Ridge
 from tabtext.select import SelectorNotApplicable
+from tabtext.sparse import CsrMatrix
 
 
 class TestMetrics:
@@ -158,7 +159,6 @@ class TestRunExperiment:
         a = run_experiment(spec, text_signal_table())
         b = run_experiment(spec, text_signal_table())
         assert a.per_fold == b.per_fold
-        assert a.fold_fingerprints == b.fold_fingerprints
 
     @pytest.mark.parametrize("embedder", [TfIdf(), HashedNgram(buckets=32)])
     def test_each_text_tokenized_once_per_experiment(self, embedder):
@@ -242,6 +242,35 @@ class TestRunExperiment:
         )
         assert spec.spec_hash() != replace(spec, corr_method="spearman").spec_hash()
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"role_overrides": {"x": ColumnRole.CATEGORICAL}},
+            {"row_cap": 50},
+            {"delimiter": ";"},
+            {"target_column": "x"},
+            {"task": TaskKind.BINARY},
+        ],
+    )
+    def test_spec_hash_covers_manifest_fields(self, change):
+        spec = ExperimentSpec(
+            manifest=reg_manifest(), embedder=TfIdf(), selector=None,
+            model=Ridge(), with_text=True,
+        )
+        changed = replace(spec, manifest=replace(spec.manifest, **change))
+        assert spec.spec_hash() != changed.spec_hash()
+
+    @pytest.mark.parametrize(
+        "change", [{"command": "python3 other.py"}, {"timeout": 5.0}, {"raw_table": True}]
+    )
+    def test_spec_hash_covers_external_settings(self, change):
+        spec = ExperimentSpec(
+            manifest=reg_manifest(), embedder=TfIdf(), selector=None,
+            model=External("python3 model.py"), with_text=True,
+        )
+        changed = replace(spec, model=replace(spec.model, **change))
+        assert spec.spec_hash() != changed.spec_hash()
+
     @pytest.mark.parametrize("make", [WordVecAvg, ExternalEmbedding])
     def test_spec_hash_covers_file_content(self, tmp_path, make):
         path = tmp_path / "vectors.txt"
@@ -302,7 +331,7 @@ class TestRunExperiment:
 
     def test_anti_leak_test_fold_targets(self):
         # regression folds ignore y, so fold membership is stable: mutating a
-        # fold-0 target must leave fold 0's fitted pipeline untouched
+        # fold-0 target must leave fold 0's model inputs untouched
         base = linear_reg_table(seed=9)
         spec = ExperimentSpec(
             manifest=reg_manifest(),
@@ -318,9 +347,17 @@ class TestRunExperiment:
         victim = fold.fold_rows(0)[0]
         mutated = linear_reg_table(seed=9)
         mutated.column("y").values[victim] = 1234.5
-        a = run_experiment(spec, base)
-        b = run_experiment(spec, mutated)
-        assert a.fold_fingerprints[0] == b.fold_fingerprints[0]
+
+        def fold0_fit_inputs(table):
+            with mock.patch.object(evaluate, "fit", wraps=evaluate.fit) as spy:
+                result = run_experiment(spec, table)
+            X, y = spy.call_args_list[0].args[1:3]
+            X = X.toarray() if isinstance(X, CsrMatrix) else X
+            return result, (X.shape, X.tobytes(), np.asarray(y, dtype=float).tobytes())
+
+        a, a_inputs = fold0_fit_inputs(base)
+        b, b_inputs = fold0_fit_inputs(mutated)
+        assert a_inputs == b_inputs
         assert a.per_fold[0] != b.per_fold[0]
 
 
