@@ -89,28 +89,32 @@ class ExperimentSpec:
         return (self.model.tag, self.embedder.tag, self.selector or "all", self.with_text)
 
     def spec_hash(self) -> str:
-        payload = json.dumps(
-            {
-                "dataset": self.dataset_name,
-                "target_column": self.manifest.target_column,
-                "task": self.task.value,
-                "role_overrides": {
-                    col: role.value for col, role in self.manifest.role_overrides.items()
-                },
-                "manifest_row_cap": self.manifest.row_cap,
-                "delimiter": self.manifest.delimiter,
-                "embedder": embedder_key(self.embedder),
-                "selector": self.selector,
-                "model": repr(self.model),
-                "with_text": self.with_text,
-                "k_folds": self.k_folds,
-                "feature_cap": self.feature_cap,
-                "row_cap": self.row_cap,
-                "seed": self.seed,
-                "corr_method": self.corr_method,
+        """Hash of everything that changes a score, the bytes of the dataset
+        CSV included when the manifest names an existing file (an in-memory
+        table's manifest names none)."""
+        fields = {
+            "dataset": self.dataset_name,
+            "target_column": self.manifest.target_column,
+            "task": self.task.value,
+            "role_overrides": {
+                col: role.value for col, role in self.manifest.role_overrides.items()
             },
-            sort_keys=True,
-        )
+            "manifest_row_cap": self.manifest.row_cap,
+            "delimiter": self.manifest.delimiter,
+            "embedder": embedder_key(self.embedder),
+            "selector": self.selector,
+            "model": repr(self.model),
+            "with_text": self.with_text,
+            "k_folds": self.k_folds,
+            "feature_cap": self.feature_cap,
+            "row_cap": self.row_cap,
+            "seed": self.seed,
+            "corr_method": self.corr_method,
+        }
+        csv_path = Path(self.manifest.csv_path)
+        if csv_path.is_file():
+            fields["csv_sha256"] = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+        payload = json.dumps(fields, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 

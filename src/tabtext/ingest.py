@@ -9,6 +9,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 from .core import (
     MISSING,
@@ -45,7 +46,7 @@ _MISSING_MARKERS = {"", "NaN", "nan"}
 _FORMATTING_CHARS = str.maketrans("", "", ",$€£%")
 
 # number with an optional short non-numeric prefix/suffix ("ABV 12%", "15s")
-_AFFIX_RE = re.compile(r"(.{0,5}?)([+-]?\d+(?:\.\d+)?)(.{0,5})\Z", re.DOTALL)
+_AFFIX_RE = re.compile(r"(.{0,5}?)([+-]?(?:\d+(?:\.\d+)?|\.\d+))(.{0,5})\Z", re.DOTALL)
 
 _TIMESTAMP_RE = re.compile(r"\d{4}-\d{2}-\d{2}([T ]\d{2}:\d{2}(:\d{2}(\.\d+)?)?)?\Z")
 
@@ -176,67 +177,87 @@ def _direct_number(cell: str) -> float | None:
         return None
 
 
-def _affix_parts(cell: str) -> tuple[str, str, float] | None:
-    """Split a cell into (prefix, suffix, value) when it is a number wearing
-    a short non-numeric affix; None when it is not.
-    """
-    m = _AFFIX_RE.fullmatch(_clean(cell))
-    if m is None:
-        return None
-    prefix, num, suffix = m.groups()
-    if any(ch.isdigit() for ch in prefix) or any(ch.isdigit() for ch in suffix):
-        return None
-    return prefix, suffix, float(num)
-
-
 def categoricity_threshold(n_rows: int) -> int:
     small = math.ceil(0.05 * n_rows) if n_rows < 1000 else 50
     return max(50, small)
 
 
-def _is_timestamp_column(vals: list[str]) -> bool:
-    if not vals:
-        return False
-    hits = sum(1 for v in vals if _TIMESTAMP_RE.fullmatch(v.strip()))
-    return hits >= NUMERIC_PARSE_FRACTION * len(vals)
+class _ColumnRead(NamedTuple):
+    role: ColumnRole
+    # each distinct string's direct or affix number, None when it has
+    # neither; complete only when the walk did not stop early
+    numbers: dict[str, float | None]
+    timestamps: bool
 
 
-def _dominant_affix(vals: list[str]) -> tuple[str, str] | None:
-    counts: Counter = Counter()
-    for v in vals:
-        parts = _affix_parts(v)
-        if parts is not None and (parts[0], parts[1]) != ("", ""):
-            counts[(parts[0], parts[1])] += 1
-    if not counts:
-        return None
-    return counts.most_common(1)[0][0]
+def _read_column(col: Column, n_rows: int, stop_early: bool = True) -> _ColumnRead:
+    """Classify a column in one pass over its distinct non-missing strings,
+    in order of first occurrence. Each string is cleaned and parsed once:
+    as a direct number, as a number wearing a short affix, as a timestamp.
 
-
-def classify_column(col: Column, n_rows: int) -> ColumnRole:
-    """Role heuristic: numeric parse rate, then unique-count categoricity,
-    textual otherwise.
+    Cell-weighted hits decide the role: numerical when at least 90% of the
+    cells are direct numbers, or direct or the dominant affix, or
+    timestamps; otherwise categorical up to the categoricity threshold of
+    distinct values, textual above it. Once so many cells are none of the
+    three that 90% is out of reach, no numeric test can pass and the walk
+    stops, unless `stop_early` is false.
     """
-    vals = [v for v in col.values if v is not MISSING]
+    vals = col.non_missing()
     if not vals:
-        return ColumnRole.TEXTUAL
+        return _ColumnRead(ColumnRole.TEXTUAL, {}, False)
     if all(isinstance(v, (int, float)) for v in vals):
-        return ColumnRole.NUMERICAL
-    vals = [str(v) for v in vals]
-    direct = sum(1 for v in vals if _direct_number(v) is not None)
-    if direct >= NUMERIC_PARSE_FRACTION * len(vals):
-        return ColumnRole.NUMERICAL
-    dom = _dominant_affix(vals)
-    if dom is not None:
-        covered = direct + sum(
-            1 for v in vals if (p := _affix_parts(v)) is not None and (p[0], p[1]) == dom
-        )
-        if covered >= NUMERIC_PARSE_FRACTION * len(vals):
-            return ColumnRole.NUMERICAL
-    if _is_timestamp_column(vals):
-        return ColumnRole.NUMERICAL
-    if len(set(vals)) <= categoricity_threshold(n_rows):
-        return ColumnRole.CATEGORICAL
-    return ColumnRole.TEXTUAL
+        return _ColumnRead(ColumnRole.NUMERICAL, {}, False)
+    counts = Counter(map(str, vals))
+    n = len(vals)
+    need = NUMERIC_PARSE_FRACTION * n
+    direct = stamps = misses = 0
+    # (prefix, suffix) -> cells, inserted at each pair's first cell, so
+    # most_common breaks ties towards the earliest pair; affix_only counts
+    # only the cells of a pair that are not direct numbers
+    affixes: Counter = Counter()
+    affix_only: Counter = Counter()
+    numbers: dict[str, float | None] = {}
+    for s, k in counts.items():
+        cleaned = _clean(s)
+        try:
+            num = float(cleaned)
+        except ValueError:
+            num = None
+        # digits flank every number in a timestamp, so it has no affix
+        if num is None and _TIMESTAMP_RE.fullmatch(s.strip()):
+            stamps += k
+            numbers[s] = None
+            continue
+        pair = None
+        m = _AFFIX_RE.fullmatch(cleaned)
+        if m is not None:
+            prefix, digits, suffix = m.groups()
+            if not any(ch.isdigit() for ch in prefix + suffix):
+                pair = (prefix, suffix)
+                if pair != ("", ""):
+                    affixes[pair] += k
+        if num is not None:
+            direct += k
+        elif pair is not None:
+            num = float(digits)
+            affix_only[pair] += k
+        else:
+            misses += k
+            if stop_early and n - misses < need:
+                break
+        numbers[s] = num
+    else:
+        # a cell counts once towards the dominant affix, direct or not
+        dominant = affixes.most_common(1)[0][0] if affixes else None
+        if (
+            direct >= need
+            or direct + affix_only[dominant] >= need
+            or stamps >= need
+        ):
+            return _ColumnRead(ColumnRole.NUMERICAL, numbers, stamps >= need)
+    if len(counts) <= categoricity_threshold(n_rows):
+        return _ColumnRead(ColumnRole.CATEGORICAL, numbers, False)
+    return _ColumnRead(ColumnRole.TEXTUAL, numbers, False)
 
 
 def _parse_timestamp(cell: str) -> float | None:
@@ -250,40 +271,49 @@ def _parse_timestamp(cell: str) -> float | None:
     return dt.timestamp()
 
 
+def _coerced(col: Column, read: _ColumnRead) -> Column:
+    """The numerical column built from a full read: every cell becomes a
+    number or MISSING. More than 10% parse failures means the classifier was
+    wrong.
+    """
+    numbers = read.numbers
+    if read.timestamps:
+        numbers = {s: _parse_timestamp(s) for s in numbers}
+    out = [
+        v if v is MISSING else float(v) if isinstance(v, (int, float)) else numbers[str(v)]
+        for v in col.values
+    ]
+    failures = out.count(None)
+    if failures:
+        n = len(col.non_missing())
+        if failures > MAX_COERCION_FAILURES * n:
+            raise CoercionFailure(
+                f"column {col.name!r}: {failures}/{n} cells failed numeric coercion"
+            )
+        out = [MISSING if v is None else v for v in out]
+    return Column(col.name, ColumnRole.NUMERICAL, out)
+
+
+def _typed_column(col: Column, n_rows: int) -> Column:
+    """The column with its heuristic role, coerced when numerical."""
+    read = _read_column(col, n_rows)
+    if read.role is ColumnRole.NUMERICAL:
+        return _coerced(col, read)
+    return Column(col.name, read.role, col.values)
+
+
+def classify_column(col: Column, n_rows: int) -> ColumnRole:
+    """Role heuristic: numeric parse rate, then unique-count categoricity,
+    textual otherwise.
+    """
+    return _read_column(col, n_rows).role
+
+
 def coerce_numeric_column(col: Column) -> Column:
     """Turn every cell of a numerically-classified column into a number or
     MISSING. More than 10% parse failures means the classifier was wrong.
     """
-    vals = [v for v in col.values if v is not MISSING]
-    timestamps = _is_timestamp_column([str(v) for v in vals]) and not all(
-        isinstance(v, (int, float)) for v in vals
-    )
-    out = []
-    failures = 0
-    for v in col.values:
-        if v is MISSING:
-            out.append(MISSING)
-            continue
-        if isinstance(v, (int, float)):
-            out.append(float(v))
-            continue
-        if timestamps:
-            num = _parse_timestamp(str(v))
-        else:
-            num = _direct_number(str(v))
-            if num is None:
-                parts = _affix_parts(str(v))
-                num = parts[2] if parts is not None else None
-        if num is None:
-            failures += 1
-            out.append(MISSING)
-        else:
-            out.append(num)
-    if vals and failures > MAX_COERCION_FAILURES * len(vals):
-        raise CoercionFailure(
-            f"column {col.name!r}: {failures}/{len(vals)} cells failed numeric coercion"
-        )
-    return Column(col.name, ColumnRole.NUMERICAL, out)
+    return _coerced(col, _read_column(col, len(col.values), stop_early=False))
 
 
 def general_preprocess(
@@ -368,12 +398,14 @@ def general_preprocess(
         if c.name == table.target:
             out_cols.append(c)
             continue
-        role = overrides.get(c.name) or classify_column(c, n_rows)
-        if role is ColumnRole.NUMERICAL:
+        role = overrides.get(c.name)
+        if role is None:
+            c = _typed_column(c, n_rows)
+        elif role is ColumnRole.NUMERICAL:
             c = coerce_numeric_column(c)
         else:
             c = Column(c.name, role, c.values)
-        report.role_assignments[c.name] = role
+        report.role_assignments[c.name] = c.role
         out_cols.append(c)
 
     report.n_rows = n_rows

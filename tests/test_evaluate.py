@@ -286,6 +286,23 @@ class TestRunExperiment:
         path.write_text("1 2\napple 1.0 2.0\n")
         assert spec.spec_hash() == first
 
+    def test_spec_hash_covers_dataset_csv_content(self, tmp_path, monkeypatch):
+        spec = ExperimentSpec(
+            manifest=reg_manifest(), embedder=TfIdf(), selector=None,
+            model=Ridge(), with_text=True,
+        )
+        # a manifest naming no file, like an in-memory table's, hashes as before
+        assert spec.spec_hash() == "6f2be251daddbcaf"
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "unused.csv"
+        path.write_text("x,y\n1,2.5\n2,3.5\n")
+        first = spec.spec_hash()
+        assert first != "6f2be251daddbcaf"
+        path.write_text("x,y\n1,2.5\n2,4.5\n")
+        assert spec.spec_hash() != first
+        path.write_text("x,y\n1,2.5\n2,3.5\n")
+        assert spec.spec_hash() == first
+
     def test_wide_tfidf_ridge_cell_stays_sparse(self):
         rng = np.random.default_rng(5)
         n = 1000

@@ -1,10 +1,14 @@
 import json
+import re
+from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tabtext import ingest
 from tabtext.core import MISSING, Column, ColumnRole, Table, TaskKind
 from tabtext.ingest import (
     CoercionFailure,
@@ -336,3 +340,236 @@ class TestManifest:
         assert manifest.task is TaskKind.BINARY
         table, report = ingest_dataset(manifest)
         assert report.role_assignments["a"] is ColumnRole.TEXTUAL
+
+
+# The two-pass classifier and coercion that the one-pass column read
+# replaced, with its two fixes: a cell counts once towards the dominant-affix
+# coverage, and an affix number may start with a dot. The oracle for the
+# properties below.
+_ORACLE_AFFIX_RE = re.compile(r"(.{0,5}?)([+-]?(?:\d+(?:\.\d+)?|\.\d+))(.{0,5})\Z", re.DOTALL)
+
+
+def _oracle_affix(cell):
+    m = _ORACLE_AFFIX_RE.fullmatch(ingest._clean(cell))
+    if m is None:
+        return None
+    prefix, num, suffix = m.groups()
+    if any(ch.isdigit() for ch in prefix) or any(ch.isdigit() for ch in suffix):
+        return None
+    return prefix, suffix, float(num)
+
+
+def _oracle_is_timestamps(vals):
+    hits = sum(1 for v in vals if ingest._TIMESTAMP_RE.fullmatch(v.strip()))
+    return bool(vals) and hits >= ingest.NUMERIC_PARSE_FRACTION * len(vals)
+
+
+def oracle_classify(col, n_rows):
+    vals = col.non_missing()
+    if not vals:
+        return ColumnRole.TEXTUAL
+    if all(isinstance(v, (int, float)) for v in vals):
+        return ColumnRole.NUMERICAL
+    vals = [str(v) for v in vals]
+    need = ingest.NUMERIC_PARSE_FRACTION * len(vals)
+    direct = [ingest._direct_number(v) is not None for v in vals]
+    if sum(direct) >= need:
+        return ColumnRole.NUMERICAL
+    pairs = Counter()
+    for v in vals:
+        parts = _oracle_affix(v)
+        if parts is not None and parts[:2] != ("", ""):
+            pairs[parts[:2]] += 1
+    if pairs:
+        dom = pairs.most_common(1)[0][0]
+        covered = sum(
+            1 for v, d in zip(vals, direct)
+            if d or ((p := _oracle_affix(v)) is not None and p[:2] == dom)
+        )
+        if covered >= need:
+            return ColumnRole.NUMERICAL
+    if _oracle_is_timestamps(vals):
+        return ColumnRole.NUMERICAL
+    if len(set(vals)) <= categoricity_threshold(n_rows):
+        return ColumnRole.CATEGORICAL
+    return ColumnRole.TEXTUAL
+
+
+def oracle_coerce(col):
+    vals = col.non_missing()
+    timestamps = _oracle_is_timestamps([str(v) for v in vals]) and not all(
+        isinstance(v, (int, float)) for v in vals
+    )
+    out = []
+    failures = 0
+    for v in col.values:
+        if v is MISSING:
+            out.append(MISSING)
+            continue
+        if isinstance(v, (int, float)):
+            out.append(float(v))
+            continue
+        if timestamps:
+            num = ingest._parse_timestamp(str(v))
+        else:
+            num = ingest._direct_number(str(v))
+            if num is None:
+                parts = _oracle_affix(str(v))
+                num = parts[2] if parts is not None else None
+        if num is None:
+            failures += 1
+            out.append(MISSING)
+        else:
+            out.append(num)
+    if vals and failures > ingest.MAX_COERCION_FAILURES * len(vals):
+        raise CoercionFailure(f"{failures}/{len(vals)}")
+    return Column(col.name, ColumnRole.NUMERICAL, out)
+
+
+def oracle_typed_column(col, n_rows):
+    role = oracle_classify(col, n_rows)
+    if role is ColumnRole.NUMERICAL:
+        return oracle_coerce(col)
+    return Column(col.name, role, col.values)
+
+
+def _coerced_by(coerce, col):
+    """The coerced column's role and values by repr, or CoercionFailure."""
+    try:
+        out = coerce(col)
+    except CoercionFailure:
+        return CoercionFailure
+    return out.role, [repr(v) for v in out.values]
+
+
+_NUMBER = st.one_of(
+    st.integers(-999, 999).map(str),
+    st.floats(-1e3, 1e3).map(repr),
+    st.sampled_from(["5.", ".5", "-.25", "12.", "0.5", "+3"]),
+)
+_AFFIX = st.tuples(
+    st.sampled_from(["", "ABV ", "$", "~", "x.", "."]),
+    _NUMBER,
+    st.sampled_from(["", "%", "s", " kg", ".", "e"]),
+).map("".join)
+# month 13 or 0, day 0 or 32 and second 60 fail the ISO parse
+_STAMP = st.tuples(
+    st.integers(1, 9999),
+    st.integers(0, 13),
+    st.integers(0, 32),
+    st.sampled_from(["", "T12:30", " 08:15:59", "T23:59:60", " 01:02:03.25", " ", "%"]),
+).map(lambda t: f"{t[0]:04d}-{t[1]:02d}-{t[2]:02d}{t[3]}")
+# direct numbers that are affix numbers too: "5." wears ("", ".")
+_DOTTED = st.integers(0, 99).flatmap(lambda i: st.sampled_from([f"{i}.", f".{i}"]))
+_WORD = st.one_of(
+    st.sampled_from(["lemon", "lime", "grape", "kiwi", "plum"]),
+    st.text(max_size=6),
+    st.text("ab ", min_size=6, max_size=12),
+)
+_CELL_KINDS = [
+    _NUMBER,
+    _AFFIX,
+    _DOTTED,
+    _STAMP,
+    _WORD,
+    st.sampled_from(["", "NaN", MISSING]),
+    st.one_of(st.integers(-5, 5), st.floats(), st.booleans()),
+]
+_ANY_CELL = st.one_of(*_CELL_KINDS)
+
+
+@st.composite
+def _columns(draw, n):
+    """A column of one or two cell kinds with up to 1 cell in 6 of any
+    kind, which puts the 90% numeric-parse rule near its threshold."""
+    kinds = draw(st.lists(st.sampled_from(_CELL_KINDS), min_size=1, max_size=2))
+    cells = draw(st.lists(st.one_of(*kinds), min_size=n, max_size=n))
+    for i in draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=n // 6)):
+        cells[i] = draw(_ANY_CELL)
+    return cells
+
+
+class TestOnePass:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 70))
+    def test_column_helpers_match_two_pass_oracle(self, data, n):
+        col = Column("c", None, data.draw(_columns(n)))
+        assert classify_column(col, n) is oracle_classify(col, n)
+        assert _coerced_by(coerce_numeric_column, col) == _coerced_by(oracle_coerce, col)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 70), n_cols=st.integers(1, 3))
+    def test_general_preprocess_matches_two_pass_oracle(self, data, n, n_cols):
+        cols = [Column(f"c{j}", None, data.draw(_columns(n))) for j in range(n_cols)]
+        target = data.draw(st.lists(TestGeneralPreprocess._TARGET, min_size=n, max_size=n))
+        table = Table("t", cols + [Column("y", None, target)], "y", TaskKind.REGRESSION)
+
+        def run():
+            try:
+                cleaned, report = general_preprocess(table)
+            except (EmptyTable, CoercionFailure) as exc:
+                return type(exc)
+            values = [(c.name, c.role, [repr(v) for v in c.values]) for c in cleaned.columns]
+            return values, report.to_dict(), report.to_text()
+
+        with mock.patch.object(ingest, "_typed_column", oracle_typed_column):
+            expected = run()
+        assert run() == expected
+
+    def test_clean_runs_once_per_distinct_string(self, monkeypatch):
+        n = 1000
+        text = [f"tasting note number {i}" for i in range(n)]
+        cols = [
+            Column("abv", None, [f"ABV {i % 40 / 10}%" for i in range(n)]),
+            Column("price", None, [f"${i % 300},{i % 7}00" for i in range(n)]),
+            Column("when", None, [f"2021-03-{i % 28 + 1:02d}" for i in range(n)]),
+            Column("style", None, [("ale", "stout", "porter")[i % 3] for i in range(n)]),
+            Column("review", None, text),
+            Column("y", None, [("a", "b")[i % 2] for i in range(n)]),
+        ]
+        calls = Counter()
+        real_clean = ingest._clean
+
+        def counting_clean(cell):
+            calls[cell] += 1
+            return real_clean(cell)
+
+        monkeypatch.setattr(ingest, "_clean", counting_clean)
+        _, report = general_preprocess(Table("t", cols, "y", TaskKind.BINARY))
+        assert list(report.role_counts().values()) == [1, 3, 1]
+        # the columns share no string, so each distinct string is cleaned once
+        assert max(calls.values()) == 1
+        for c in cols[:3]:
+            assert set(calls) >= set(c.values)
+        # a categorical walk stops at its first string: 333 misses of 1000
+        assert calls.keys() & {"ale", "stout", "porter"} == {"ale"}
+        # the free-text walk stops at its 101st miss, when 1000 - 101 < 900
+        assert sum(calls[t] for t in text) == 101
+
+
+class TestParseFixes:
+    @pytest.mark.parametrize("number", [".5", "5."])
+    def test_direct_and_affix_cell_counts_once(self, number):
+        # ".5" and "5." were direct numbers and affix numbers at once; counted
+        # twice, this column covered 10/10 and then failed coercion 5/10
+        head = number.replace("5", "25"), number.replace("5", "75")
+        values = [number, *head, number, number, "lemon", "lime", "grape", "kiwi", "plum"]
+        col = Column("c", None, values)
+        assert classify_column(col, 10) is ColumnRole.CATEGORICAL
+        ids = Column("id", None, [f"row {i}" for i in range(10)])
+        table = Table("t", [col, ids, Column("y", None, ["a", "b"] * 5)], "y", TaskKind.BINARY)
+        cleaned, _ = general_preprocess(table)
+        assert cleaned.column("c").values == values
+
+    def test_leading_dot_affix_number(self):
+        values = ["ABV .5%"] + [f"ABV {i}.5%" for i in range(1, 10)]
+        col = Column("abv", None, values)
+        assert classify_column(col, 10) is ColumnRole.NUMERICAL
+        assert coerce_numeric_column(col).values == [0.5 + i for i in range(10)]
+
+    def test_dominant_affix_tie_goes_to_first_pair(self):
+        # "5." is a direct number wearing the affix ("", "."); "ABV 5" only an
+        # affix number. The two pairs tie 5/5, and the pair met first wins.
+        cells = [c for i in range(5) for c in (f"{i}.", f"ABV {i}")]
+        assert classify_column(Column("c", None, cells), 10) is ColumnRole.CATEGORICAL
+        assert classify_column(Column("c", None, cells[::-1]), 10) is ColumnRole.NUMERICAL
