@@ -88,10 +88,10 @@ class ExperimentSpec:
     def condition(self) -> tuple[str, str, str, bool]:
         return (self.model.tag, self.embedder.tag, self.selector or "all", self.with_text)
 
-    def spec_hash(self) -> str:
-        """Hash of everything that changes a score, the bytes of the dataset
-        CSV included when the manifest names an existing file (an in-memory
-        table's manifest names none)."""
+    def spec_hash(self, csv_sha256: str | None = None) -> str:
+        """Hash of everything that changes a score. `csv_sha256` is the
+        digest of the dataset CSV's bytes as ingested (see `load_csv`); an
+        in-memory table has none, and its spec hashes without it."""
         fields = {
             "dataset": self.dataset_name,
             "target_column": self.manifest.target_column,
@@ -111,9 +111,8 @@ class ExperimentSpec:
             "seed": self.seed,
             "corr_method": self.corr_method,
         }
-        csv_path = Path(self.manifest.csv_path)
-        if csv_path.is_file():
-            fields["csv_sha256"] = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+        if csv_sha256 is not None:
+            fields["csv_sha256"] = csv_sha256
         payload = json.dumps(fields, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -126,6 +125,8 @@ class EvalResult:
     std: float
     metric_name: str
     selector_applied: bool = False
+    # digest of the CSV the table was read from, None for an in-memory table
+    csv_sha256: str | None = None
 
 
 def _score_fold(
@@ -192,6 +193,7 @@ def run_experiment(spec: ExperimentSpec, table: Table | None = None) -> EvalResu
         float(np.std(per_fold)),
         metric_name,
         applied_any,
+        table.meta.get("csv_sha256"),
     )
 
 
@@ -374,7 +376,7 @@ def emit_report(results: list[EvalResult], out_dir: str | Path) -> dict[str, Pat
         "results": [
             {
                 "dataset": r.spec.dataset_name,
-                "spec_hash": r.spec.spec_hash(),
+                "spec_hash": r.spec.spec_hash(r.csv_sha256),
                 "seed": r.spec.seed,
                 "metric": r.metric_name,
                 "mean": r.mean,

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import json
 import math
 import re
@@ -45,8 +47,12 @@ _MISSING_MARKERS = {"", "NaN", "nan"}
 # commas, currency symbols and percent signs are stripped before any numeric parse
 _FORMATTING_CHARS = str.maketrans("", "", ",$€£%")
 
-# number with an optional short non-numeric prefix/suffix ("ABV 12%", "15s")
-_AFFIX_RE = re.compile(r"(.{0,5}?)([+-]?(?:\d+(?:\.\d+)?|\.\d+))(.{0,5})\Z", re.DOTALL)
+# number with an optional short non-numeric prefix/suffix ("ABV 12%", "15s");
+# a number starts with a dot only after a non-word character, so "ABV .5"
+# is 0.5 while the dot of "Rs.500" or "No.12" stays in the prefix
+_AFFIX_RE = re.compile(
+    r"(.{0,5}?)([+-]?(?:\d+(?:\.\d+)?|(?<!\w)\.\d+))(.{0,5})\Z", re.DOTALL
+)
 
 _TIMESTAMP_RE = re.compile(r"\d{4}-\d{2}-\d{2}([T ]\d{2}:\d{2}(:\d{2}(\.\d+)?)?)?\Z")
 
@@ -89,14 +95,22 @@ def load_csv(manifest: DatasetManifest) -> Table:
     """Load a header-full delimited file into an all-string table.
 
     Empty cells and the NaN markers become MISSING; rows past the manifest
-    row cap are truncated before anything else happens.
+    row cap are truncated before anything else happens. The sha256 of the
+    file's bytes, read through the same open handle, goes into the table's
+    meta as "csv_sha256".
     """
     path = Path(manifest.csv_path)
     if not path.exists():
         raise FileNotFoundError(str(path))
     rows: list[list] = []
     over_cap = 0
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open("rb") as raw:
+        digest = hashlib.sha256()
+        for chunk in iter(lambda: raw.read(1 << 20), b""):
+            digest.update(chunk)
+        csv_sha256 = digest.hexdigest()
+        raw.seek(0)
+        fh = io.TextIOWrapper(raw, encoding="utf-8", newline="")
         reader = csv.reader(fh, delimiter=manifest.delimiter)
         try:
             header = next(reader)
@@ -117,7 +131,7 @@ def load_csv(manifest: DatasetManifest) -> Table:
     columns = [
         Column(name, None, [row[i] for row in rows]) for i, name in enumerate(header)
     ]
-    meta = {"rows_over_cap": over_cap}
+    meta = {"rows_over_cap": over_cap, "csv_sha256": csv_sha256}
     return Table(manifest.name, columns, manifest.target_column, manifest.task, meta)
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -291,17 +293,35 @@ class TestRunExperiment:
             manifest=reg_manifest(), embedder=TfIdf(), selector=None,
             model=Ridge(), with_text=True,
         )
-        # a manifest naming no file, like an in-memory table's, hashes as before
+        # an in-memory table's spec hashes without a digest, whatever files
+        # lie in the current directory
         assert spec.spec_hash() == "6f2be251daddbcaf"
         monkeypatch.chdir(tmp_path)
-        path = tmp_path / "unused.csv"
-        path.write_text("x,y\n1,2.5\n2,3.5\n")
-        first = spec.spec_hash()
+        (tmp_path / "unused.csv").write_text("x,y\n1,2.5\n")
+        assert spec.spec_hash() == "6f2be251daddbcaf"
+
+        path = tmp_path / "data.csv"
+        manifest = replace(spec.manifest, csv_path=str(path))
+        spec = replace(spec, manifest=manifest, with_text=False, k_folds=2)
+
+        def lock_hash(targets):
+            rows = "".join(f"{i},{i % 3},{t}\n" for i, t in enumerate(targets))
+            path.write_text("x,z,y\n" + rows)
+            result = run_experiment(spec)
+            assert result.csv_sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+            lock = emit_report([result], tmp_path / "out")["lock"]
+            return json.loads(lock.read_text())["results"][0]["spec_hash"]
+
+        targets = [0.5 * i for i in range(12)]
+        first = lock_hash(targets)
         assert first != "6f2be251daddbcaf"
-        path.write_text("x,y\n1,2.5\n2,4.5\n")
-        assert spec.spec_hash() != first
-        path.write_text("x,y\n1,2.5\n2,3.5\n")
-        assert spec.spec_hash() == first
+        assert lock_hash(targets[::-1]) != first
+        assert lock_hash(targets) == first
+        # the lock hashes the bytes that were ingested, not those at emit time
+        result = run_experiment(spec)
+        path.write_text("x,z,y\n1,1,1.0\n")
+        lock = emit_report([result], tmp_path / "out")["lock"]
+        assert json.loads(lock.read_text())["results"][0]["spec_hash"] == first
 
     def test_wide_tfidf_ridge_cell_stays_sparse(self):
         rng = np.random.default_rng(5)

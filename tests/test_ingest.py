@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from collections import Counter
@@ -133,6 +134,13 @@ class TestLoadCsv:
         p.write_text("a,y\n,1\nNaN,2\nnan,3\nok,4\n")
         table = load_csv(manifest_for(p, target="y", name="t"))
         assert table.column("a").values == [MISSING, MISSING, MISSING, "ok"]
+
+    def test_meta_holds_sha256_of_the_bytes(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes("x,y\r\n1,caf\u00e9\r\n2,b\r\n".encode("utf-8"))
+        table = load_csv(manifest_for(p, target="y", name="t"))
+        assert table.meta["csv_sha256"] == hashlib.sha256(p.read_bytes()).hexdigest()
+        assert table.column("y").values == ["caf\u00e9", "b"]
 
     def test_missing_target_column(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -346,7 +354,9 @@ class TestManifest:
 # replaced, with its two fixes: a cell counts once towards the dominant-affix
 # coverage, and an affix number may start with a dot. The oracle for the
 # properties below.
-_ORACLE_AFFIX_RE = re.compile(r"(.{0,5}?)([+-]?(?:\d+(?:\.\d+)?|\.\d+))(.{0,5})\Z", re.DOTALL)
+_ORACLE_AFFIX_RE = re.compile(
+    r"(.{0,5}?)([+-]?(?:\d+(?:\.\d+)?|(?<!\w)\.\d+))(.{0,5})\Z", re.DOTALL
+)
 
 
 def _oracle_affix(cell):
@@ -448,7 +458,7 @@ _NUMBER = st.one_of(
     st.sampled_from(["5.", ".5", "-.25", "12.", "0.5", "+3"]),
 )
 _AFFIX = st.tuples(
-    st.sampled_from(["", "ABV ", "$", "~", "x.", "."]),
+    st.sampled_from(["", "ABV ", "$", "~", "x.", ".", "Rs.", "No. "]),
     _NUMBER,
     st.sampled_from(["", "%", "s", " kg", ".", "e"]),
 ).map("".join)
@@ -566,6 +576,38 @@ class TestParseFixes:
         col = Column("abv", None, values)
         assert classify_column(col, 10) is ColumnRole.NUMERICAL
         assert coerce_numeric_column(col).values == [0.5 + i for i in range(10)]
+
+    # (cell, prefix, suffix, number), fixed by hand rather than by a regex
+    AFFIX_CASES = [
+        ("ABV .5%", "ABV ", "", 0.5),
+        ("ABV 12%", "ABV ", "", 12.0),
+        ("Rs.500", "Rs.", "", 500.0),
+        ("No.12", "No.", "", 12.0),
+        ("Vol.3", "Vol.", "", 3.0),
+        ("x..5", "x.", "", 0.5),
+        ("~-.25 kg", "~", " kg", -0.25),
+        ("15s", "", "s", 15.0),
+        ("5.", "", ".", 5.0),
+    ]
+
+    @pytest.mark.parametrize("cell, prefix, suffix, number", AFFIX_CASES)
+    def test_oracle_affix_parse(self, cell, prefix, suffix, number):
+        assert _oracle_affix(cell) == (prefix, suffix, number)
+
+    @pytest.mark.parametrize("cell, prefix, suffix, number", AFFIX_CASES)
+    def test_affix_column_coerces_to_fixed_number(self, cell, prefix, suffix, number):
+        col = Column("c", None, [cell] * 10)
+        assert classify_column(col, 10) is ColumnRole.NUMERICAL
+        assert coerce_numeric_column(col).values == [number] * 10
+
+    def test_dot_after_a_word_stays_in_the_prefix(self):
+        values = [f"Rs.{100 * i}" for i in range(1, 11)]
+        col = Column("price", None, values)
+        assert coerce_numeric_column(col).values == [100.0 * i for i in range(1, 11)]
+        values = [f"No.{i}" for i in range(10)]
+        assert coerce_numeric_column(Column("n", None, values)).values == [
+            float(i) for i in range(10)
+        ]
 
     def test_dominant_affix_tie_goes_to_first_pair(self):
         # "5." is a direct number wearing the affix ("", "."); "ABV 5" only an
