@@ -58,10 +58,6 @@ class _Missing:
 MISSING = _Missing()
 
 
-def is_missing(cell) -> bool:
-    return cell is MISSING
-
-
 class ColumnRole(enum.Enum):
     NUMERICAL = "numerical"
     CATEGORICAL = "categorical"

@@ -370,8 +370,7 @@ def general_preprocess(
 
     seen = set()
     keep_rows = []
-    for i in range(n):
-        key = tuple(c.values[i] for c in cols)
+    for i, key in enumerate(zip(*(c.values for c in cols))):
         if key in seen:
             continue
         seen.add(key)
@@ -381,13 +380,17 @@ def general_preprocess(
 
     tcol = next(c for c in cols if c.name == table.target)
     if table.task is TaskKind.REGRESSION:
+        numbers = {}  # each distinct target string is parsed once
         tvals = []
         for v in tcol.values:
             if v is MISSING or isinstance(v, (int, float)):
                 tvals.append(float(v) if v is not MISSING else MISSING)
-            else:
-                num = _direct_number(str(v))
-                tvals.append(num if num is not None else MISSING)
+                continue
+            s = str(v)
+            if s not in numbers:
+                num = _direct_number(s)
+                numbers[s] = num if num is not None else MISSING
+            tvals.append(numbers[s])
         tcol.values = tvals
     keep_rows = [i for i, v in enumerate(tcol.values) if v is not MISSING]
     report.dropped_rows["missing-target"] = len(tcol.values) - len(keep_rows)

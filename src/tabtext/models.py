@@ -104,7 +104,8 @@ def make_model(spec: dict) -> ModelKind:
 
 # ---------------------------------------------------------------------------
 # Ridge regression (unpenalized intercept via centering; the d×d primal when
-# d ≤ n, else the n×n dual, by conjugate gradients for a CSR design)
+# d ≤ n, else the n×n dual, by conjugate gradients for a CSR design and by
+# the dense Gram and LU when they do not converge)
 
 # Conjugate gradients on the sparse dual check the true residual r once the
 # updated one falls below _CG_TOL·α·‖a‖, and stop when
@@ -127,14 +128,17 @@ def ridge_solve(X: np.ndarray | CsrMatrix, y: np.ndarray, alpha: float) -> tuple
     (Xc Xcᵀ + αI) a = y − ȳ with w = Xcᵀ a (Saunders, Gammerman & Vovk,
     ICML 1998), so no d×d matrix is formed; otherwise the primal
     (Xcᵀ Xc + αI) w = Xcᵀ (y − ȳ). Both give the same w. A wide CSR design
-    stays sparse; a narrow one is densified for the primal.
+    stays sparse unless conjugate gradients fail; a narrow one, or a wide one
+    they do not solve, is densified. Only a system that is formed is budgeted.
     """
     n, d = X.shape
-    require_memory(8 * min(n, d) ** 2, f"a {min(n, d)}×{min(n, d)} ridge system")
     if isinstance(X, CsrMatrix):
         if d > n:
-            return _sparse_dual(X, y, alpha)
+            solved = _sparse_dual(X, y, alpha)
+            if solved is not None:
+                return solved
         X = X.toarray()
+    require_memory(8 * min(n, d) ** 2, f"a {min(n, d)}×{min(n, d)} ridge system")
     require_memory(8 * n * d, f"a centered {n}×{d} design")
     x_mean = X.mean(axis=0)
     y_mean = y.mean()
@@ -149,11 +153,12 @@ def ridge_solve(X: np.ndarray | CsrMatrix, y: np.ndarray, alpha: float) -> tuple
     return w, b
 
 
-def _sparse_dual(X: CsrMatrix, y: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
+def _sparse_dual(X: CsrMatrix, y: np.ndarray, alpha: float) -> tuple[np.ndarray, float] | None:
     """The dual on a CSR design, with no dense or centered copy of X:
     Xc u = Xu − x̄·u and Xcᵀv = Xᵀv − x̄·Σv. Conjugate gradients (Hestenes &
-    Stiefel, 1952) on v ↦ Xc(Xcᵀv) + αv form no n×n matrix; a solve that
-    does not converge falls back to the sparse row Gram and LU."""
+    Stiefel, 1952) on v ↦ Xc(Xcᵀv) + αv form no n×n matrix; they get 2n
+    products, since in floating point they often need more than n. None when
+    they do not converge, and the caller solves the dense dual instead."""
     if alpha == 0.0:  # centered, d > n columns have rank < d
         raise SingularSystem("rank-deficient design with alpha=0")
     x_mean = X.col_mean()
@@ -166,10 +171,9 @@ def _sparse_dual(X: CsrMatrix, y: np.ndarray, alpha: float) -> tuple[np.ndarray,
         u = times_t(v)
         return X @ u - x_mean @ u + alpha * v
 
-    rhs = y - y_mean
-    a = _conjugate_gradients(apply, rhs, alpha, X.shape[0])
+    a = _conjugate_gradients(apply, y - y_mean, alpha, 2 * X.shape[0])
     if a is None:
-        a = _solve_shifted(X.gram(center=x_mean), rhs, alpha)
+        return None
     w = times_t(a)
     b = y_mean - float(x_mean @ w)
     return w, b

@@ -11,12 +11,6 @@ import numpy as np
 
 from .core import require_memory
 
-# A column stored in more than 1/_DENSE_COLUMN_SHARE of the rows goes into
-# the dense BLAS block of the row Gram: expanding its c² entry pairs would
-# cost more than one dense product.
-_DENSE_COLUMN_SHARE = 16
-# Entry pairs the row Gram expands at once; bounds its scratch memory.
-_PAIR_CHUNK = 1 << 21
 # Dense scratch elements per block of rows in col_var and row_norms.
 _BLOCK = 1 << 20
 
@@ -138,56 +132,6 @@ class CsrMatrix:
         return np.bincount(
             self.indices, weights=self.data * a[self._row_ids()], minlength=self.shape[1]
         )
-
-    def gram(self, center: np.ndarray | None = None) -> np.ndarray:
-        """The n×n row Gram (X − 1cᵀ)(X − 1cᵀ)ᵀ for a column offset c
-        (default zero), without forming X − 1cᵀ.
-
-        Frequent columns, such as a standardized numeric one, are centered
-        explicitly and go through one dense BLAS product. Every other column
-        adds the products of its own entry pairs, so the cost follows
-        Σ_j nnz(column j)² rather than n²·d, and its offset is folded in as
-        XXᵀ − u1ᵀ − 1uᵀ + (c·c)11ᵀ with u = Xc.
-        """
-        n, d = self.shape
-        require_memory(8 * n * n, f"a {n}×{n} row Gram")
-        c = np.zeros(d) if center is None else np.asarray(center, dtype=float)
-        counts = np.bincount(self.indices, minlength=d)
-        frequent = counts * _DENSE_COLUMN_SHARE > n
-        if frequent.any():
-            cols = np.flatnonzero(frequent)
-            D = self.take_columns(cols).toarray() - c[cols]
-            G = D @ D.T
-        else:
-            G = np.zeros((n, n))
-        # entries of the other columns grouped by column, rows ascending
-        rest = np.flatnonzero(~frequent[self.indices])
-        order = rest[np.argsort(self.indices[rest], kind="stable")]
-        rows, vals = self._row_ids()[order], self.data[order]
-        sizes = counts[~frequent & (counts > 0)]  # group sizes in column order
-        starts = np.cumsum(sizes) - sizes  # each group's first entry
-        # groups whose pairs start inside the same _PAIR_CHUNK window share a chunk
-        chunk = (np.cumsum(sizes * sizes) - sizes * sizes) // _PAIR_CHUNK
-        cuts = np.flatnonzero(np.diff(chunk)) + 1
-        flat = G.reshape(-1)
-        for g in np.split(np.arange(sizes.size), cuts):
-            if g.size == 0:
-                continue
-            lo = starts[g[0]]
-            size = np.repeat(sizes[g], sizes[g])  # group size of each entry
-            first = np.repeat(starts[g] - lo, sizes[g])  # its group's first entry
-            left = np.repeat(np.arange(size.size), size)
-            run = np.cumsum(size) - size  # where each entry's pairs begin
-            right = np.arange(left.size) - np.repeat(run - first, size)
-            r, v = rows[lo : lo + size.size], vals[lo : lo + size.size]
-            np.add.at(flat, r[left] * n + r[right], v[left] * v[right])
-        c_rest = np.where(frequent, 0.0, c)
-        if c_rest.any():
-            u = self @ c_rest
-            G -= u[:, None]
-            G -= u[None, :]
-            G += c_rest @ c_rest
-        return G
 
     # -- reductions ---------------------------------------------------------
 

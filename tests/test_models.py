@@ -195,6 +195,24 @@ class TestRidge:
         assert len(products) < n // 4
         self._assert_agrees(X.toarray(), y, 1.0, w, b)
 
+    def test_small_wide_sparse_dual_solves_without_the_direct_solve(self):
+        # in floating point conjugate gradients need more than n products here
+        rng = np.random.default_rng(7)
+        n, d = 19, 38
+        X = rng.standard_normal((n, d)) / np.sqrt(d) + rng.standard_normal(d)
+        X[:, 1:] *= rng.random((n, d - 1)) < 0.2
+        y = rng.standard_normal(n) + 5.0
+        products = []
+        solve = models._conjugate_gradients
+
+        def counted(apply, *args):
+            return solve(lambda v: products.append(v) or apply(v), *args)
+
+        with mock.patch.object(models, "_conjugate_gradients", counted), self._no_fallback():
+            w, b = ridge_solve(CsrMatrix.from_dense(X), y, alpha=0.5)
+        assert len(products) > n
+        self._assert_agrees(X, y, 0.5, w, b)
+
     def test_unconverged_sparse_dual_falls_back_to_direct_solve(self):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((50, 120)) / np.sqrt(120)
@@ -232,12 +250,32 @@ class TestRidge:
         y = np.arange(float(shape[0]))
         m = min(shape)
         monkeypatch.setattr(core, "MEMORY_BUDGET_BYTES", 8 * m * m - 1)
-        for design in (X, CsrMatrix.from_dense(X)):
+        wide = shape[1] > shape[0]
+        for design in [X] if wide else [X, CsrMatrix.from_dense(X)]:
             with pytest.raises(MemoryBudgetExceeded):
                 ridge_solve(design, y, alpha=1.0)
+        if wide:
+            # conjugate gradients form no system, so the budget does not apply
+            w, b = ridge_solve(CsrMatrix.from_dense(X), y, alpha=1.0)
+            self._assert_agrees(X, y, 1.0, w, b)
         monkeypatch.setattr(core, "MEMORY_BUDGET_BYTES", 8 * X.size)
         ridge_solve(X, y, alpha=1.0)
         ridge_solve(CsrMatrix.from_dense(X), y, alpha=1.0)
+
+    def test_stalled_sparse_dual_budgets_the_densified_design(self, monkeypatch):
+        # the stalled fold of the fallback test: its dense copy is refused
+        # before it is allocated
+        n = 1000
+        X, y = self._text_fold(np.random.default_rng(0), n, column_mean=100.0)
+        monkeypatch.setattr(core, "MEMORY_BUDGET_BYTES", 8 * n * X.shape[1] - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryBudgetExceeded, match="dense"):
+                ridge_solve(X, y, alpha=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * X.nbytes
 
 
 class TestLogistic:
