@@ -8,15 +8,17 @@ import traceback
 from pathlib import Path
 
 from . import breaklab, vetting
-from .core import TabTextError, Table
+from .core import TabTextError
 from .embed import make_embedder
 from .evaluate import (
+    DuplicateDatasetName,
     EvalResult,
     ExperimentSpec,
+    _run_specs,
     emit_report,
     format_rows_text,
     parse_results_csv,
-    run_experiment,
+    run_experiment,  # noqa: F401 - unused; perfbench/tracer.py patches this name
 )
 from .ingest import (
     DatasetManifest,
@@ -102,22 +104,24 @@ def cmd_eval(args) -> int:
         config = json.loads(Path(args.config).read_text(encoding="utf-8"))
         manifests = _load_manifests(config["manifests"])
         seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+        names = [m.name for m in manifests]
+        for name in names:
+            if names.count(name) > 1:
+                raise DuplicateDatasetName(f"two manifests are named {name!r}")
         specs = _build_grid(config, manifests, seed)
-        tables: dict[str, Table] = {}
-        for manifest in manifests:
-            tables[manifest.name], _ = ingest_dataset(manifest)
+        tables = {m.name: ingest_dataset(m)[0] for m in manifests}
     except (TabTextError, FileNotFoundError, OSError, ValueError, KeyError) as exc:
         print(f"eval setup failed: {exc}", file=sys.stderr)
         return EXIT_EVAL
 
-    results: list[EvalResult] = []
-    failures: list[str] = []
-    for spec in specs:
-        try:
-            results.append(run_experiment(spec, tables.get(spec.dataset_name)))
-        except Exception as exc:  # noqa: BLE001 - cell failures are reported, not fatal
-            failures.append(f"{spec.dataset_name}/{spec.condition()}: {exc}")
-
+    # cell failures are reported, not fatal
+    outcomes = _run_specs(specs, tables)
+    results = [o for o in outcomes if isinstance(o, EvalResult)]
+    failures = [
+        f"{spec.dataset_name}/{spec.condition()}: {o}"
+        for spec, o in zip(specs, outcomes)
+        if not isinstance(o, EvalResult)
+    ]
     out_dir = args.out or config.get("out", "run")
     paths = emit_report(results, out_dir)
     if failures:

@@ -213,7 +213,13 @@ class WordVecModel:
         self.vectors = vectors
         self.dim = dim
 
-    def transform(self, texts: list[str]) -> np.ndarray:
+    def transform(self, texts: list[str] | CorpusRows) -> np.ndarray:
+        docs = corpus_rows(texts)
+        # each row depends on its text alone: embed the corpus once
+        block = docs.corpus.memo(self, lambda: self._block(docs.corpus.texts))
+        return block[docs.rows]
+
+    def _block(self, texts: list[str]) -> np.ndarray:
         out = np.zeros((len(texts), self.dim))
         for r, text in enumerate(texts):
             hits = [self.vectors[t] for t in tokenize(text) if t in self.vectors]

@@ -5,16 +5,17 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass
+import traceback
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import select
-from .core import TabTextError, Table, TaskKind, k_fold_split, subsample_rows
+from .core import ColumnRole, TabTextError, Table, TaskKind, k_fold_split, subsample_rows
 from .embed import (
     EmbedderKind,
-    TextCorpus,
+    FeatureMatrix,
     assemble_features,
     embedder_key,
     text_corpora,
@@ -28,6 +29,10 @@ class LengthMismatch(TabTextError):
 
 
 class ConstantTarget(TabTextError):
+    pass
+
+
+class DuplicateDatasetName(TabTextError):
     pass
 
 
@@ -129,79 +134,166 @@ class EvalResult:
     csv_sha256: str | None = None
 
 
-def _score_fold(
-    spec: ExperimentSpec, table: Table, fold, test_fold: int, corpora: dict[str, TextCorpus]
-):
-    train_fm, test_fm = assemble_features(
+def _fold_inputs(spec: ExperimentSpec, table: Table, fold, test_fold: int, corpora):
+    """One fold's train and test inputs for the specs that share `spec`'s
+    feature key: the assembled features, or for a raw-table External model
+    the fold's rows of the table, without its text columns when the spec
+    has no text."""
+    if isinstance(spec.model, External) and spec.model.raw_table:
+        if not spec.with_text:
+            kept = [c for c in table.columns if c.role is not ColumnRole.TEXTUAL]
+            table = replace(table, columns=kept)
+        return table.subset(fold.train_rows(test_fold)), table.subset(fold.fold_rows(test_fold))
+    return assemble_features(
         table, spec.embedder, spec.with_text, fold, test_fold, corpora=corpora
     )
+
+
+def _feature_key(spec: ExperimentSpec) -> tuple:
+    """Specs with equal keys get equal fold inputs from `_fold_inputs`."""
+    raw = isinstance(spec.model, External) and spec.model.raw_table
+    return (raw, spec.embedder if spec.with_text and not raw else None, spec.with_text)
+
+
+def _score_fold(spec: ExperimentSpec, train, test) -> tuple[float, bool]:
+    """Select (assembled features over the cap only), fit and score one
+    fold; returns the score and whether the selector fired."""
     applied = False
-    if spec.selector is not None and train_fm.width > spec.feature_cap:
-        n_non_text = sum(1 for _, tag, _ in train_fm.provenance if tag in ("num", "cat"))
+    if (
+        isinstance(train, FeatureMatrix)
+        and spec.selector is not None
+        and train.width > spec.feature_cap
+    ):
+        n_non_text = sum(1 for _, tag, _ in train.provenance if tag in ("num", "cat"))
         k = select.default_k(spec.feature_cap, n_non_text)
         result = select.run_selector(
-            spec.selector,
-            train_fm.X,
-            train_fm.y,
-            spec.task,
-            k,
-            spec.seed,
-            spec.corr_method,
+            spec.selector, train.X, train.y, spec.task, k, spec.seed, spec.corr_method
         )
-        train_fm = select.apply_selection(train_fm, result)
-        test_fm = select.apply_selection(test_fm, result)
+        train = select.apply_selection(train, result)
+        test = select.apply_selection(test, result)
         applied = True
 
     if isinstance(spec.model, External):
-        preds, _ = run_external(
-            spec.model.command, train_fm, test_fm, timeout=spec.model.timeout
-        )
+        preds, _ = run_external(spec.model.command, train, test, timeout=spec.model.timeout)
     else:
-        preds = fit(spec.model, train_fm.X, train_fm.y, spec.task).predict(test_fm.X)
+        preds = fit(spec.model, train.X, train.y, spec.task).predict(test.X)
+    y_true = test.target_column.values if isinstance(test, Table) else test.y
     # metric_r2 parses an External model's CSV prediction strings as floats
     if spec.task is TaskKind.REGRESSION:
-        return metric_r2(test_fm.y, preds), applied
-    return metric_accuracy(test_fm.y, preds), applied
+        return metric_r2(y_true, preds), applied
+    return metric_accuracy(y_true, preds), applied
+
+
+def _fold_error(exc: Exception, test_fold: int) -> ExperimentError:
+    # the kept traceback keeps its lines but not the fold's matrices
+    traceback.clear_frames(exc.__traceback__)
+    err = ExperimentError(str(exc), test_fold)
+    err.__cause__ = exc
+    return err
+
+
+def _run_specs(
+    specs: list[ExperimentSpec], tables: dict[str, Table] | None = None
+) -> list[EvalResult | Exception]:
+    """Run every spec; the one loop behind `run_experiment`, `run_grid` and
+    the CLI's eval. Returns each spec's EvalResult, or the exception that
+    stopped it, in spec order.
+
+    Specs that share a split key (dataset, row cap, folds, seed) share one
+    ingest, subsample, split and set of text corpora. Those that also share
+    a feature key share each fold's assembled features, then select, fit
+    and score on them one by one. A failure in a fold stops the spec there
+    with an ExperimentError; a failed assembly stops every spec of its key.
+    """
+    tables = dict(tables or {})
+    manifests: dict[str, DatasetManifest] = {}
+    outcomes: list = [None] * len(specs)
+    splits: dict[tuple, list[int]] = {}
+    for i, spec in enumerate(specs):
+        if manifests.setdefault(spec.dataset_name, spec.manifest) != spec.manifest:
+            raise DuplicateDatasetName(
+                f"two different manifests are named {spec.dataset_name!r}"
+            )
+        if spec.selector is not None and not select.applicable(spec.selector, spec.task):
+            outcomes[i] = select.SelectorNotApplicable(
+                f"{spec.selector} does not support {spec.task.value}"
+            )
+            continue
+        key = (spec.dataset_name, spec.row_cap, spec.k_folds, spec.seed)
+        splits.setdefault(key, []).append(i)
+
+    for (name, row_cap, k_folds, seed), members in splits.items():
+        try:
+            if tables.get(name) is None:
+                tables[name], _ = ingest_dataset(manifests[name])
+            table = subsample_rows(tables[name], row_cap, seed)
+            fold = k_fold_split(table, k_folds, seed)
+            corpora = text_corpora(table)  # tokenized once, shared by the folds
+        except Exception as exc:  # noqa: BLE001 - recorded per spec
+            for i in members:
+                outcomes[i] = exc
+            continue
+        groups: dict[tuple, list[int]] = {}
+        for i in members:
+            groups.setdefault(_feature_key(specs[i]), []).append(i)
+        per_fold: dict[int, list[float]] = {i: [] for i in members}
+        applied: set[int] = set()
+        for test_fold in range(k_folds):
+            for group in groups.values():
+                live = [i for i in group if outcomes[i] is None]
+                if not live:
+                    continue
+                try:
+                    train, test = _fold_inputs(specs[live[0]], table, fold, test_fold, corpora)
+                except Exception as exc:  # noqa: BLE001 - recorded per spec
+                    for i in live:
+                        outcomes[i] = _fold_error(exc, test_fold)
+                    continue
+                for i in live:
+                    try:
+                        score, fired = _score_fold(specs[i], train, test)
+                    except Exception as exc:  # noqa: BLE001 - recorded per spec
+                        outcomes[i] = _fold_error(exc, test_fold)
+                        continue
+                    per_fold[i].append(score)
+                    if fired:
+                        applied.add(i)
+                del train, test  # freed before the next assembly
+        for i in members:
+            if outcomes[i] is None:
+                spec = specs[i]
+                outcomes[i] = EvalResult(
+                    spec,
+                    per_fold[i],
+                    float(np.mean(per_fold[i])),
+                    float(np.std(per_fold[i])),
+                    "r2" if spec.task is TaskKind.REGRESSION else "accuracy",
+                    i in applied,
+                    table.meta.get("csv_sha256"),
+                )
+    return outcomes
+
+
+def _raise_first_failure(outcomes: list) -> list[EvalResult]:
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
 
 
 def run_experiment(spec: ExperimentSpec, table: Table | None = None) -> EvalResult:
     """Run one grid cell: subsample rows, split folds, and per fold embed,
     (maybe) select, fit and score. Deterministic for a fixed spec seed."""
-    if spec.selector is not None and not select.applicable(spec.selector, spec.task):
-        raise select.SelectorNotApplicable(
-            f"{spec.selector} does not support {spec.task.value}"
-        )
-    if table is None:
-        table, _ = ingest_dataset(spec.manifest)
-    table = subsample_rows(table, spec.row_cap, spec.seed)
-    fold = k_fold_split(table, spec.k_folds, spec.seed)
-    corpora = text_corpora(table)  # tokenized once, shared by the folds
-    per_fold: list[float] = []
-    applied_any = False
-    for test_fold in range(spec.k_folds):
-        try:
-            score, applied = _score_fold(spec, table, fold, test_fold, corpora)
-        except Exception as exc:
-            raise ExperimentError(str(exc), test_fold) from exc
-        per_fold.append(score)
-        applied_any = applied_any or applied
-    metric_name = "r2" if spec.task is TaskKind.REGRESSION else "accuracy"
-    return EvalResult(
-        spec,
-        per_fold,
-        float(np.mean(per_fold)),
-        float(np.std(per_fold)),
-        metric_name,
-        applied_any,
-        table.meta.get("csv_sha256"),
-    )
+    tables = None if table is None else {spec.dataset_name: table}
+    return _raise_first_failure(_run_specs([spec], tables))[0]
 
 
 def run_grid(
     specs: list[ExperimentSpec], tables: dict[str, Table] | None = None
 ) -> list[EvalResult]:
-    tables = tables or {}
-    return [run_experiment(spec, tables.get(spec.dataset_name)) for spec in specs]
+    """Run the specs, sharing folds where they agree; raises the first
+    failure in spec order."""
+    return _raise_first_failure(_run_specs(specs, tables))
 
 
 # ---------------------------------------------------------------------------

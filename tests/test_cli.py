@@ -124,6 +124,20 @@ class TestEvalCommand:
         assert sorted(failures.splitlines()) == expected
 
 
+    def test_two_manifests_under_one_name_rejected(self, tmp_path, capsys):
+        manifests = []
+        for i in range(2):
+            csv_path = tmp_path / f"taps{i}.csv"
+            write_binary_dataset(csv_path, seed=i)
+            manifests.append(tmp_path / f"taps{i}.json")
+            write_manifest(manifests[-1], csv_path, name="same")
+        config = eval_config(tmp_path, manifests[0], manifests=[str(m) for m in manifests])
+        out_dir = tmp_path / "run"
+        assert main(["--out", str(out_dir), "eval", str(config)]) == 3
+        assert "two manifests are named 'same'" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
 class TestBreakCommand:
     def test_default_run_prints_grid(self, tmp_path, capsys):
         out_dir = tmp_path / "break"

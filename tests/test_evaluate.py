@@ -2,6 +2,7 @@ import hashlib
 import json
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,11 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tabtext import embed, evaluate
+from tabtext.breaklab import toy_vector_file
 from tabtext.core import Column, ColumnRole, Table, TaskKind, k_fold_split
 from tabtext.embed import ExternalEmbedding, HashedNgram, TfIdf, WordVecAvg, assemble_features
 from tabtext.evaluate import (
     ConstantTarget,
+    DuplicateDatasetName,
     EvalResult,
+    ExperimentError,
     ExperimentSpec,
     LengthMismatch,
     emit_report,
@@ -27,7 +31,7 @@ from tabtext.evaluate import (
     run_grid,
 )
 from tabtext.ingest import DatasetManifest
-from tabtext.models import External, Logistic, Ridge
+from tabtext.models import External, Gbdt, Logistic, Ridge
 from tabtext.select import SelectorNotApplicable
 from tabtext.sparse import CsrMatrix
 
@@ -162,7 +166,9 @@ class TestRunExperiment:
         b = run_experiment(spec, text_signal_table())
         assert a.per_fold == b.per_fold
 
-    @pytest.mark.parametrize("embedder", [TfIdf(), HashedNgram(buckets=32)])
+    @pytest.mark.parametrize(
+        "embedder", [TfIdf(), HashedNgram(buckets=32), WordVecAvg(str(toy_vector_file()))]
+    )
     def test_each_text_tokenized_once_per_experiment(self, embedder):
         base = linear_reg_table(n=60)
         notes = Column("notes", ColumnRole.TEXTUAL, [f"note {i % 7} of {i}" for i in range(60)])
@@ -396,6 +402,193 @@ class TestRunExperiment:
         b, b_inputs = fold0_fit_inputs(mutated)
         assert a_inputs == b_inputs
         assert a.per_fold[0] != b.per_fold[0]
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def grid_reg_table(n=36, seed=0):
+    """Numeric, categorical and text columns; the target follows the number."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    words = ["amber", "stout", "hazy", "crisp", "sour", "dry", "oak", "pine"]
+    text = [" ".join(words[int(j)] for j in rng.integers(0, 8, 3)) for _ in range(n)]
+    return Table(
+        "synth-reg",
+        [
+            Column("x", ColumnRole.NUMERICAL, [float(v) for v in x]),
+            Column("kind", ColumnRole.CATEGORICAL, [f"k{int(v)}" for v in rng.integers(0, 3, n)]),
+            Column("txt", ColumnRole.TEXTUAL, text),
+            Column("y", None, [float(v) for v in 2.0 * x + 0.3 * rng.standard_normal(n)]),
+        ],
+        "y",
+        TaskKind.REGRESSION,
+    )
+
+
+def described(outcome) -> str:
+    """A result as its results.csv row, a failure as its type and message."""
+    if isinstance(outcome, EvalResult):
+        return format_results_csv([outcome])
+    return f"{type(outcome).__name__}: {outcome}"
+
+
+def run_alone(spec, table):
+    try:
+        return run_experiment(spec, table)
+    except Exception as exc:  # noqa: BLE001 - compared with the shared run's failure
+        return exc
+
+
+class TestSharedRunner:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        cells=st.lists(
+            st.tuples(
+                st.sampled_from([TfIdf(), HashedNgram(buckets=16)]),
+                st.sampled_from([None, "variance", "random"]),
+                st.sampled_from([Ridge(), Gbdt(2, 0.5, 3)]),
+                st.booleans(),
+                st.sampled_from([(0, 3, 3000), (1, 2, 24)]),  # seed, k_folds, row_cap
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        fail_at=st.integers(0, 6),
+    )
+    def test_grid_matches_per_spec_runs(self, cells, fail_at):
+        table = grid_reg_table()
+        specs = [
+            ExperimentSpec(reg_manifest(), emb, sel, model, wt, k_folds=k, feature_cap=4,
+                           row_cap=cap, seed=seed)
+            for emb, sel, model, wt, (seed, k, cap) in cells
+        ]
+        specs.append(specs[0])  # a repeated spec
+        failing = replace(specs[-1], model=Logistic())  # logistic cannot fit a regression
+        specs.insert(fail_at % len(specs), failing)
+        tables = {"synth-reg": table}
+
+        alone = [run_alone(spec, table) for spec in specs]
+        shared = evaluate._run_specs(specs, tables)
+        assert [described(o) for o in shared] == [described(o) for o in alone]
+        assert isinstance(shared[specs.index(failing)], ExperimentError)
+
+        ok = [spec for spec in specs if spec is not failing]
+        assert format_results_csv(run_grid(ok, tables)) == format_results_csv(
+            [r for r in alone if isinstance(r, EvalResult)]
+        )
+        with pytest.raises(ExperimentError) as err:
+            run_grid(specs, tables)
+        assert str(err.value) == "fold 0: logistic does not support regression"
+
+    def test_criterion_6_grid_assembles_each_fold_once(self):
+        from test_acceptance import grid_regression_table
+
+        table = grid_regression_table()
+        manifest = DatasetManifest("grid-reg", "unused.csv", "y", TaskKind.REGRESSION)
+        specs = [
+            ExperimentSpec(manifest, embedder, selector, Ridge(), with_text,
+                           feature_cap=300, row_cap=3000, seed=7)
+            for embedder in (TfIdf(), HashedNgram())
+            for selector in ("variance", None)
+            for with_text in (True, False)
+        ]
+        with mock.patch.object(
+            evaluate, "assemble_features", wraps=evaluate.assemble_features
+        ) as assemble, mock.patch.object(
+            evaluate, "text_corpora", wraps=evaluate.text_corpora
+        ) as corpora:
+            shared = run_grid(specs, {"grid-reg": table})
+        # tfidf, hashed and no-text features, five folds each
+        assert assemble.call_count == 15
+        assert corpora.call_count == 1
+        alone = [run_experiment(spec, table) for spec in specs]
+        assert format_results_csv(shared) == format_results_csv(alone)
+
+    def test_one_experiment_splits_once(self):
+        spec = ExperimentSpec(reg_manifest(), TfIdf(), None, Ridge(), True, row_cap=30)
+        with mock.patch.object(
+            evaluate, "subsample_rows", wraps=evaluate.subsample_rows
+        ) as subsample, mock.patch.object(
+            evaluate, "k_fold_split", wraps=evaluate.k_fold_split
+        ) as split:
+            run_experiment(spec, grid_reg_table())
+        assert subsample.call_count == 1
+        assert split.call_count == 1
+
+    def test_grid_ingests_each_manifest_once(self, tmp_path):
+        manifests = []
+        for name in ("first", "second"):
+            path = tmp_path / f"{name}.csv"
+            path.write_text("x,note,y\n" + "".join(
+                f"{i},word{i % 4} filler,{1.5 * i + (i % 3)}\n" for i in range(20)
+            ))
+            manifests.append(DatasetManifest(name, str(path), "y", TaskKind.REGRESSION))
+        specs = [
+            ExperimentSpec(m, embedder, None, Ridge(), wt, k_folds=2, seed=seed)
+            for m in manifests
+            for embedder in (TfIdf(), HashedNgram(buckets=16))
+            for wt in (True, False)
+            for seed in (0, 1)
+        ]
+        with mock.patch.object(evaluate, "ingest_dataset", wraps=evaluate.ingest_dataset) as ing:
+            results = run_grid(specs)
+        assert sorted(c.args[0].name for c in ing.call_args_list) == ["first", "second"]
+        assert [r.spec for r in results] == specs
+
+    def test_two_manifests_under_one_name_rejected(self, tmp_path):
+        a = DatasetManifest("same", str(tmp_path / "a.csv"), "y", TaskKind.REGRESSION)
+        b = replace(a, csv_path=str(tmp_path / "b.csv"))
+        spec = ExperimentSpec(a, TfIdf(), None, Ridge(), True)
+        with mock.patch.object(evaluate, "ingest_dataset") as ing:
+            with pytest.raises(DuplicateDatasetName, match="'same'"):
+                run_grid([spec, replace(spec, manifest=b)])
+        assert ing.call_count == 0
+
+    def test_failed_assembly_fails_every_spec_of_its_key(self, tmp_path):
+        missing = ExternalEmbedding(str(tmp_path / "missing.csv"))
+        specs = [
+            ExperimentSpec(reg_manifest(), missing, None, Ridge(), True),
+            ExperimentSpec(reg_manifest(), missing, "variance", Gbdt(2, 0.5, 3), True),
+            ExperimentSpec(reg_manifest(), missing, None, Ridge(), False),
+        ]
+        with mock.patch.object(
+            evaluate, "assemble_features", wraps=evaluate.assemble_features
+        ) as assemble:
+            outcomes = evaluate._run_specs(specs, {"synth-reg": grid_reg_table()})
+        assert [o.fold for o in outcomes[:2]] == [0, 0]
+        assert str(outcomes[0]) == str(outcomes[1])
+        assert isinstance(outcomes[2], EvalResult)  # no text: nothing to load
+        assert assemble.call_count == 1 + 5
+
+    def test_raw_table_external_reads_the_fold_rows(self):
+        table = text_signal_table()  # the label is readable from the text only
+        command = f"python3 {FIXTURES / 'token_centroid.py'}"
+        spec = ExperimentSpec(
+            manifest=clf_manifest(), embedder=TfIdf(), selector="variance",
+            model=External(command, raw_table=True), with_text=True, feature_cap=1,
+        )
+        with mock.patch.object(
+            evaluate, "run_external", wraps=evaluate.run_external
+        ) as external, mock.patch.object(
+            evaluate, "assemble_features", wraps=evaluate.assemble_features
+        ) as assemble:
+            with_text, no_text = run_grid([spec, replace(spec, with_text=False)],
+                                          {"synth-clf": table})
+        assert assemble.call_count == 0
+        fold = k_fold_split(table, 5, 0)
+        calls = external.call_args_list
+        train, test = calls[0].args[1:3]
+        texts = table.column("txt").values
+        assert train.column("txt").values == [texts[i] for i in fold.train_rows(0)]
+        assert test.column("txt").values == [texts[i] for i in fold.fold_rows(0)]
+        # per fold: the text cell, then the no-text cell without its text column
+        assert ["txt" in c.args[1].column_names for c in calls] == [True, False] * 5
+        assert with_text.per_fold == [1.0] * 5
+        assert no_text.mean < 0.75
+        assert not with_text.selector_applied and not no_text.selector_applied
+        row = format_results_text([with_text, no_text]).splitlines()[1]
+        assert row.split()[1:] == ["--", "--"]
 
 
 class TestReports:
