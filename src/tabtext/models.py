@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import MISSING, TabTextError, Table, TaskKind, require_memory
 from .embed import FeatureMatrix
-from .sparse import CsrMatrix, all_finite
+from .sparse import CsrMatrix, all_finite, dense_row_blocks
 
 
 class SingularSystem(TabTextError):
@@ -103,9 +103,10 @@ def make_model(spec: dict) -> ModelKind:
 
 
 # ---------------------------------------------------------------------------
-# Ridge regression (unpenalized intercept via centering; the d×d primal when
-# d ≤ n, else the n×n dual, by conjugate gradients for a CSR design and by
-# the dense Gram and LU when they do not converge)
+# Ridge regression (unpenalized intercept via centering; the d×d primal,
+# accumulated over row blocks, when d ≤ n, else the n×n dual, by conjugate
+# gradients for a CSR design and by the dense Gram and LU when they do not
+# converge)
 
 # Conjugate gradients on the sparse dual check the true residual r once the
 # updated one falls below _CG_TOL·α·‖a‖, and stop when
@@ -127,28 +128,55 @@ def ridge_solve(X: np.ndarray | CsrMatrix, y: np.ndarray, alpha: float) -> tuple
     A design wider than tall (d > n) is solved in the dual,
     (Xc Xcᵀ + αI) a = y − ȳ with w = Xcᵀ a (Saunders, Gammerman & Vovk,
     ICML 1998), so no d×d matrix is formed; otherwise the primal
-    (Xcᵀ Xc + αI) w = Xcᵀ (y − ȳ). Both give the same w. A wide CSR design
-    stays sparse unless conjugate gradients fail; a narrow one, or a wide one
-    they do not solve, is densified. Only a system that is formed is budgeted.
+    (Xcᵀ Xc + αI) w = Xcᵀ (y − ȳ). Both give the same w. The primal and a
+    wide CSR design's dual form no dense or centered copy of X; a wide dense
+    design, or a wide CSR one that conjugate gradients do not solve, is
+    densified and centered. Only what is formed is budgeted.
     """
     n, d = X.shape
+    if d <= n:
+        return _primal(X, y, alpha)
+    if alpha == 0.0:  # centered, d > n columns have rank < d
+        raise SingularSystem("rank-deficient design with alpha=0")
     if isinstance(X, CsrMatrix):
-        if d > n:
-            solved = _sparse_dual(X, y, alpha)
-            if solved is not None:
-                return solved
+        solved = _sparse_dual(X, y, alpha)
+        if solved is not None:
+            return solved
         X = X.toarray()
-    require_memory(8 * min(n, d) ** 2, f"a {min(n, d)}×{min(n, d)} ridge system")
+    require_memory(8 * n * n, f"a {n}×{n} ridge system")
     require_memory(8 * n * d, f"a centered {n}×{d} design")
     x_mean = X.mean(axis=0)
     y_mean = y.mean()
     Xc = X - x_mean
-    if alpha == 0.0 and np.linalg.matrix_rank(Xc) < d:
+    w = Xc.T @ _solve_shifted(Xc @ Xc.T, y - y_mean, alpha)
+    b = y_mean - float(x_mean @ w)
+    return w, b
+
+
+def _primal(X: np.ndarray | CsrMatrix, y: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
+    """The primal with Xcᵀ Xc and Xcᵀ (y − ȳ) summed over dense row blocks
+    of Xc, each centered in place, so X is never densified or centered as a
+    whole. With one block the sums are Xc.T @ Xc and Xc.T @ (y − ȳ) bit for
+    bit; a CSR design and its dense twin give the same blocks. The means are
+    not subtracted algebraically (XᵀX − n·x̄x̄ᵀ), which cancels badly on a
+    column of large mean."""
+    n, d = X.shape
+    require_memory(8 * d * d, f"a {d}×{d} ridge system")
+    x_mean = X.col_mean() if isinstance(X, CsrMatrix) else X.mean(axis=0)
+    y_mean = y.mean()
+    yc = y - y_mean
+    G = r = None
+    for lo, block in dense_row_blocks(X):
+        block -= x_mean
+        part = yc[lo : lo + len(block)]
+        if G is None:
+            G, r = block.T @ block, block.T @ part
+        else:
+            G += block.T @ block
+            r += block.T @ part
+    if alpha == 0.0 and np.linalg.matrix_rank(G, hermitian=True) < d:
         raise SingularSystem("rank-deficient design with alpha=0")
-    if d > n:
-        w = Xc.T @ _solve_shifted(Xc @ Xc.T, y - y_mean, alpha)
-    else:
-        w = _solve_shifted(Xc.T @ Xc, Xc.T @ (y - y_mean), alpha)
+    w = _solve_shifted(G, r, alpha)
     b = y_mean - float(x_mean @ w)
     return w, b
 
@@ -159,8 +187,6 @@ def _sparse_dual(X: CsrMatrix, y: np.ndarray, alpha: float) -> tuple[np.ndarray,
     Stiefel, 1952) on v ↦ Xc(Xcᵀv) + αv form no n×n matrix; they get 2n
     products, since in floating point they often need more than n. None when
     they do not converge, and the caller solves the dense dual instead."""
-    if alpha == 0.0:  # centered, d > n columns have rank < d
-        raise SingularSystem("rank-deficient design with alpha=0")
     x_mean = X.col_mean()
     y_mean = y.mean()
 
@@ -249,15 +275,15 @@ def logistic_solve(
     W = np.zeros((d, n_classes))
     b = np.zeros(n_classes)
 
-    def loss_of(W, b):
+    def forward(W, b):
         P = _softmax(X @ W + b)
         ce = -np.sum(Y * np.log(P + 1e-300)) / n
-        return ce + 0.5 * l2 * float((W * W).sum())
+        return P, ce + 0.5 * l2 * float((W * W).sum())
 
-    loss = loss_of(W, b)
+    # the accepted trial's P and loss serve the next gradient and line search
+    P, loss = forward(W, b)
     step = 1.0
     for _ in range(max_iter):
-        P = _softmax(X @ W + b)
         R = (P - Y) / n
         gW = X.T @ R + l2 * W
         gb = R.sum(axis=0)
@@ -267,14 +293,13 @@ def logistic_solve(
         # backtracking line search (Armijo)
         step = min(step * 2.0, 1e4)
         decrease = float((gW * gW).sum() + (gb * gb).sum())
-        while step > 1e-12:
-            new_loss = loss_of(W - step * gW, b - step * gb)
-            if new_loss <= loss - 1e-4 * step * decrease:
+        while True:  # a step of at most 1e-12 is taken even if the loss rises
+            W_new, b_new = W - step * gW, b - step * gb
+            P_new, loss_new = forward(W_new, b_new)
+            if step <= 1e-12 or loss_new <= loss - 1e-4 * step * decrease:
                 break
             step *= 0.5
-        W = W - step * gW
-        b = b - step * gb
-        loss = loss_of(W, b)
+        W, b, P, loss = W_new, b_new, P_new, loss_new
     return W, b
 
 

@@ -11,7 +11,8 @@ import numpy as np
 
 from .core import require_memory
 
-# Dense scratch elements per block of rows in col_var and row_norms.
+# Dense scratch elements per block of rows in col_var, row_norms and
+# dense_row_blocks.
 _BLOCK = 1 << 20
 
 
@@ -191,14 +192,38 @@ class CsrMatrix:
         elements. Yields (block, rows, span): the block has `extra` leading
         scratch rows before the block's own rows, rows holds each entry's row
         within the block's own rows, and span slices the block's entries."""
-        n, d = self.shape
-        step = max(1, _BLOCK // max(d, 1))
-        buf = np.empty((min(step, n) + extra, d))
         row_ids = self._row_ids()
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
+        for block, lo, hi in _scratch_blocks(*self.shape, extra):
             span = slice(self.indptr[lo], self.indptr[hi])
-            yield buf[: hi - lo + extra], row_ids[span] - lo, span
+            yield block, row_ids[span] - lo, span
+
+
+def _scratch_blocks(n: int, d: int, extra: int = 0):
+    """Consecutive row ranges [lo, hi) of an n×d matrix, about _BLOCK
+    elements each. Yields (block, lo, hi), the block a (hi − lo + extra)×d
+    slice of one scratch buffer that every range reuses."""
+    step = max(1, _BLOCK // max(d, 1))
+    buf = np.empty((min(step, n) + extra, d))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        yield buf[: hi - lo + extra], lo, hi
+
+
+def dense_row_blocks(X):
+    """Consecutive row blocks of a CSR or dense X as (lo, block): block is a
+    dense copy of rows lo, lo + 1, ... of about _BLOCK elements, in one
+    scratch buffer that the next block overwrites."""
+    if not isinstance(X, CsrMatrix):
+        for block, lo, hi in _scratch_blocks(*X.shape):
+            block[:] = X[lo:hi]
+            yield lo, block
+        return
+    lo = 0
+    for block, rows, span in X._dense_row_blocks():
+        block[:] = 0.0
+        block[rows, X.indices[span]] = X.data[span]
+        yield lo, block
+        lo += len(block)
 
 
 def all_finite(X) -> bool:

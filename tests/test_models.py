@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tabtext import core, models
+from tabtext import core, models, sparse
 from tabtext.core import Column, ColumnRole, MemoryBudgetExceeded, Table, TaskKind
 from tabtext.embed import FeatureMatrix
 from tabtext.models import (
@@ -114,6 +114,53 @@ class TestRidge:
         finally:
             tracemalloc.stop()
         assert peak < 8 * X.nbytes
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        extra=st.integers(0, 40),
+        block=st.sampled_from([1, 64, sparse._BLOCK]),
+        alpha=st.floats(1e-3, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_primal(self, n, extra, block, alpha, seed):
+        d = max(1, n - extra)
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, d)) / np.sqrt(n) + rng.standard_normal(d)
+        X[:, 1:] *= rng.random((n, d - 1)) < 0.2
+        # a numeric column of mean 100 that is not standardized: centering
+        # XᵀX algebraically would cancel on it
+        X[:, 0] = rng.standard_normal(n) + 100.0
+        y = rng.standard_normal(n) + 5.0
+        with mock.patch.object(sparse, "_BLOCK", block):
+            w, b = ridge_solve(X, y, alpha)
+            w_csr, b_csr = ridge_solve(CsrMatrix.from_dense(X), y, alpha)
+        assert np.array_equal(w, w_csr) and b == b_csr
+        self._assert_agrees(X, y, alpha, w, b)
+        if n * d <= block:
+            # one block: the reference's Xc.T @ Xc and Xc.T @ yc, bit for bit
+            w_ref, b_ref = self._primal_reference(X, y, alpha)
+            assert np.array_equal(w, w_ref) and b == b_ref
+
+    def test_narrow_sparse_primal_memory_stays_near_input_size(self, monkeypatch):
+        # shaped like a single-column TF-IDF check's fold: 40 000 rows, 300
+        # text columns, ~9 nonzeros a row; its dense copy would be 96 MB,
+        # just over the budget set here
+        n, d, nnz = 40_000, 300, 9 * 40_000
+        rng = np.random.default_rng(8)
+        X = CsrMatrix.from_coo(rng.integers(0, n, nnz), rng.integers(0, d, nnz), rng.random(nnz), (n, d))
+        y = X @ rng.standard_normal(d) + rng.standard_normal(n)
+        monkeypatch.setattr(core, "MEMORY_BUDGET_BYTES", 8 * n * d - 1)
+        tracemalloc.start()
+        try:
+            w, b = ridge_solve(X, y, alpha=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * sparse._BLOCK + 4 * X.nbytes
+        resid = X @ w + b - y
+        grad = np.append(X.rmatvec(resid) + w, resid.sum())
+        assert np.linalg.norm(grad) <= 1e-8 * (1.0 + np.linalg.norm(y))
 
     @staticmethod
     def _primal_reference(X, y, alpha):
@@ -278,6 +325,42 @@ class TestRidge:
         assert peak < 8 * X.nbytes
 
 
+def _reference_logistic_solve(X, Y, l2, max_iter=1000, tol=1e-6):
+    """The loop that recomputed the accepted step's softmax twice; the
+    solver must return its (W, b) bit for bit."""
+    n, d = X.shape
+    n_classes = Y.shape[1]
+    W = np.zeros((d, n_classes))
+    b = np.zeros(n_classes)
+
+    def loss_of(W, b):
+        P = models._softmax(X @ W + b)
+        ce = -np.sum(Y * np.log(P + 1e-300)) / n
+        return ce + 0.5 * l2 * float((W * W).sum())
+
+    loss = loss_of(W, b)
+    step = 1.0
+    for _ in range(max_iter):
+        P = models._softmax(X @ W + b)
+        R = (P - Y) / n
+        gW = X.T @ R + l2 * W
+        gb = R.sum(axis=0)
+        gnorm = max(np.abs(gW).max(), np.abs(gb).max())
+        if gnorm < tol:
+            break
+        step = min(step * 2.0, 1e4)
+        decrease = float((gW * gW).sum() + (gb * gb).sum())
+        while step > 1e-12:
+            new_loss = loss_of(W - step * gW, b - step * gb)
+            if new_loss <= loss - 1e-4 * step * decrease:
+                break
+            step *= 0.5
+        W = W - step * gW
+        b = b - step * gb
+        loss = loss_of(W, b)
+    return W, b
+
+
 class TestLogistic:
     def test_separable_1d(self):
         X = np.linspace(-2, 2, 30).reshape(-1, 1)
@@ -298,6 +381,35 @@ class TestLogistic:
         y = [0, 1, 0, 1, 0, 1]
         model = fit(Logistic(), X + np.arange(6)[:, None], y, B)
         assert model.predict(np.zeros((0, 2))) == []
+
+    @pytest.mark.parametrize(
+        "n, d, classes, l2, max_iter",
+        [
+            (800, 300, 3, 1e-2, 300),
+            (60, 4, 2, 1e-2, 1000),  # stops at the gradient tolerance
+            (30, 2, 2, 1e14, 4),  # the first line search runs out
+        ],
+    )
+    def test_matches_the_reference_loop(self, n, d, classes, l2, max_iter):
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((n, d))
+        Y = np.eye(classes)[(X[:, :classes] + rng.standard_normal((n, classes))).argmax(axis=1)]
+        W, b = models.logistic_solve(X, Y, l2, max_iter)
+        W_ref, b_ref = _reference_logistic_solve(X, Y, l2, max_iter)
+        assert np.array_equal(W, W_ref) and np.array_equal(b, b_ref)
+
+    def test_one_softmax_per_line_search_trial(self):
+        # the reference also recomputes the accepted step's softmax for the
+        # loss and for the next gradient: two more calls an iteration
+        rng = np.random.default_rng(10)
+        X = rng.standard_normal((800, 300))
+        Y = np.eye(3)[rng.integers(0, 3, 800)]
+        counts = []
+        for solve in (models.logistic_solve, _reference_logistic_solve):
+            with mock.patch.object(models, "_softmax", wraps=models._softmax) as softmax:
+                solve(X, Y, 1e-2, max_iter=300, tol=0.0)
+            counts.append(softmax.call_count)
+        assert counts[0] == counts[1] - 2 * 300
 
     def test_width_mismatch(self):
         X = np.random.default_rng(3).standard_normal((10, 2))
