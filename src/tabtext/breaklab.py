@@ -6,10 +6,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Column, ColumnRole, FoldAssignment, Table, TaskKind, k_fold_split, subsample_rows
+from .core import (
+    Column,
+    ColumnRole,
+    FoldAssignment,
+    Table,
+    TabTextError,
+    TaskKind,
+    k_fold_split,
+    subsample_rows,
+)
 from .embed import EmbedderKind, assemble_features
 from .evaluate import metric_accuracy
-from .models import ModelKind, fit
+from .models import Gbdt, Logistic, ModelKind, fit
 from .select import NotBinary
 
 BREAK_COLUMN = "break_text"
@@ -278,7 +287,12 @@ def run_break_suite(
     bank: WordBank | None = None,
 ) -> BreakMatrix:
     """Score every (scenario, embedder, table) cell on a single stratified
-    80/20 split of a 100-row subsample; accuracies are reported x100."""
+    80/20 split of a 100-row subsample; accuracies are reported x100. The
+    model must be a classifier that `fit` builds: logistic or gbdt."""
+    if not isinstance(model, (Logistic, Gbdt)):
+        raise TabTextError(
+            f"the break suite needs a logistic or gbdt classifier; got model kind {model.tag!r}"
+        )
     scenarios = scenarios if scenarios is not None else default_scenarios()
     matrix = BreakMatrix(
         [s.name for s in scenarios],

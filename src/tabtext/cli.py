@@ -4,7 +4,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 from pathlib import Path
 
 from . import breaklab, vetting
@@ -163,7 +162,6 @@ def cmd_break(args) -> int:
         model = make_model(config["model"]) if "model" in config else Gbdt(4, 0.3, 30)
         matrix = breaklab.run_break_suite(tables, embedders, model, seed)
     except (TabTextError, FileNotFoundError, OSError, ValueError, KeyError) as exc:
-        traceback.print_exc()
         print(f"break suite failed: {exc}", file=sys.stderr)
         return EXIT_BREAK
     print(matrix.to_text(), end="")

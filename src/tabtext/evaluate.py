@@ -76,7 +76,6 @@ class ExperimentSpec:
     feature_cap: int = 300
     row_cap: int = 3000
     seed: int = 0
-    corr_method: str = "pearson"
 
     def __post_init__(self):
         if self.k_folds < 2 or self.feature_cap < 1 or self.row_cap < 1:
@@ -114,7 +113,6 @@ class ExperimentSpec:
             "feature_cap": self.feature_cap,
             "row_cap": self.row_cap,
             "seed": self.seed,
-            "corr_method": self.corr_method,
         }
         if csv_sha256 is not None:
             fields["csv_sha256"] = csv_sha256
@@ -167,7 +165,7 @@ def _score_fold(spec: ExperimentSpec, train, test) -> tuple[float, bool]:
         n_non_text = sum(1 for _, tag, _ in train.provenance if tag in ("num", "cat"))
         k = select.default_k(spec.feature_cap, n_non_text)
         result = select.run_selector(
-            spec.selector, train.X, train.y, spec.task, k, spec.seed, spec.corr_method
+            spec.selector, train.X, train.y, spec.task, k, spec.seed
         )
         train = select.apply_selection(train, result)
         test = select.apply_selection(test, result)

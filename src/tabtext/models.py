@@ -342,8 +342,6 @@ def _best_split(X, order, g, h, mask):
     """
     d = X.shape[1]
     m = int(mask.sum())
-    if m < 2:
-        return None
     sel = mask[order]  # (n, d): node membership in per-column sorted order
     idx = order.T[sel.T].reshape(d, m).T  # (m, d) row ids, sorted per column
     cols = np.arange(d)
@@ -418,72 +416,66 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
+def _link(F: np.ndarray, task: TaskKind) -> tuple[np.ndarray, np.ndarray]:
+    """The predictions P for the n×k margin F and the diagonal hessian H of
+    the loss in F: the identity (P is F itself) and 1 for regression, the
+    sigmoid of one margin column for binary, the softmax for multiclass,
+    both with P(1 − P)."""
+    if task is TaskKind.REGRESSION:
+        return F, np.ones_like(F)
+    P = _sigmoid(F) if F.shape[1] == 1 else _softmax(F)
+    return P, P * (1 - P)
+
+
+def _loss(P: np.ndarray, Y: np.ndarray, task: TaskKind) -> float:
+    """Mean squared error, binary or multiclass cross-entropy of P against Y."""
+    if task is TaskKind.REGRESSION:
+        return float(np.mean((P - Y) ** 2))
+    if P.shape[1] == 1:
+        return float(-np.mean(Y * np.log(P + 1e-15) + (1 - Y) * np.log(1 - P + 1e-15)))
+    return float(-np.mean(np.sum(Y * np.log(P + 1e-15), axis=1)))
+
+
 @dataclass
 class _GbdtFit:
-    trees: list  # regression/binary: [_Tree]; multiclass: [[_Tree per class]]
-    base: float | np.ndarray
+    trees: list  # per round, one _Tree per margin column
+    base: np.ndarray  # the k margins every row starts from
     learning_rate: float
     train_loss: list[float] = field(default_factory=list)
 
 
-def _fit_gbdt(cfg: Gbdt, X: np.ndarray, y_enc: np.ndarray, task: TaskKind, n_classes: int):
+def _fit_gbdt(cfg: Gbdt, X: np.ndarray, Y: np.ndarray, task: TaskKind) -> _GbdtFit:
+    """Boost the n×k margin F of the n×k target Y: the regression target or
+    the binary second class as one column, or the multiclass one-hot. Each
+    round grows one tree per column from the gradient P − Y and the hessian
+    H at the round's start, then records the loss. Regression starts from
+    the target's mean, classification from zero margins."""
     order = np.argsort(X, axis=0, kind="stable")
-    fit = _GbdtFit([], 0.0, cfg.learning_rate)
-    n = X.shape[0]
-    if task is TaskKind.REGRESSION:
-        fit.base = float(y_enc.mean())
-        F = np.full(n, fit.base)
-        for _ in range(cfg.n_rounds):
-            tree = _grow_tree(X, order, F - y_enc, np.ones(n), cfg.max_depth)
-            F += cfg.learning_rate * tree.predict(X)
-            fit.trees.append(tree)
-            fit.train_loss.append(float(np.mean((F - y_enc) ** 2)))
-    elif n_classes == 2:
-        F = np.zeros(n)
-        for _ in range(cfg.n_rounds):
-            p = _sigmoid(F)
-            tree = _grow_tree(X, order, p - y_enc, p * (1 - p), cfg.max_depth)
-            F += cfg.learning_rate * tree.predict(X)
-            fit.trees.append(tree)
-            p = _sigmoid(F)
-            fit.train_loss.append(
-                float(-np.mean(y_enc * np.log(p + 1e-15) + (1 - y_enc) * np.log(1 - p + 1e-15)))
-            )
-    else:
-        Y = np.eye(n_classes)[y_enc.astype(int)]
-        F = np.zeros((n, n_classes))
-        for _ in range(cfg.n_rounds):
-            P = _softmax(F)
-            round_trees = []
-            for c in range(n_classes):
-                pc = P[:, c]
-                tree = _grow_tree(X, order, pc - Y[:, c], pc * (1 - pc), cfg.max_depth)
-                F[:, c] += cfg.learning_rate * tree.predict(X)
-                round_trees.append(tree)
-            fit.trees.append(round_trees)
-            P = _softmax(F)
-            fit.train_loss.append(float(-np.mean(np.sum(Y * np.log(P + 1e-15), axis=1))))
+    n, k = Y.shape
+    base = Y.mean(axis=0) if task is TaskKind.REGRESSION else np.zeros(k)
+    fit = _GbdtFit([], base, cfg.learning_rate)
+    F = np.tile(base, (n, 1))
+    P, H = _link(F, task)
+    for _ in range(cfg.n_rounds):
+        G = P - Y
+        round_trees = []
+        for c in range(k):
+            tree = _grow_tree(X, order, G[:, c], H[:, c], cfg.max_depth)
+            F[:, c] += cfg.learning_rate * tree.predict(X)
+            round_trees.append(tree)
+        fit.trees.append(round_trees)
+        P, H = _link(F, task)
+        fit.train_loss.append(_loss(P, Y, task))
     return fit
 
 
-def _gbdt_scores(fit: _GbdtFit, X: np.ndarray, task: TaskKind, n_classes: int) -> np.ndarray:
-    n = X.shape[0]
-    if task is TaskKind.REGRESSION:
-        F = np.full(n, fit.base)
-        for tree in fit.trees:
-            F += fit.learning_rate * tree.predict(X)
-        return F
-    if n_classes == 2:
-        F = np.zeros(n)
-        for tree in fit.trees:
-            F += fit.learning_rate * tree.predict(X)
-        p = _sigmoid(F)
-        return np.column_stack([1 - p, p])
-    F = np.zeros((n, n_classes))
+def _gbdt_scores(fit: _GbdtFit, X: np.ndarray, task: TaskKind) -> np.ndarray:
+    """The n×k predictions: the link of the base plus every tree's step."""
+    F = np.tile(fit.base, (X.shape[0], 1))
     for round_trees in fit.trees:
         for c, tree in enumerate(round_trees):
             F[:, c] += fit.learning_rate * tree.predict(X)
-    return _softmax(F)
+    return _link(F, task)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +508,7 @@ class FittedModel:
             return np.array([]) if self.task is TaskKind.REGRESSION else []
         if self.task is TaskKind.REGRESSION:
             if isinstance(self._inner, _GbdtFit):
-                return _gbdt_scores(self._inner, np.asarray(X), self.task, 0)
+                return _gbdt_scores(self._inner, np.asarray(X), self.task)[:, 0]
             w, b = self._inner
             return X @ w + b
         proba = self.predict_proba(X)
@@ -528,7 +520,9 @@ class FittedModel:
             raise TabTextError("probabilities are undefined for regression")
         X = np.asarray(X)
         if isinstance(self._inner, _GbdtFit):
-            return _gbdt_scores(self._inner, X, self.task, len(self.classes))
+            P = _gbdt_scores(self._inner, X, self.task)
+            # a binary booster's one margin gives the second class's probability
+            return np.column_stack([1 - P, P]) if P.shape[1] == 1 else P
         W, b = self._inner
         return _softmax(X @ W + b)
 
@@ -556,7 +550,7 @@ def fit(kind: ModelKind, X: np.ndarray | CsrMatrix, y, task: TaskKind) -> Fitted
         if isinstance(kind, Ridge):
             inner = ridge_solve(X, y_arr, kind.alpha)
         elif isinstance(kind, Gbdt):
-            inner = _fit_gbdt(kind, X, y_arr, task, 0)
+            inner = _fit_gbdt(kind, X, y_arr[:, None], task)
         else:
             raise TabTextError(f"{kind.tag} does not support regression")
         return FittedModel(kind, task, X.shape[1], None, inner)
@@ -565,7 +559,9 @@ def fit(kind: ModelKind, X: np.ndarray | CsrMatrix, y, task: TaskKind) -> Fitted
     if isinstance(kind, Logistic):
         inner = logistic_solve(X, Y, kind.l2, kind.max_iter)
     elif isinstance(kind, Gbdt):
-        inner = _fit_gbdt(kind, X, Y.argmax(axis=1).astype(float), task, len(classes))
+        if len(classes) < 2:  # one margin column would read as binary
+            raise TabTextError(f"gbdt needs at least 2 classes, got {len(classes)}")
+        inner = _fit_gbdt(kind, X, Y[:, 1:] if len(classes) == 2 else Y, task)
     else:
         raise TabTextError(f"{kind.tag} does not support classification")
     return FittedModel(kind, task, X.shape[1], classes, inner)

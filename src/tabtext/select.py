@@ -391,15 +391,7 @@ def default_k(feature_cap: int, n_non_text: int, floor: int = 10) -> int:
     return max(feature_cap - n_non_text, floor)
 
 
-def run_selector(
-    kind: str,
-    X: np.ndarray,
-    y,
-    task: TaskKind,
-    k: int,
-    seed: int,
-    corr_method: str = "pearson",
-) -> SelectorResult:
+def run_selector(kind: str, X: np.ndarray, y, task: TaskKind, k: int, seed: int) -> SelectorResult:
     if not applicable(kind, task):
         raise SelectorNotApplicable(f"{kind} does not support {task.value}")
     if kind == "variance":
@@ -416,7 +408,7 @@ def run_selector(
     if kind == "l1":
         return select_l1(X, y, task, k)
     if kind == "correlation":
-        return select_correlation(X, np.asarray(y, dtype=float), k, corr_method)
+        return select_correlation(X, np.asarray(y, dtype=float), k)
     if kind == "shap":
         return select_shap(X, y, task, k, seed)
     raise ValueError(f"unknown selector kind: {kind!r}")

@@ -1,5 +1,6 @@
 import pytest
 
+from tabtext import breaklab
 from tabtext.breaklab import (
     BREAK_COLUMN,
     AmbiguityDilution,
@@ -17,9 +18,9 @@ from tabtext.breaklab import (
     run_break_suite,
     toy_vector_file,
 )
-from tabtext.core import Column, ColumnRole, Table, TaskKind
+from tabtext.core import Column, ColumnRole, Table, TabTextError, TaskKind
 from tabtext.embed import HashedNgram, TfIdf, WordVecAvg
-from tabtext.models import Gbdt
+from tabtext.models import External, Gbdt, Ridge
 from tabtext.select import NotBinary
 
 
@@ -157,6 +158,14 @@ def matrix():
 
 
 class TestRunBreakSuite:
+    @pytest.mark.parametrize("model", [External("true"), Ridge()], ids=lambda m: m.tag)
+    def test_non_classifier_refused_before_subsampling(self, model, monkeypatch):
+        def fail(*args):
+            raise AssertionError("subsampled before the model was checked")
+
+        monkeypatch.setattr(breaklab, "subsample_rows", fail)
+        with pytest.raises(TabTextError, match=f"got model kind '{model.tag}'"):
+            run_break_suite([make_break_table(200, seed=0)], suite_embedders(), model, seed=0)
 
     def test_leak_supremacy(self, matrix):
         for emb in matrix.embedders:

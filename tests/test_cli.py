@@ -152,6 +152,15 @@ class TestBreakCommand:
         bad.write_text(json.dumps({"model": {"kind": "nonsense"}}))
         assert main(["break", str(bad)]) == 4
 
+    def test_external_model_refused_before_any_work(self, tmp_path, capsys):
+        config = tmp_path / "ext.json"
+        config.write_text(json.dumps({"model": {"kind": "external", "command": "true"}}))
+        out_dir = tmp_path / "break"
+        assert main(["--out", str(out_dir), "break", str(config)]) == 4
+        err = capsys.readouterr().err
+        assert "got model kind 'external'" in err and "Traceback" not in err
+        assert not (out_dir / "break_matrix.csv").exists()
+
 
 class TestVetCommand:
     def make_pair(self, tmp_path):

@@ -243,13 +243,6 @@ class TestRunExperiment:
                 model=Logistic(), with_text=True, k_folds=1,
             )
 
-    def test_spec_hash_covers_corr_method(self):
-        spec = ExperimentSpec(
-            manifest=reg_manifest(), embedder=TfIdf(), selector="correlation",
-            model=Ridge(), with_text=True,
-        )
-        assert spec.spec_hash() != replace(spec, corr_method="spearman").spec_hash()
-
     @pytest.mark.parametrize(
         "change",
         [
@@ -301,10 +294,10 @@ class TestRunExperiment:
         )
         # an in-memory table's spec hashes without a digest, whatever files
         # lie in the current directory
-        assert spec.spec_hash() == "6f2be251daddbcaf"
+        assert spec.spec_hash() == "f72b1ad45ec6daee"
         monkeypatch.chdir(tmp_path)
         (tmp_path / "unused.csv").write_text("x,y\n1,2.5\n")
-        assert spec.spec_hash() == "6f2be251daddbcaf"
+        assert spec.spec_hash() == "f72b1ad45ec6daee"
 
         path = tmp_path / "data.csv"
         manifest = replace(spec.manifest, csv_path=str(path))
@@ -320,7 +313,7 @@ class TestRunExperiment:
 
         targets = [0.5 * i for i in range(12)]
         first = lock_hash(targets)
-        assert first != "6f2be251daddbcaf"
+        assert first != "f72b1ad45ec6daee"
         assert lock_hash(targets[::-1]) != first
         assert lock_hash(targets) == first
         # the lock hashes the bytes that were ingested, not those at emit time

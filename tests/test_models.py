@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tabtext import core, models, sparse
-from tabtext.core import Column, ColumnRole, MemoryBudgetExceeded, Table, TaskKind
+from tabtext.core import Column, ColumnRole, MemoryBudgetExceeded, Table, TabTextError, TaskKind
 from tabtext.embed import FeatureMatrix
 from tabtext.models import (
     BadOutputShape,
@@ -433,17 +433,29 @@ class TestGbdt:
         pred = model.predict(X)
         assert float(np.mean((pred - y) ** 2)) < 0.05
 
-    def test_train_loss_non_increasing(self):
+    @pytest.mark.parametrize("task", [R, B, M], ids=lambda t: t.value)
+    def test_train_loss_non_increasing(self, task):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((80, 4))
-        y_reg = X @ np.array([1.0, -2.0, 0.5, 0.0]) + 0.1 * rng.standard_normal(80)
-        reg = fit(Gbdt(max_depth=3, n_rounds=30), X, y_reg, R)
-        for before, after in zip(reg.train_loss, reg.train_loss[1:]):
+        y = X @ np.array([1.0, -2.0, 0.5, 0.0]) + 0.1 * rng.standard_normal(80)
+        if task is B:
+            y = ["p" if v > 0 else "n" for v in y]
+        elif task is M:
+            y = [["lo", "mid", "hi"][int(np.searchsorted([-1.0, 1.0], v))] for v in y]
+        model = fit(Gbdt(max_depth=3, n_rounds=30), X, y, task)
+        assert len(model.train_loss) == 30
+        for before, after in zip(model.train_loss, model.train_loss[1:]):
             assert after <= before + 1e-12
-        y_clf = ["p" if v > 0 else "n" for v in y_reg]
-        clf = fit(Gbdt(max_depth=3, n_rounds=30), X, y_clf, B)
-        for before, after in zip(clf.train_loss, clf.train_loss[1:]):
-            assert after <= before + 1e-12
+        if task is not R:
+            proba = model.predict_proba(X)
+            assert proba.shape == (80, len(model.classes))
+            assert np.allclose(proba.sum(axis=1), 1.0, atol=1e-12)
+        assert len(model.predict(np.zeros((0, 4)))) == 0
+
+    def test_one_class_refused(self):
+        X = np.random.default_rng(9).standard_normal((10, 2))
+        with pytest.raises(TabTextError, match="at least 2 classes, got 1"):
+            fit(Gbdt(max_depth=2, n_rounds=3), X, ["a"] * 10, B)
 
     def test_multiclass_separable(self):
         rng = np.random.default_rng(6)
