@@ -17,7 +17,7 @@ from .core import (
     subsample_rows,
 )
 from .embed import EmbedderKind, assemble_features
-from .evaluate import metric_accuracy
+from .evaluate import format_csv, metric_accuracy
 from .models import Gbdt, Logistic, ModelKind, fit
 from .select import NotBinary
 
@@ -87,21 +87,6 @@ SENTIMENT_NEGATIVE = [
 
 
 @dataclass(frozen=True)
-class WordBank:
-    synonym_train: dict[str, list[str]]
-    synonym_test: dict[str, list[str]]
-    random_words: list[str]
-    sentiment_positive: list[str]
-    sentiment_negative: list[str]
-
-
-def default_bank() -> WordBank:
-    return WordBank(
-        SYNONYMS_TRAIN, SYNONYMS_TEST, RANDOM_WORDS, SENTIMENT_POSITIVE, SENTIMENT_NEGATIVE
-    )
-
-
-@dataclass(frozen=True)
 class NoText:
     name = "no_text"
     display = "No Text"
@@ -152,13 +137,7 @@ _SCENARIO_CODE = {
 }
 
 
-def inject(
-    table: Table,
-    scenario: BreakScenario,
-    split: str,
-    seed: int,
-    bank: WordBank | None = None,
-) -> Table:
+def inject(table: Table, scenario: BreakScenario, split: str, seed: int) -> Table:
     """Append the synthetic 'break_text' column for one side of a split.
 
     The synonym scenario draws from disjoint train/test synonym sets so the
@@ -170,7 +149,6 @@ def inject(
         raise ValueError("split must be 'train' or 'test'")
     if isinstance(scenario, NoText):
         return table
-    bank = bank or default_bank()
     labels = table.class_labels()
     y = table.target_column.values
     rng = np.random.default_rng(
@@ -180,7 +158,7 @@ def inject(
     if isinstance(scenario, CompleteLeak):
         cells = [str(v) for v in y]
     elif isinstance(scenario, SynonymOod):
-        banks = bank.synonym_train if split == "train" else bank.synonym_test
+        banks = SYNONYMS_TRAIN if split == "train" else SYNONYMS_TEST
         group_of = {labels[0]: banks["good"], labels[1]: banks["number"]}
         for v in y:
             words = group_of[v]
@@ -188,9 +166,9 @@ def inject(
     else:
         label_word = {labels[0]: "negative", labels[1]: "positive"}
         if isinstance(scenario, NoiseDilution):
-            pool, m = bank.random_words, scenario.m_noise
+            pool, m = RANDOM_WORDS, scenario.m_noise
         else:
-            pool = bank.sentiment_positive + bank.sentiment_negative
+            pool = SENTIMENT_POSITIVE + SENTIMENT_NEGATIVE
             m = scenario.m_words
         for v in y:
             extra = [pool[int(i)] for i in rng.choice(len(pool), size=m, replace=False)]
@@ -256,14 +234,12 @@ class BreakMatrix:
         return "\n".join(out).rstrip() + "\n"
 
     def to_csv(self) -> str:
-        lines = ["scenario,table," + ",".join(self.embedders)]
+        rows = [["scenario", "table", *self.embedders]]
         for sc in self.scenarios:
             for t in self.tables:
-                cells = [repr(self.values[(sc, t, e)]) for e in self.embedders]
-                lines.append(f"{sc},{t}," + ",".join(cells))
-            avg = [repr(self.average(sc, e)) for e in self.embedders]
-            lines.append(f"{sc},Average," + ",".join(avg))
-        return "\n".join(lines) + "\n"
+                rows.append([sc, t] + [repr(self.values[(sc, t, e)]) for e in self.embedders])
+            rows.append([sc, "Average"] + [repr(self.average(sc, e)) for e in self.embedders])
+        return format_csv(rows)
 
 
 def _concat(a: Table, b: Table) -> Table:
@@ -278,21 +254,26 @@ SUBSAMPLE_ROWS = 100
 TEST_FOLD_COUNT = 5  # fold 0 of a stratified 5-fold split is the 20% test side
 
 
+def check_break_model(model: ModelKind) -> None:
+    """The break suite fits its model with `fit`, so it must be a logistic
+    or gbdt classifier."""
+    if not isinstance(model, (Logistic, Gbdt)):
+        raise TabTextError(
+            f"the break suite needs a logistic or gbdt classifier; got model kind {model.tag!r}"
+        )
+
+
 def run_break_suite(
     base_tables: list[Table],
     embedders: list[EmbedderKind],
     model: ModelKind,
     seed: int,
     scenarios: list[BreakScenario] | None = None,
-    bank: WordBank | None = None,
 ) -> BreakMatrix:
     """Score every (scenario, embedder, table) cell on a single stratified
     80/20 split of a 100-row subsample; accuracies are reported x100. The
-    model must be a classifier that `fit` builds: logistic or gbdt."""
-    if not isinstance(model, (Logistic, Gbdt)):
-        raise TabTextError(
-            f"the break suite needs a logistic or gbdt classifier; got model kind {model.tag!r}"
-        )
+    model must pass `check_break_model`."""
+    check_break_model(model)
     scenarios = scenarios if scenarios is not None else default_scenarios()
     matrix = BreakMatrix(
         [s.name for s in scenarios],
@@ -306,8 +287,8 @@ def run_break_suite(
         train_rows = split.train_rows(0)
         test_rows = split.fold_rows(0)
         for scenario in scenarios:
-            tr = inject(sub.subset(train_rows), scenario, "train", seed, bank)
-            te = inject(sub.subset(test_rows), scenario, "test", seed, bank)
+            tr = inject(sub.subset(train_rows), scenario, "train", seed)
+            te = inject(sub.subset(test_rows), scenario, "test", seed)
             combined = _concat(tr, te)
             fold = FoldAssignment(
                 2, [1] * tr.n_rows + [0] * te.n_rows, seed

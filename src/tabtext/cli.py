@@ -29,10 +29,7 @@ from .ingest import (
 from .models import Gbdt, make_model
 from .select import applicable
 
-EXIT_INGEST = 2
-EXIT_EVAL = 3
-EXIT_BREAK = 4
-EXIT_VET = 5
+EXIT_CODES = {"ingest": 2, "eval": 3, "break": 4, "vet": 5, "report": 1}
 
 
 def _load_manifests(entries) -> list[DatasetManifest]:
@@ -42,13 +39,9 @@ def _load_manifests(entries) -> list[DatasetManifest]:
     ]
 
 
-def cmd_ingest(args) -> int:
-    try:
-        manifest = load_manifest(args.manifest)
-        table, report = ingest_dataset(manifest)
-    except (TabTextError, FileNotFoundError, OSError, ValueError, KeyError) as exc:
-        print(f"ingest failed: {exc}", file=sys.stderr)
-        return EXIT_INGEST
+def cmd_ingest(args) -> None:
+    manifest = load_manifest(args.manifest)
+    table, report = ingest_dataset(manifest)
     print(report.to_text(), end="")
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -58,7 +51,6 @@ def cmd_ingest(args) -> int:
         json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"
     )
     print(f"cached cleaned table: {cache}")
-    return 0
 
 
 def _build_grid(config: dict, manifests: list[DatasetManifest], seed: int) -> list[ExperimentSpec]:
@@ -98,20 +90,16 @@ def _build_grid(config: dict, manifests: list[DatasetManifest], seed: int) -> li
     return specs
 
 
-def cmd_eval(args) -> int:
-    try:
-        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        manifests = _load_manifests(config["manifests"])
-        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-        names = [m.name for m in manifests]
-        for name in names:
-            if names.count(name) > 1:
-                raise DuplicateDatasetName(f"two manifests are named {name!r}")
-        specs = _build_grid(config, manifests, seed)
-        tables = {m.name: ingest_dataset(m)[0] for m in manifests}
-    except (TabTextError, FileNotFoundError, OSError, ValueError, KeyError) as exc:
-        print(f"eval setup failed: {exc}", file=sys.stderr)
-        return EXIT_EVAL
+def cmd_eval(args) -> None:
+    config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    manifests = _load_manifests(config["manifests"])
+    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    names = [m.name for m in manifests]
+    for name in names:
+        if names.count(name) > 1:
+            raise DuplicateDatasetName(f"two manifests are named {name!r}")
+    specs = _build_grid(config, manifests, seed)
+    tables = {m.name: ingest_dataset(m)[0] for m in manifests}
 
     # cell failures are reported, not fatal
     outcomes = _run_specs(specs, tables)
@@ -121,16 +109,13 @@ def cmd_eval(args) -> int:
         for spec, o in zip(specs, outcomes)
         if not isinstance(o, EvalResult)
     ]
-    out_dir = args.out or config.get("out", "run")
-    paths = emit_report(results, out_dir)
+    paths = emit_report(results, args.out or config.get("out", "run"))
     if failures:
         with open(paths["txt"], "a", encoding="utf-8") as fh:
             fh.write("\nfailures:\n")
             fh.writelines(f"  {line}\n" for line in failures)
-        print(f"{len(failures)} experiment(s) failed; see {paths['txt']}", file=sys.stderr)
-        return EXIT_EVAL
+        raise TabTextError(f"{len(failures)} experiment(s) failed; see {paths['txt']}")
     print(f"wrote {paths['csv']}")
-    return 0
 
 
 def _default_break_embedders():
@@ -141,95 +126,72 @@ def _default_break_embedders():
     ]
 
 
-def cmd_break(args) -> int:
-    try:
-        config = {}
-        if args.config:
-            config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-        if "manifests" in config:
-            tables = []
-            for manifest in _load_manifests(config["manifests"]):
-                table, _ = ingest_dataset(manifest)
-                tables.append(table)
-        else:
-            tables = [breaklab.make_break_table(seed=seed)]
-        if "embedders" in config:
-            embedders = [make_embedder(e) for e in config["embedders"]]
-        else:
-            embedders = _default_break_embedders()
-        # compact booster keeps the default run at desk scale
-        model = make_model(config["model"]) if "model" in config else Gbdt(4, 0.3, 30)
-        matrix = breaklab.run_break_suite(tables, embedders, model, seed)
-    except (TabTextError, FileNotFoundError, OSError, ValueError, KeyError) as exc:
-        print(f"break suite failed: {exc}", file=sys.stderr)
-        return EXIT_BREAK
+def cmd_break(args) -> None:
+    config = {}
+    if args.config:
+        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    # compact booster keeps the default run at desk scale
+    model = make_model(config["model"]) if "model" in config else Gbdt(4, 0.3, 30)
+    breaklab.check_break_model(model)
+    if "embedders" in config:
+        embedders = [make_embedder(e) for e in config["embedders"]]
+    else:
+        embedders = _default_break_embedders()
+    if "manifests" in config:
+        tables = [ingest_dataset(m)[0] for m in _load_manifests(config["manifests"])]
+    else:
+        tables = [breaklab.make_break_table(seed=seed)]
+    matrix = breaklab.run_break_suite(tables, embedders, model, seed)
     print(matrix.to_text(), end="")
     out = Path(args.out or "break-run")
     out.mkdir(parents=True, exist_ok=True)
     (out / "break_matrix.csv").write_text(matrix.to_csv(), encoding="utf-8")
     (out / "break_matrix.txt").write_text(matrix.to_text(), encoding="utf-8")
     print(f"wrote {out / 'break_matrix.csv'}")
-    return 0
 
 
-def cmd_vet(args) -> int:
-    try:
-        tables = []
-        for path in args.manifests:
-            table, _ = ingest_dataset(load_manifest(path))
-            tables.append(table)
-        out = Path(args.out or "vet-run")
-        out.mkdir(parents=True, exist_ok=True)
-        all_checks = {}
-        for table in tables:
-            checks = vetting.run_curation_checks(table, seed=args.seed or 0)
-            all_checks[table.name] = [
-                {"rule": c.rule, "verdict": c.verdict, "detail": c.detail} for c in checks
-            ]
-            print(f"{table.name}:")
-            for c in checks:
-                print(f"  {c.rule}: {c.verdict} ({c.detail})")
-        (out / "checks.json").write_text(
-            json.dumps(all_checks, indent=2) + "\n", encoding="utf-8"
-        )
-        if args.pair:
-            a_name, b_name = args.pair
-            by_name = {t.name: t for t in tables}
-            if a_name not in by_name or b_name not in by_name:
-                raise TabTextError("--pair names must match manifest dataset names")
-            if args.live:
-                client = vetting.HttpChatLlmClient(args.endpoint, args.model_name)
-                print("note: live LLM responses are outside --seed determinism")
-            else:
-                client = vetting.ReplayLlmClient(args.fixtures)
-            pair_tables = [by_name[a_name], by_name[b_name]]
-            matrix = vetting.coverage_matrix(pair_tables, client)
-            paths = vetting.export_coverage(matrix, out)
-            a_to_b = matrix.coverage[0, 1]
-            print(f"coverage {a_name} -> {b_name}: {a_to_b:.3f} (binary {matrix.binary[0, 1]})")
-            print(f"coverage {b_name} -> {a_name}: {matrix.coverage[1, 0]:.3f}"
-                  f" (binary {matrix.binary[1, 0]})")
-            print(f"wrote {paths['coverage']}")
-    except (TabTextError, FileNotFoundError, OSError, ValueError, KeyError) as exc:
-        print(f"vet failed: {exc}", file=sys.stderr)
-        return EXIT_VET
-    return 0
+def cmd_vet(args) -> None:
+    manifests = [load_manifest(path) for path in args.manifests]
+    if args.pair and not set(args.pair) <= {m.name for m in manifests}:
+        raise TabTextError("--pair names must match manifest dataset names")
+    tables = [ingest_dataset(m)[0] for m in manifests]
+    out = Path(args.out or "vet-run")
+    out.mkdir(parents=True, exist_ok=True)
+    all_checks = {}
+    for table in tables:
+        checks = vetting.run_curation_checks(table, seed=args.seed or 0)
+        all_checks[table.name] = [
+            {"rule": c.rule, "verdict": c.verdict, "detail": c.detail} for c in checks
+        ]
+        print(f"{table.name}:")
+        for c in checks:
+            print(f"  {c.rule}: {c.verdict} ({c.detail})")
+    (out / "checks.json").write_text(json.dumps(all_checks, indent=2) + "\n", encoding="utf-8")
+    if args.pair:
+        a_name, b_name = args.pair
+        by_name = {t.name: t for t in tables}
+        if args.live:
+            client = vetting.HttpChatLlmClient(args.endpoint, args.model_name)
+            print("note: live LLM responses are outside --seed determinism")
+        else:
+            client = vetting.ReplayLlmClient(args.fixtures)
+        matrix = vetting.coverage_matrix([by_name[a_name], by_name[b_name]], client)
+        paths = vetting.export_coverage(matrix, out)
+        print(f"coverage {a_name} -> {b_name}: {matrix.coverage[0, 1]:.3f}"
+              f" (binary {matrix.binary[0, 1]})")
+        print(f"coverage {b_name} -> {a_name}: {matrix.coverage[1, 0]:.3f}"
+              f" (binary {matrix.binary[1, 0]})")
+        print(f"wrote {paths['coverage']}")
 
 
-def cmd_report(args) -> int:
-    try:
-        rows = parse_results_csv(Path(args.results).read_text(encoding="utf-8"))
-        text = format_rows_text(rows)
-    except (TabTextError, FileNotFoundError, OSError, ValueError) as exc:
-        print(f"report failed: {exc}", file=sys.stderr)
-        return 1
+def cmd_report(args) -> None:
+    text = format_rows_text(parse_results_csv(Path(args.results).read_text(encoding="utf-8")))
     print(text, end="")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "results.txt").write_text(text, encoding="utf-8")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,9 +233,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one command. A failure in its inputs, config or outputs, failed
+    eval cells included, prints `<command> failed: <reason>` and returns the
+    command's exit code from EXIT_CODES instead of raising."""
+    args = build_parser().parse_args(argv)
+    try:
+        args.func(args)
+    except (TabTextError, OSError, ValueError, KeyError) as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        return EXIT_CODES[args.command]
+    return 0
 
 
 if __name__ == "__main__":

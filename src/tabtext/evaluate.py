@@ -331,15 +331,24 @@ CSV_COLUMNS = [
 ]
 
 
-def format_results_csv(results: list[EvalResult]) -> str:
+def format_csv(rows) -> str:
+    r"""CSV text that `csv.reader` reads back field for field, whatever the
+    cells hold: minimal quoting, "\n" line endings, and a row with a "\r"
+    in any cell quoted in full."""
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
     # QUOTE_MINIMAL quotes the line terminator's characters but not a lone
     # "\r", which the reader takes for a line break
     quoted = csv.writer(buf, quoting=csv.QUOTE_ALL, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in result_rows(results):
-        (quoted if "\r" in row["dataset"] else writer).writerow(
+    for row in rows:
+        (quoted if any("\r" in cell for cell in row) else writer).writerow(row)
+    return buf.getvalue()
+
+
+def format_results_csv(results: list[EvalResult]) -> str:
+    return format_csv(
+        [CSV_COLUMNS]
+        + [
             [
                 row["dataset"],
                 row["task"],
@@ -354,8 +363,9 @@ def format_results_csv(results: list[EvalResult]) -> str:
                 "|".join(repr(v) for v in row["folds"]),
                 str(row["seed"]),
             ]
-        )
-    return buf.getvalue()
+            for row in result_rows(results)
+        ]
+    )
 
 
 def parse_results_csv(text: str) -> list[dict]:

@@ -238,26 +238,27 @@ def soft_threshold(a, lam):
     return np.sign(a) * np.maximum(np.abs(a) - lam, 0.0)
 
 
+# stopping rule of both L1 fits: converged once no weight moves more than
+# L1_TOL in one sweep (or step), given up after L1_MAX_ITER of them
+L1_TOL = 1e-6
+L1_MAX_ITER = 1000
+
+
 def lasso_cd(
-    X: np.ndarray,
-    y: np.ndarray,
-    lam: float,
-    tol: float = 1e-6,
-    max_sweeps: int = 1000,
-    w0: np.ndarray | None = None,
+    X: np.ndarray, y: np.ndarray, lam: float, w0: np.ndarray | None = None
 ) -> tuple[np.ndarray, bool]:
     """Cyclic coordinate descent for (1/2n)||y - Xw||^2 + lam*||w||_1.
 
     Callers pass X with zero-mean columns; y is centered here so the
     intercept never enters. Converged when no coordinate moves more
-    than `tol` in a full sweep.
+    than `L1_TOL` in a full sweep.
     """
     n, d = X.shape
     yc = y - y.mean()
     w = np.zeros(d) if w0 is None else w0.copy()
     col_sq = (X * X).sum(axis=0) / n
     r = yc - X @ w
-    for _ in range(max_sweeps):
+    for _ in range(L1_MAX_ITER):
         max_delta = 0.0
         for j in range(d):
             if col_sq[j] <= 0:
@@ -269,13 +270,13 @@ def lasso_cd(
                 r -= delta * X[:, j]
                 w[j] = new_wj
                 max_delta = max(max_delta, abs(delta))
-        if max_delta < tol:
+        if max_delta < L1_TOL:
             return w, True
     return w, False
 
 
-def _spectral_norm_sq(X: np.ndarray, seed: int = 0) -> float:
-    rng = np.random.default_rng(seed)
+def _spectral_norm_sq(X: np.ndarray) -> float:
+    rng = np.random.default_rng(0)
     v = rng.standard_normal(X.shape[1])
     v /= np.linalg.norm(v)
     for _ in range(30):
@@ -288,12 +289,7 @@ def _spectral_norm_sq(X: np.ndarray, seed: int = 0) -> float:
 
 
 def l1_logistic_prox(
-    X: np.ndarray,
-    Y: np.ndarray,
-    lam: float,
-    tol: float = 1e-6,
-    max_iter: int = 1000,
-    W0: np.ndarray | None = None,
+    X: np.ndarray, Y: np.ndarray, lam: float, W0: np.ndarray | None = None
 ) -> tuple[np.ndarray, bool]:
     """Proximal gradient for mean cross-entropy + lam*||W||_1 (soft-threshold
     step on the weights, plain step on the unpenalized intercept)."""
@@ -304,29 +300,28 @@ def l1_logistic_prox(
     b = np.log(prior + 1e-12)
     lips = 0.5 * _spectral_norm_sq(X) / n + 1e-12
     step = 1.0 / lips
-    for _ in range(max_iter):
+    for _ in range(L1_MAX_ITER):
         P = _softmax(X @ W + b)
         R = (P - Y) / n
         W_new = soft_threshold(W - step * (X.T @ R), step * lam)
         b_new = b - step * R.sum(axis=0)
         delta = max(np.abs(W_new - W).max(), np.abs(b_new - b).max())
         W, b = W_new, b_new
-        if delta < tol:
+        if delta < L1_TOL:
             return W, True
     return W, False
 
 
-def lambda_path(lam_max: float, points: int = 20, decades: float = 3.0) -> np.ndarray:
-    return np.geomspace(lam_max, lam_max * 10.0**-decades, points)
+LAMBDA_PATH_POINTS = 20
+LAMBDA_PATH_DECADES = 3.0
 
 
-def select_l1(
-    X: np.ndarray,
-    y,
-    task: TaskKind,
-    k: int,
-    path: np.ndarray | None = None,
-) -> SelectorResult:
+def lambda_path(lam_max: float) -> np.ndarray:
+    """LAMBDA_PATH_POINTS geometric steps from lam_max down LAMBDA_PATH_DECADES decades."""
+    return np.geomspace(lam_max, lam_max * 10.0**-LAMBDA_PATH_DECADES, LAMBDA_PATH_POINTS)
+
+
+def select_l1(X: np.ndarray, y, task: TaskKind, k: int) -> SelectorResult:
     """Lasso (regression) or L1 logistic (classification) on internally
     standardized features; the largest path lambda yielding >= k nonzero
     weights wins, else the smallest."""
@@ -341,11 +336,9 @@ def select_l1(
         lam_max = np.abs(Xs.T @ (Y.mean(axis=0) - Y)).max() / n
     if lam_max <= 0:
         return _top_k("l1", np.zeros(X.shape[1]), k)
-    lams = lambda_path(lam_max) if path is None else np.asarray(path, dtype=float)
-
     converged = True
     weights = prev = None
-    for lam in lams:  # warm start down the path
+    for lam in lambda_path(lam_max):  # warm start down the path
         if task is TaskKind.REGRESSION:
             w, ok = lasso_cd(Xs, np.asarray(y, dtype=float), float(lam), w0=prev)
             scores = np.abs(w)
@@ -387,8 +380,11 @@ def select_shap(X: np.ndarray, y, task: TaskKind, k: int, seed: int = 0) -> Sele
 # Dispatch and application
 
 
-def default_k(feature_cap: int, n_non_text: int, floor: int = 10) -> int:
-    return max(feature_cap - n_non_text, floor)
+MIN_SELECTED = 10  # default_k never asks a selector for fewer features
+
+
+def default_k(feature_cap: int, n_non_text: int) -> int:
+    return max(feature_cap - n_non_text, MIN_SELECTED)
 
 
 def run_selector(kind: str, X: np.ndarray, y, task: TaskKind, k: int, seed: int) -> SelectorResult:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import ColumnRole, MISSING, TabTextError, Table, TaskKind, k_fold_split
 from .embed import TfIdf, assemble_features
-from .evaluate import metric_accuracy, metric_r2
+from .evaluate import format_csv, metric_accuracy, metric_r2
 from .models import Logistic, Ridge, fit
 
 
@@ -66,7 +66,11 @@ def _chance_level(table: Table) -> float:
     return top / len(y)
 
 
-def run_curation_checks(table: Table, seed: int = 0, margin: float = 0.02) -> list[CurationCheck]:
+# how far both best single-column scores must clear chance for DualSignalProxy
+DUAL_SIGNAL_MARGIN = 0.02
+
+
+def run_curation_checks(table: Table, seed: int = 0) -> list[CurationCheck]:
     checks = []
     text_cols = [c.name for c in table.feature_columns if c.role is ColumnRole.TEXTUAL]
     checks.append(
@@ -102,7 +106,8 @@ def run_curation_checks(table: Table, seed: int = 0, margin: float = 0.02) -> li
     if text_cols and non_text:
         best_text = max(_single_column_score(table, c, seed) for c in text_cols)
         best_other = max(_single_column_score(table, c, seed) for c in non_text)
-        verdict = "pass" if best_text > chance + margin and best_other > chance + margin else "fail"
+        bar = chance + DUAL_SIGNAL_MARGIN
+        verdict = "pass" if best_text > bar and best_other > bar else "fail"
         detail += (
             f"; best text={best_text:.3f}, best non-text={best_other:.3f},"
             f" chance={chance:.3f}"
@@ -148,13 +153,16 @@ class CoverageMatrix:
     binary: np.ndarray  # n x n int, diagonal untouched (-1)
 
 
-def binarize(matrix: CoverageMatrix, threshold: float = 0.5) -> CoverageMatrix:
+COVERAGE_THRESHOLD = 0.5  # a directed coverage at or above it binarizes to 1
+
+
+def binarize(matrix: CoverageMatrix) -> CoverageMatrix:
     binary = np.full(matrix.coverage.shape, -1, dtype=int)
     n = len(matrix.names)
     for i in range(n):
         for j in range(n):
             if i != j and not np.isnan(matrix.coverage[i, j]):
-                binary[i, j] = int(matrix.coverage[i, j] >= threshold)
+                binary[i, j] = int(matrix.coverage[i, j] >= COVERAGE_THRESHOLD)
     return CoverageMatrix(matrix.names, matrix.coverage, binary)
 
 
@@ -163,11 +171,11 @@ def export_coverage(matrix: CoverageMatrix, out_dir: str | Path) -> dict[str, Pa
     out.mkdir(parents=True, exist_ok=True)
 
     def render(values, fmt):
-        lines = ["," + ",".join(matrix.names)]
+        rows = [["", *matrix.names]]
         for i, name in enumerate(matrix.names):
             cells = [fmt(values[i, j]) if i != j else "" for j in range(len(matrix.names))]
-            lines.append(name + "," + ",".join(cells))
-        return "\n".join(lines) + "\n"
+            rows.append([name, *cells])
+        return format_csv(rows)
 
     cont = out / "coverage.csv"
     binf = out / "coverage_binary.csv"
@@ -245,8 +253,11 @@ Target feature: {target}
 """
 
 
-def schema_sample(table: Table, max_rows: int = 3) -> str:
-    n = min(max_rows, table.n_rows)
+SCHEMA_SAMPLE_ROWS = 3  # example rows shown to the LLM per table
+
+
+def schema_sample(table: Table) -> str:
+    n = min(SCHEMA_SAMPLE_ROWS, table.n_rows)
     lines = []
     for col in table.columns:
         vals = ["<missing>" if col.values[i] is MISSING else str(col.values[i]) for i in range(n)]

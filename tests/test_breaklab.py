@@ -1,9 +1,13 @@
+import csv
+import io
+
 import pytest
 
 from tabtext import breaklab
 from tabtext.breaklab import (
     BREAK_COLUMN,
     AmbiguityDilution,
+    BreakMatrix,
     CompleteLeak,
     NoText,
     NoiseDilution,
@@ -207,3 +211,20 @@ class TestRunBreakSuite:
         assert all(accs[m]["tfidf"] == 100.0 for m in (3, 10, 30))
         assert accs[3]["wordvec"] >= accs[10]["wordvec"] >= accs[30]["wordvec"]
         assert accs[30]["wordvec"] < 100.0
+
+
+def test_break_matrix_csv_round_trips_any_table_name():
+    name = 'beers, EU "2024"\r'
+    matrix = BreakMatrix(
+        ["no_text"], {"no_text": "No Text"}, [name, "plain"], ["tfidf", "hashed"]
+    )
+    for i, key in enumerate([(name, "tfidf"), (name, "hashed"), ("plain", "tfidf"),
+                             ("plain", "hashed")]):
+        matrix.values[("no_text", *key)] = 50.0 + i
+    rows = list(csv.reader(io.StringIO(matrix.to_csv())))
+    assert rows == [
+        ["scenario", "table", "tfidf", "hashed"],
+        ["no_text", name, "50.0", "51.0"],
+        ["no_text", "plain", "52.0", "53.0"],
+        ["no_text", "Average", "51.0", "52.0"],
+    ]

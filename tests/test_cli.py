@@ -152,6 +152,17 @@ class TestBreakCommand:
         bad.write_text(json.dumps({"model": {"kind": "nonsense"}}))
         assert main(["break", str(bad)]) == 4
 
+    def test_external_model_refused_before_any_csv_is_read(self, tmp_path, capsys):
+        config = tmp_path / "ext.json"
+        config.write_text(json.dumps({
+            "manifests": [{"name": "gone", "csv_path": str(tmp_path / "missing.csv"),
+                           "target_column": "grade", "task": "binary"}],
+            "model": {"kind": "external", "command": "true"},
+        }))
+        assert main(["--out", str(tmp_path / "break"), "break", str(config)]) == 4
+        err = capsys.readouterr().err
+        assert "got model kind 'external'" in err and "missing.csv" not in err
+
     def test_external_model_refused_before_any_work(self, tmp_path, capsys):
         config = tmp_path / "ext.json"
         config.write_text(json.dumps({"model": {"kind": "external", "command": "true"}}))
@@ -214,6 +225,13 @@ class TestVetCommand:
         assert (out_dir / "coverage.csv").exists()
         assert (out_dir / "coverage_binary.csv").exists()
 
+    def test_unknown_pair_name_refused_before_ingest(self, dataset, tmp_path, capsys):
+        out_dir = tmp_path / "vet"
+        code = main(["--out", str(out_dir), "vet", str(dataset), "--pair", "taps", "tapz"])
+        assert code == 5
+        assert "--pair names must match" in capsys.readouterr().err
+        assert not (out_dir / "checks.json").exists()
+
     def test_failure_exits_five(self, tmp_path):
         missing = tmp_path / "nope.json"
         assert main(["vet", str(missing)]) == 5
@@ -230,3 +248,38 @@ class TestReportCommand:
         assert rendered.startswith("dataset")
         assert "taps" in rendered
         assert rendered == (out_dir / "results.txt").read_text()
+
+
+def command_argv(command, dataset, tmp_path):
+    """Arguments under which `command` succeeds, given a writable --out."""
+    if command == "ingest":
+        return ["ingest", str(dataset)]
+    if command == "eval":
+        return ["eval", str(eval_config(tmp_path, dataset))]
+    if command == "break":
+        config = tmp_path / "break.json"
+        config.write_text(json.dumps({
+            "embedders": [{"kind": "hashed", "buckets": 32}],
+            "model": {"kind": "logistic"},
+        }))
+        return ["break", str(config)]
+    if command == "vet":
+        return ["vet", str(dataset)]
+    run = tmp_path / "run"
+    assert main(["--out", str(run), "eval", str(eval_config(tmp_path, dataset))]) == 0
+    return ["report", str(run / "results.csv")]
+
+
+@pytest.mark.parametrize(
+    "command, code", [("ingest", 2), ("eval", 3), ("break", 4), ("vet", 5), ("report", 1)]
+)
+def test_out_naming_a_file_fails_with_the_commands_code(command, code, dataset, tmp_path,
+                                                         capsys):
+    argv = command_argv(command, dataset, tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    capsys.readouterr()
+    assert main(["--out", str(taken), *argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"{command} failed: ") and "Traceback" not in err
+    assert taken.read_text() == "not a directory\n"

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -233,3 +235,17 @@ class TestEndToEnd:
         client = ReplayLlmClient(default_fixture_dir())
         with pytest.raises(FileNotFoundError):
             client.complete("prompt", key="nope__vs__nothing")
+
+
+def test_coverage_csvs_round_trip_any_dataset_name(tmp_path):
+    names = ['beers, EU "2024"\r', "ciders"]
+    coverage = np.array([[np.nan, 0.25], [0.75, np.nan]])
+    paths = export_coverage(binarize(CoverageMatrix(names, coverage, np.full((2, 2), -1))),
+                            tmp_path)
+    expected = {
+        "coverage": [["", *names], [names[0], "", "0.250"], [names[1], "0.750", ""]],
+        "binary": [["", *names], [names[0], "", "0"], [names[1], "1", ""]],
+    }
+    for key, rows in expected.items():
+        with open(paths[key], newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh)) == rows
