@@ -32,6 +32,31 @@ from .select import applicable
 EXIT_CODES = {"ingest": 2, "eval": 3, "break": 4, "vet": 5, "report": 1}
 
 
+# config entries that hold one value per grid axis (or per table)
+_LIST_KEYS = ("manifests", "embedders", "models", "selectors", "with_text")
+
+
+def _read_config(path: str) -> dict:
+    """The JSON config at path, refused unless it is an object whose list
+    entries are lists."""
+    config = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(config, dict):
+        raise TabTextError(f"config {path} must be a JSON object")
+    for key in _LIST_KEYS:
+        if key in config and not isinstance(config[key], list):
+            raise TabTextError(f"config {key!r} must be a list, got {config[key]!r}")
+    return config
+
+
+def _check_out(out) -> None:
+    """Refuse an output directory that is not a path or names an existing
+    non-directory, before any work is done."""
+    if not isinstance(out, str):
+        raise TabTextError(f"output directory must be a path, got {out!r}")
+    if Path(out).exists() and not Path(out).is_dir():
+        raise TabTextError(f"output directory {out} exists and is not a directory")
+
+
 def _load_manifests(entries) -> list[DatasetManifest]:
     return [
         load_manifest(entry) if isinstance(entry, str) else manifest_from_dict(entry)
@@ -91,7 +116,9 @@ def _build_grid(config: dict, manifests: list[DatasetManifest], seed: int) -> li
 
 
 def cmd_eval(args) -> None:
-    config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    config = _read_config(args.config)
+    out = args.out or config.get("out", "run")
+    _check_out(out)
     manifests = _load_manifests(config["manifests"])
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     names = [m.name for m in manifests]
@@ -109,7 +136,7 @@ def cmd_eval(args) -> None:
         for spec, o in zip(specs, outcomes)
         if not isinstance(o, EvalResult)
     ]
-    paths = emit_report(results, args.out or config.get("out", "run"))
+    paths = emit_report(results, out)
     if failures:
         with open(paths["txt"], "a", encoding="utf-8") as fh:
             fh.write("\nfailures:\n")
@@ -127,9 +154,7 @@ def _default_break_embedders():
 
 
 def cmd_break(args) -> None:
-    config = {}
-    if args.config:
-        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    config = _read_config(args.config) if args.config else {}
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     # compact booster keeps the default run at desk scale
     model = make_model(config["model"]) if "model" in config else Gbdt(4, 0.3, 30)
@@ -238,6 +263,8 @@ def main(argv: list[str] | None = None) -> int:
     command's exit code from EXIT_CODES instead of raising."""
     args = build_parser().parse_args(argv)
     try:
+        if args.out is not None:
+            _check_out(args.out)
         args.func(args)
     except (TabTextError, OSError, ValueError, KeyError) as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)

@@ -488,13 +488,18 @@ def make_embedder(spec: dict) -> EmbedderKind:
         "topic": TopicFactorization,
         "external": ExternalEmbedding,
     }
+    if not isinstance(spec, dict):
+        raise ValueError(f"embedder spec must be a JSON object, got {spec!r}")
     params = dict(spec)
     kind = params.pop("kind")
     try:
         cls = kinds[kind]
     except KeyError:
         raise ValueError(f"unknown embedder kind: {kind!r}") from None
-    return cls(**params)
+    try:
+        return cls(**params)
+    except TypeError as exc:  # an unknown or mistyped parameter
+        raise ValueError(f"embedder {kind!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -93,13 +93,18 @@ ModelKind = Ridge | Logistic | Gbdt | External
 
 def make_model(spec: dict) -> ModelKind:
     kinds = {"ridge": Ridge, "logistic": Logistic, "gbdt": Gbdt, "external": External}
+    if not isinstance(spec, dict):
+        raise ValueError(f"model spec must be a JSON object, got {spec!r}")
     params = dict(spec)
     kind = params.pop("kind")
     try:
         cls = kinds[kind]
     except KeyError:
         raise ValueError(f"unknown model kind: {kind!r}") from None
-    return cls(**params)
+    try:
+        return cls(**params)
+    except TypeError as exc:  # an unknown or mistyped parameter
+        raise ValueError(f"model {kind!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -334,22 +339,26 @@ class _Tree:
         return self.value[node]
 
 
-def _best_split(X, order, g, h, mask):
-    """Exact greedy scan over all features at once for one node.
+def _best_split(S, V, gh):
+    """Exact greedy scan over all of one node's columns at once.
 
-    Returns (gain, feature, threshold) or None when no valid candidate
-    exists (all feature values identical within the node).
+    Row c of S and V holds the node's row ids and values in its column's
+    ascending order, ties by row id. gh carries each row's gradient and
+    hessian as one complex number, so one cumsum gives both running sums,
+    each rounded as its own cumsum would be. The node totals are row 0's
+    sums. Gains are scored only where adjacent sorted values differ, in
+    (position, column) order, so argmax breaks ties as a scan of the whole
+    node would. Returns (gain, row of S, threshold) or None when no valid
+    candidate exists (every column is constant within the node).
     """
-    d = X.shape[1]
-    m = int(mask.sum())
-    sel = mask[order]  # (n, d): node membership in per-column sorted order
-    idx = order.T[sel.T].reshape(d, m).T  # (m, d) row ids, sorted per column
-    cols = np.arange(d)
-    xs = X[idx, cols]
-    gs = np.cumsum(g[idx], axis=0)
-    hs = np.cumsum(h[idx], axis=0)
-    G, H = gs[-1, 0], hs[-1, 0]
-    GL, HL = gs[:-1], hs[:-1]
+    d = S.shape[0]
+    sums = np.cumsum(gh[S], axis=1)
+    gs, hs = sums.real, sums.imag
+    G, H = gs[0, -1], hs[0, -1]
+    i, c = np.divmod(np.flatnonzero((V[:, 1:] != V[:, :-1]).T), d)
+    if i.size == 0:
+        return None
+    GL, HL = gs[c, i], hs[c, i]
     GR, HR = G - GL, H - HL
     parent = G * G / (max(H, _HESS_FLOOR) + _LEAF_L2)
     gain = 0.5 * (
@@ -357,59 +366,89 @@ def _best_split(X, order, g, h, mask):
         + GR * GR / (np.maximum(HR, _HESS_FLOOR) + _LEAF_L2)
         - parent
     )
-    gain[xs[1:] == xs[:-1]] = -np.inf
-    flat = int(np.argmax(gain))
-    i, j = flat // d, flat % d
-    if not np.isfinite(gain[i, j]):
+    best = int(np.argmax(gain))
+    if not np.isfinite(gain[best]):
         return None
-    return float(gain[i, j]), int(j), float((xs[i, j] + xs[i + 1, j]) / 2.0)
+    i, c = i[best], c[best]
+    return float(gain[best]), int(c), float((V[c, i] + V[c, i + 1]) / 2.0)
 
 
-def _grow_tree(X, order, g, h, max_depth):
+def _grow_tree(X, live, S, V, g, h, max_depth):
+    """One tree over the training rows, and each training row's leaf value.
+
+    Row c of S and V is the presort of column live[c]: its row ids and
+    values in ascending order. Each node holds its rows in ascending order
+    and its own part of S and V, without the columns constant within it; a
+    split filters them, in order, into the two children.
+    """
+    n = X.shape[0]
     feature, threshold, left, right, value = [], [], [], [], []
+    step = np.empty(n)
+    gh = np.empty(n, dtype=complex)
+    gh.real, gh.imag = g, h
 
-    def leaf(mask):
-        G = g[mask].sum()
-        H = h[mask].sum()
+    def leaf(rows):
+        G = g[rows].sum()
+        H = h[rows].sum()
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
         value.append(-G / (max(H, _HESS_FLOOR) + _LEAF_L2))
+        step[rows] = value[-1]
         return len(feature) - 1
 
-    def grow(mask, depth):
-        if depth >= max_depth or mask.sum() < 2:
-            return leaf(mask)
-        found = _best_split(X, order, g, h, mask)
+    def grow(rows, live, S, V, depth):
+        if depth >= max_depth or rows.size < 2:
+            return leaf(rows)
+        # a column constant within a node is constant below it; column 0
+        # stays for the node totals
+        varies = V[:, -1] > V[:, 0]
+        varies[0] = True
+        if not varies.all():
+            live, S, V = live[varies], S[varies], V[varies]
+        found = _best_split(S, V, gh)
         if found is None:
-            return leaf(mask)
-        gain, j, thr = found
+            return leaf(rows)
+        gain, c, thr = found
         # zero-gain splits are taken only when gradients cancel inside the
         # node; they cost nothing and let deeper levels separate XOR-like
         # patterns that greedy gain alone cannot see
-        cancelling = abs(g[mask].sum()) < 1e-9 < np.abs(g[mask]).sum()
-        if gain <= 1e-12 and not (gain > -1e-12 and cancelling):
-            return leaf(mask)
+        if gain <= 1e-12:
+            g_node = g[rows]
+            cancelling = abs(g_node.sum()) < 1e-9 < np.abs(g_node).sum()
+            if not (gain > -1e-12 and cancelling):
+                return leaf(rows)
+        j = int(live[c])
         node = len(feature)
         feature.append(j)
         threshold.append(thr)
         left.append(-1)
         right.append(-1)
         value.append(0.0)
-        go_left = mask & (X[:, j] < thr)
-        left[node] = grow(go_left, depth + 1)
-        right[node] = grow(mask & ~go_left, depth + 1)
+        go_left = X[rows, j] < thr
+        in_left = X[S, j] < thr
+        d = S.shape[0]
+        for side, sel, kept in ((left, go_left, in_left), (right, ~go_left, ~in_left)):
+            kept = np.flatnonzero(kept)  # stays in each column's sorted order
+            side[node] = grow(
+                rows[sel],
+                live,
+                np.take(S, kept).reshape(d, -1),
+                np.take(V, kept).reshape(d, -1),
+                depth + 1,
+            )
         return node
 
-    grow(np.ones(X.shape[0], dtype=bool), 0)
-    return _Tree(
+    grow(np.arange(n), live, S, V, 0)
+    tree = _Tree(
         np.array(feature, dtype=np.int64),
         np.array(threshold),
         np.array(left, dtype=np.int64),
         np.array(right, dtype=np.int64),
         np.array(value),
     )
+    return tree, step
 
 
 def _sigmoid(z):
@@ -450,8 +489,16 @@ def _fit_gbdt(cfg: Gbdt, X: np.ndarray, Y: np.ndarray, task: TaskKind) -> _GbdtF
     round grows one tree per column from the gradient P − Y and the hessian
     H at the round's start, then records the loss. Regression starts from
     the target's mean, classification from zero margins."""
-    order = np.argsort(X, axis=0, kind="stable")
     n, k = Y.shape
+    # presort once: the row ids and values of each column in ascending
+    # order, ties by row id, skipping the columns constant on the training
+    # rows (they never split); column 0 stays, as its order gives the totals
+    varies = X.max(axis=0, initial=-np.inf) > X.min(axis=0, initial=np.inf)  # none if no rows
+    live = np.union1d(0, np.flatnonzero(varies))
+    require_memory(16 * n * live.size, f"the booster's {n}×{live.size} presort")
+    V = X.T[live]
+    S = np.argsort(V, axis=1, kind="stable")
+    V.sort(axis=1, kind="stable")
     base = Y.mean(axis=0) if task is TaskKind.REGRESSION else np.zeros(k)
     fit = _GbdtFit([], base, cfg.learning_rate)
     F = np.tile(base, (n, 1))
@@ -460,8 +507,8 @@ def _fit_gbdt(cfg: Gbdt, X: np.ndarray, Y: np.ndarray, task: TaskKind) -> _GbdtF
         G = P - Y
         round_trees = []
         for c in range(k):
-            tree = _grow_tree(X, order, G[:, c], H[:, c], cfg.max_depth)
-            F[:, c] += cfg.learning_rate * tree.predict(X)
+            tree, step = _grow_tree(X, live, S, V, G[:, c], H[:, c], cfg.max_depth)
+            F[:, c] += cfg.learning_rate * step
             round_trees.append(tree)
         fit.trees.append(round_trees)
         P, H = _link(F, task)

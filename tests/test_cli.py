@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tabtext import breaklab, cli
 from tabtext.cli import main
 from tabtext.vetting import default_fixture_dir
 
@@ -283,3 +284,70 @@ def test_out_naming_a_file_fails_with_the_commands_code(command, code, dataset, 
     err = capsys.readouterr().err
     assert err.startswith(f"{command} failed: ") and "Traceback" not in err
     assert taken.read_text() == "not a directory\n"
+
+
+def _refuse_to_run(*args, **kwargs):
+    raise AssertionError("the command ran before its --out was checked")
+
+
+def test_out_naming_a_file_is_refused_before_the_break_suite(tmp_path, monkeypatch, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    monkeypatch.setattr(breaklab, "run_break_suite", _refuse_to_run)
+    assert main(["--out", str(taken), "break"]) == 4
+    err = capsys.readouterr().err
+    assert err == f"break failed: output directory {taken} exists and is not a directory\n"
+
+
+def test_config_out_naming_a_file_is_refused_before_ingest(dataset, tmp_path, monkeypatch,
+                                                          capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    config = eval_config(tmp_path, dataset, out=str(taken))
+    monkeypatch.setattr(cli, "ingest_dataset", _refuse_to_run)
+    assert main(["eval", str(config)]) == 3
+    assert "exists and is not a directory" in capsys.readouterr().err
+    assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command, code", [("eval", 3), ("break", 4)])
+@pytest.mark.parametrize(
+    "key, value",
+    [("manifests", "taps.json"), ("embedders", 5), ("models", {"kind": "gbdt"}),
+     ("selectors", None), ("with_text", True)],
+)
+def test_wrong_shape_config_is_refused_without_a_traceback(command, code, key, value, tmp_path,
+                                                           capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"manifests": [], "embedders": [], "models": [], key: value}))
+    assert main([command, str(config)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"{command} failed: config {key!r} must be a ") and "Traceback" not in err
+
+
+def test_eval_config_out_that_is_not_a_path_is_refused(dataset, tmp_path, capsys):
+    assert main(["eval", str(eval_config(tmp_path, dataset, out=7))]) == 3
+    assert capsys.readouterr().err == "eval failed: output directory must be a path, got 7\n"
+
+
+@pytest.mark.parametrize("command, code", [("eval", 3), ("break", 4)])
+def test_config_that_is_not_an_object_is_refused(command, code, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text("[1, 2]")
+    assert main([command, str(config)]) == code
+    assert capsys.readouterr().err.startswith(f"{command} failed: config ")
+
+
+@pytest.mark.parametrize(
+    "spec, reason",
+    [({"model": 5}, "model spec must be a JSON object, got 5"),
+     ({"model": {"kind": "gbdt", "depth": 3}}, "unexpected keyword argument 'depth'"),
+     ({"embedders": [5]}, "embedder spec must be a JSON object, got 5"),
+     ({"embedders": [{"kind": "hashed", "bucket": 8}]}, "unexpected keyword argument 'bucket'")],
+)
+def test_malformed_model_or_embedder_is_refused(spec, reason, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(spec))
+    assert main(["break", str(config)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("break failed: ") and reason in err

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tabtext import core, models, sparse
@@ -416,6 +416,161 @@ class TestLogistic:
         model = fit(Logistic(), X, [0, 1] * 5, B)
         with pytest.raises(WidthMismatch):
             model.predict(np.zeros((2, 5)))
+
+
+def _reference_best_split(X, order, g, h, mask):
+    """The whole-table scan: each node gathered its membership over all n×d
+    presorted entries and scored every sorted position of every column."""
+    d = X.shape[1]
+    m = int(mask.sum())
+    sel = mask[order]
+    idx = order.T[sel.T].reshape(d, m).T
+    cols = np.arange(d)
+    xs = X[idx, cols]
+    gs = np.cumsum(g[idx], axis=0)
+    hs = np.cumsum(h[idx], axis=0)
+    G, H = gs[-1, 0], hs[-1, 0]
+    GL, HL = gs[:-1], hs[:-1]
+    GR, HR = G - GL, H - HL
+    parent = G * G / (max(H, models._HESS_FLOOR) + models._LEAF_L2)
+    gain = 0.5 * (
+        GL * GL / (np.maximum(HL, models._HESS_FLOOR) + models._LEAF_L2)
+        + GR * GR / (np.maximum(HR, models._HESS_FLOOR) + models._LEAF_L2)
+        - parent
+    )
+    gain[xs[1:] == xs[:-1]] = -np.inf
+    flat = int(np.argmax(gain))
+    i, j = flat // d, flat % d
+    if not np.isfinite(gain[i, j]):
+        return None
+    return float(gain[i, j]), int(j), float((xs[i, j] + xs[i + 1, j]) / 2.0)
+
+
+def _reference_grow_tree(X, order, g, h, max_depth):
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def leaf(mask):
+        G = g[mask].sum()
+        H = h[mask].sum()
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(-G / (max(H, models._HESS_FLOOR) + models._LEAF_L2))
+        return len(feature) - 1
+
+    def grow(mask, depth):
+        if depth >= max_depth or mask.sum() < 2:
+            return leaf(mask)
+        found = _reference_best_split(X, order, g, h, mask)
+        if found is None:
+            return leaf(mask)
+        gain, j, thr = found
+        cancelling = abs(g[mask].sum()) < 1e-9 < np.abs(g[mask]).sum()
+        if gain <= 1e-12 and not (gain > -1e-12 and cancelling):
+            return leaf(mask)
+        node = len(feature)
+        feature.append(j)
+        threshold.append(thr)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        go_left = mask & (X[:, j] < thr)
+        left[node] = grow(go_left, depth + 1)
+        right[node] = grow(mask & ~go_left, depth + 1)
+        return node
+
+    grow(np.ones(X.shape[0], dtype=bool), 0)
+    return models._Tree(
+        np.array(feature, dtype=np.int64),
+        np.array(threshold),
+        np.array(left, dtype=np.int64),
+        np.array(right, dtype=np.int64),
+        np.array(value),
+    )
+
+
+def _reference_fit_gbdt(cfg, X, Y, task):
+    """The boosting loop over the whole-table search, each round stepping
+    the margin by the new tree's prediction of the training design; the
+    booster must return its trees and train_loss bit for bit."""
+    order = np.argsort(X, axis=0, kind="stable")
+    n, k = Y.shape
+    base = Y.mean(axis=0) if task is R else np.zeros(k)
+    fit = models._GbdtFit([], base, cfg.learning_rate)
+    F = np.tile(base, (n, 1))
+    P, H = models._link(F, task)
+    for _ in range(cfg.n_rounds):
+        G = P - Y
+        round_trees = []
+        for c in range(k):
+            tree = _reference_grow_tree(X, order, G[:, c], H[:, c], cfg.max_depth)
+            F[:, c] += cfg.learning_rate * tree.predict(X)
+            round_trees.append(tree)
+        fit.trees.append(round_trees)
+        P, H = models._link(F, task)
+        fit.train_loss.append(models._loss(P, Y, task))
+    return fit
+
+
+@st.composite
+def tie_heavy_tables(draw):
+    """An n×d table of 2–5 integer levels with any subset of its columns
+    made constant (column 0, or all of them, included), and labels 0–2."""
+    n = draw(st.integers(2, 30))
+    d = draw(st.integers(1, 5))
+    levels = draw(st.integers(2, 5))
+    X = np.array(draw(st.lists(
+        st.lists(st.integers(0, levels - 1), min_size=d, max_size=d), min_size=n, max_size=n
+    )), dtype=float)
+    constant = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    X[:, constant] = X[0, constant]
+    y = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    return X, y
+
+
+class TestGbdtMatchesWholeTableSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        table=tie_heavy_tables(),
+        task=st.sampled_from([R, B, M]),
+        max_depth=st.integers(1, 4),
+        n_rounds=st.integers(1, 4),
+    )
+    @example(table=(np.array([[0.0], [1.0]]), np.array([0, 1])), task=B, max_depth=2, n_rounds=2)
+    @example(table=(np.full((6, 3), 2.0), np.array([0, 1, 2, 0, 1, 2])), task=M, max_depth=3,
+             n_rounds=2)
+    @example(table=(np.column_stack([np.ones(8), np.arange(8) % 3, np.arange(8) % 2]),
+                    np.array([0, 1, 1, 0, 2, 2, 1, 0])), task=R, max_depth=3, n_rounds=3)
+    def test_trees_and_loss_are_bit_identical(self, table, task, max_depth, n_rounds):
+        X, y = table
+        Y = {R: y[:, None].astype(float), B: (y[:, None] % 2).astype(float), M: np.eye(3)[y]}[task]
+        cfg = Gbdt(max_depth=max_depth, learning_rate=0.3, n_rounds=n_rounds)
+        got = models._fit_gbdt(cfg, X, Y, task)
+        ref = _reference_fit_gbdt(cfg, X, Y, task)
+        assert np.array(got.train_loss).tobytes() == np.array(ref.train_loss).tobytes()
+        for got_round, ref_round in zip(got.trees, ref.trees, strict=True):
+            for a, b in zip(got_round, ref_round, strict=True):
+                for name in ("feature", "threshold", "left", "right", "value"):
+                    x, z = getattr(a, name), getattr(b, name)
+                    assert x.dtype == z.dtype and x.tobytes() == z.tobytes(), name
+
+    def test_presort_is_budgeted_before_anything_runs(self, monkeypatch):
+        # columns 0 and 1 are constant: the presort holds column 0, whose
+        # order gives the node totals, and columns 2–4
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((40, 5))
+        X[:, [0, 1]] = 3.0
+        y = (X[:, 2] > 0).tolist()
+        presort = 16 * 40 * 4
+        monkeypatch.setattr(core, "MEMORY_BUDGET_BYTES", presort - 1)
+        with mock.patch.object(models, "_grow_tree") as grow, \
+                mock.patch.object(models.np, "argsort", wraps=np.argsort) as argsort:
+            with pytest.raises(MemoryBudgetExceeded, match="presort"):
+                fit(Gbdt(max_depth=2, n_rounds=2), X, y, B)
+        assert grow.call_count == 0 and argsort.call_count == 0
+        monkeypatch.setattr(core, "MEMORY_BUDGET_BYTES", presort)
+        fit(Gbdt(max_depth=2, n_rounds=2), X, y, B)
 
 
 class TestGbdt:
