@@ -3,7 +3,8 @@ from __future__ import annotations
 
 import hashlib
 import re
-from collections import Counter
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import MISSING, ColumnRole, FoldAssignment, TabTextError, Table, TaskKind
-from .sparse import CsrMatrix, all_finite, hstack
+from .sparse import CsrMatrix, all_finite, hstack, run_starts
 
 
 class EmptyCorpus(TabTextError):
@@ -41,9 +42,10 @@ def tokenize(text: str) -> list[str]:
 
 
 def word_ngrams(tokens: list[str], lo: int, hi: int) -> list[str]:
+    """The lo-grams in order, then the (lo + 1)-grams, ... up to the hi-grams."""
     grams = []
     for n in range(lo, hi + 1):
-        grams.extend(" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+        grams.extend(tokens if n == 1 else map(" ".join, zip(*(tokens[i:] for i in range(n)))))
     return grams
 
 
@@ -54,22 +56,31 @@ def word_ngrams(tokens: list[str], lo: int, hi: int) -> list[str]:
 def _count_ngrams(texts: list[str], lo: int, hi: int) -> tuple[list[str], CsrMatrix]:
     """The sorted list of the texts' word lo..hi-grams and the texts × terms
     count matrix."""
-    first_seen: dict[str, int] = {}
-    cols, sizes = [], []
+    # a missing gram's id is the number of grams seen before it
+    first_seen: defaultdict[str, int] = defaultdict()
+    first_seen.default_factory = first_seen.__len__
+    ids, sizes = array("q"), array("q")
     for text in texts:
         grams = word_ngrams(tokenize(text), lo, hi)
-        cols.extend(first_seen.setdefault(g, len(first_seen)) for g in grams)
+        ids.extend(map(first_seen.__getitem__, grams))
         sizes.append(len(grams))
+    # the factory refers back to the dict; without this the cycle keeps
+    # every gram alive until the garbage collector runs
+    first_seen.default_factory = None
     terms = sorted(first_seen)
-    rank = np.empty(len(terms), dtype=np.intp)
-    rank[[first_seen[t] for t in terms]] = np.arange(len(terms))
-    counts = CsrMatrix.from_coo(
-        np.repeat(np.arange(len(texts)), sizes),
-        rank[np.asarray(cols, dtype=np.intp)],
-        np.ones(len(cols)),
-        (len(texts), len(terms)),
-    )
-    return terms, counts
+    n, d = len(texts), len(terms)
+    rank = np.empty(d, dtype=np.intp)
+    rank[np.fromiter(map(first_seen.__getitem__, terms), np.intp, d)] = np.arange(d)
+    # one row-major key per gram; each run of equal keys is one count
+    keys = np.repeat(np.arange(n, dtype=np.intp) * d, np.frombuffer(sizes, dtype=np.int64))
+    keys += rank[np.frombuffer(ids, dtype=np.int64)]
+    del ids  # before the sort and its run arrays, to lower the peak
+    keys.sort()
+    first = np.flatnonzero(run_starts(keys))
+    counts = np.diff(first, append=keys.size)
+    keys = keys[first]
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.intp) * d)
+    return terms, CsrMatrix(counts, keys % max(d, 1), indptr, (n, d))
 
 
 class TextCorpus:
@@ -149,6 +160,8 @@ class TfIdf:
     tag = "tfidf"
 
     def __post_init__(self):
+        if self.ngram_lo < 1:
+            raise ValueError("ngram_lo must be at least 1")
         if self.ngram_lo > self.ngram_hi:
             raise ValueError("ngram_lo must not exceed ngram_hi")
 

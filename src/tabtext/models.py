@@ -396,11 +396,18 @@ def _grow_tree(X, live, S, V, g, h, max_depth):
         right.append(-1)
         value.append(-G / (max(H, _HESS_FLOOR) + _LEAF_L2))
         step[rows] = value[-1]
-        return len(feature) - 1
 
-    def grow(rows, live, S, V, depth):
+    # depth first, left before right, so nodes are numbered in preorder; a
+    # node's arrays are dropped once its children's are built
+    pending = [(np.arange(n), live, S, V, 0, None)]
+    while pending:
+        rows, live, S, V, depth, link = pending.pop()
+        if link is not None:
+            side, parent = link
+            side[parent] = len(feature)
         if depth >= max_depth or rows.size < 2:
-            return leaf(rows)
+            leaf(rows)
+            continue
         # a column constant within a node is constant below it; column 0
         # stays for the node totals
         varies = V[:, -1] > V[:, 0]
@@ -409,7 +416,8 @@ def _grow_tree(X, live, S, V, g, h, max_depth):
             live, S, V = live[varies], S[varies], V[varies]
         found = _best_split(S, V, gh)
         if found is None:
-            return leaf(rows)
+            leaf(rows)
+            continue
         gain, c, thr = found
         # zero-gain splits are taken only when gradients cancel inside the
         # node; they cost nothing and let deeper levels separate XOR-like
@@ -418,7 +426,8 @@ def _grow_tree(X, live, S, V, g, h, max_depth):
             g_node = g[rows]
             cancelling = abs(g_node.sum()) < 1e-9 < np.abs(g_node).sum()
             if not (gain > -1e-12 and cancelling):
-                return leaf(rows)
+                leaf(rows)
+                continue
         j = int(live[c])
         node = len(feature)
         feature.append(j)
@@ -429,18 +438,18 @@ def _grow_tree(X, live, S, V, g, h, max_depth):
         go_left = X[rows, j] < thr
         in_left = X[S, j] < thr
         d = S.shape[0]
-        for side, sel, kept in ((left, go_left, in_left), (right, ~go_left, ~in_left)):
+        for side, sel, kept in ((right, ~go_left, ~in_left), (left, go_left, in_left)):
             kept = np.flatnonzero(kept)  # stays in each column's sorted order
-            side[node] = grow(
+            pending.append((
                 rows[sel],
                 live,
                 np.take(S, kept).reshape(d, -1),
                 np.take(V, kept).reshape(d, -1),
                 depth + 1,
-            )
-        return node
+                (side, node),
+            ))
+        del rows, S, V, go_left, in_left, kept  # only the children hold them now
 
-    grow(np.arange(n), live, S, V, 0)
     tree = _Tree(
         np.array(feature, dtype=np.int64),
         np.array(threshold),

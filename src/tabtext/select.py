@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TabTextError, TaskKind
+from .core import TabTextError, TaskKind, require_memory
 from .embed import FeatureMatrix
 from .models import _softmax, logistic_solve, one_hot, ridge_solve
 from .sparse import CsrMatrix
@@ -155,14 +155,18 @@ def select_variance(X: np.ndarray | CsrMatrix, k: int) -> SelectorResult:
 def select_pca(X: np.ndarray, k: int) -> SelectorResult:
     """Score each feature by its |loading| summed over components, weighted
     by explained variance ratio. Columns are centered, not rescaled."""
-    if X.shape[0] < 2:
+    n, d = X.shape
+    if n < 2:
         raise TabTextError("PCA needs at least 2 rows")
+    # the centered copy and the thin SVD's factors U, s and Vᵀ
+    m = min(n, d)
+    require_memory(8 * (n * d + n * m + m + m * d), f"PCA of a centered {n}×{d} design")
     Xc = X - X.mean(axis=0)
     _, s, vt = np.linalg.svd(Xc, full_matrices=False)
-    lam = s**2 / X.shape[0]
+    lam = s**2 / n
     keep = lam >= _EPS
     if not keep.any():
-        return _top_k("pca", np.zeros(X.shape[1]), k)
+        return _top_k("pca", np.zeros(d), k)
     lam = lam[keep]
     loadings = vt[keep].T  # d x c
     evr = lam / lam.sum()

@@ -4,6 +4,13 @@ Only the operations the feature pipeline needs are here, so n-gram text
 blocks reach the ridge solve without ever becoming dense n×d arrays. The
 column reductions reproduce numpy's dense results bit for bit, because a
 variance top-k selection can flip on a 1-ulp difference.
+
+Blocks are built in the order they are stored: `hstack` places each
+part's rows side by side, row after row, from the parts' `indptr`s, with
+no sort, and `row_norms` reproduces numpy's pairwise row sum from the
+nonzeros alone (the implicit zeros add exactly nothing), in row blocks of
+at most _NNZ_BLOCK nonzeros, so neither allocates anything as wide as the
+matrix.
 """
 from __future__ import annotations
 
@@ -11,9 +18,14 @@ import numpy as np
 
 from .core import require_memory
 
-# Dense scratch elements per block of rows in col_var, row_norms and
-# dense_row_blocks.
+# Dense scratch elements per block of rows in col_var and dense_row_blocks.
 _BLOCK = 1 << 20
+# Nonzeros per block of rows in row_norms (at least one row a block).
+_NNZ_BLOCK = 1 << 14
+# numpy's pairwise sum: a run of at most _PW_LEAF elements is one leaf,
+# summed in _PW_UNROLL strided accumulators.
+_PW_LEAF = 128
+_PW_UNROLL = 8
 
 
 class CsrMatrix:
@@ -37,8 +49,10 @@ class CsrMatrix:
     @classmethod
     def from_dense(cls, X: np.ndarray) -> "CsrMatrix":
         X = np.asarray(X, dtype=float)
-        rows, cols = np.nonzero(X)
-        return cls.from_coo(rows, cols, X[rows, cols], X.shape)
+        rows, cols = np.nonzero(X)  # in row-major order
+        indptr = np.zeros(X.shape[0] + 1, dtype=np.intp)
+        np.cumsum(np.count_nonzero(X, axis=1), out=indptr[1:])
+        return cls(X[rows, cols], cols, indptr, X.shape)
 
     @classmethod
     def from_coo(cls, rows, cols, vals, shape: tuple[int, int]) -> "CsrMatrix":
@@ -176,15 +190,67 @@ class CsrMatrix:
         return acc / n
 
     def row_norms(self) -> np.ndarray:
-        """Bit-equal to np.sqrt((D * D).sum(axis=1)) for D = X.toarray():
-        each row is summed as a dense row, in numpy's pairwise order."""
-        sq = np.empty(self.shape[0])
-        start = 0
-        for block, rows, span in self._dense_row_blocks():
-            block[:] = 0.0
-            block[rows, self.indices[span]] = self.data[span] * self.data[span]
-            block.sum(axis=1, out=sq[start : start + len(block)])
-            start += len(block)
+        """Bit-equal to np.sqrt((D * D).sum(axis=1)) for D = X.toarray().
+
+        numpy sums each dense row pairwise (_pairwise_leaves). An implicit
+        zero adds exactly nothing, so summing the squared nonzeros in the
+        same tree, leaf by leaf and then up the tree, gives the same bits."""
+        n, d = self.shape
+        starts, body_end, depth, path = _pairwise_leaves(d)
+        top = int(depth.max())
+        sq = np.zeros(n)
+        lo = 0
+        while lo < n:
+            end = np.searchsorted(self.indptr, self.indptr[lo] + _NNZ_BLOCK, side="right") - 1
+            hi = min(max(end, lo + 1), n)
+            span = slice(self.indptr[lo], self.indptr[hi])
+            cols = self.indices[span]
+            val = self.data[span] * self.data[span]
+            rows = np.repeat(np.arange(lo, hi), np.diff(self.indptr[lo : hi + 1]))
+            lo = hi
+            if not val.size:
+                continue
+            # one group per (row, leaf) holding nonzeros, in stored order
+            leaf = np.searchsorted(starts, cols, side="right") - 1
+            key = rows * len(starts) + leaf
+            new = run_starts(key)
+            first = np.flatnonzero(new)
+            group = np.cumsum(new) - 1
+            pos = cols - starts[leaf]
+            body = body_end[leaf]
+            # the strided accumulators add their columns in order from zero,
+            # as bincount does; a leaf narrower than _PW_UNROLL is all tail
+            # (bincount of nothing is an integer array)
+            in_body = np.flatnonzero(pos < body)
+            acc = np.bincount(
+                group[in_body] * _PW_UNROLL + pos[in_body] % _PW_UNROLL,
+                weights=val[in_body],
+                minlength=_PW_UNROLL * len(first),
+            ).reshape(-1, _PW_UNROLL).astype(float, copy=False)
+            total = ((acc[:, 0] + acc[:, 1]) + (acc[:, 2] + acc[:, 3])) + (
+                (acc[:, 4] + acc[:, 5]) + (acc[:, 6] + acc[:, 7])
+            )
+            # then the tail, one column after another
+            tail = np.flatnonzero(pos >= body)
+            tail_pos = pos[tail] - body[tail]
+            for k in range(_PW_UNROLL - 1):
+                at = tail[tail_pos == k]
+                total[group[at]] += val[at]
+            # up the tree: a node is its left child's sum plus its right's,
+            # an empty child adding exactly nothing
+            rows, node, level = rows[first], path[leaf[first]], depth[leaf[first]]
+            for t in range(top, 0, -1):
+                parent = node >> (top - t + 1)
+                at_t = level == t
+                pair = np.flatnonzero(
+                    at_t[:-1] & at_t[1:] & (rows[:-1] == rows[1:]) & (parent[:-1] == parent[1:])
+                )
+                total[pair] += total[pair + 1]
+                keep = np.ones(len(total), dtype=bool)
+                keep[pair + 1] = False
+                level[at_t] = t - 1
+                total, rows, node, level = total[keep], rows[keep], node[keep], level[keep]
+            sq[rows] = total
         return np.sqrt(sq)
 
     def _dense_row_blocks(self, extra: int = 0):
@@ -207,6 +273,36 @@ def _scratch_blocks(n: int, d: int, extra: int = 0):
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         yield buf[: hi - lo + extra], lo, hi
+
+
+def run_starts(keys: np.ndarray) -> np.ndarray:
+    """Whether each entry of a sorted array starts a run of equal keys."""
+    new = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return new
+
+
+def _pairwise_leaves(d: int):
+    """The leaves of numpy's pairwise sum of d elements, left to right: a
+    run of more than _PW_LEAF elements splits into halves, the left one
+    rounded down to a multiple of _PW_UNROLL. Returns each leaf's start,
+    the width of its strided part (the rest is its tail), its depth and
+    its path (its left/right turns from the root as bits, padded to the
+    deepest leaf's depth)."""
+    leaves = []
+
+    def split(start, width, depth, path):
+        if width <= _PW_LEAF:
+            leaves.append((start, width, depth, path))
+            return
+        half = width // 2
+        half -= half % _PW_UNROLL
+        split(start, half, depth + 1, path << 1)
+        split(start + half, width - half, depth + 1, path << 1 | 1)
+
+    split(0, d, 0, 0)
+    starts, widths, depth, path = (np.array(a, dtype=np.intp) for a in zip(*leaves))
+    return starts, widths - widths % _PW_UNROLL, depth, path << (depth.max() - depth)
 
 
 def dense_row_blocks(X):
@@ -233,17 +329,25 @@ def all_finite(X) -> bool:
 
 def hstack(blocks: list) -> "np.ndarray | CsrMatrix":
     """Column-wise concatenation: a CSR matrix when any block is CSR, else
-    the dense np.hstack."""
+    the dense np.hstack. Each output row is its parts' rows side by side,
+    in part order."""
     if not any(isinstance(b, CsrMatrix) for b in blocks):
         return np.hstack(blocks)
     parts = [b if isinstance(b, CsrMatrix) else CsrMatrix.from_dense(b) for b in blocks]
     n = parts[0].shape[0]
     if any(p.shape[0] != n for p in parts):
         raise ValueError("blocks disagree on row count")
-    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
-    return CsrMatrix.from_coo(
-        np.concatenate([p._row_ids() for p in parts]),
-        np.concatenate([p.indices + off for p, off in zip(parts, offsets)]),
-        np.concatenate([p.data for p in parts]),
-        (n, int(offsets[-1])),
-    )
+    indptr = np.sum([p.indptr for p in parts], axis=0, dtype=np.intp)
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=np.intp)
+    # where each row's entries of the next part go
+    at = indptr[:-1].copy()
+    offset = 0
+    for p in parts:
+        sizes = np.diff(p.indptr)
+        dest = np.repeat(at - p.indptr[:-1], sizes) + np.arange(p.nnz)
+        data[dest] = p.data
+        indices[dest] = p.indices + offset
+        at += sizes
+        offset += p.shape[1]
+    return CsrMatrix(data, indices, indptr, (n, offset))

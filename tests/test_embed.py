@@ -35,6 +35,15 @@ class TestTokenize:
 
     def test_ngrams(self):
         assert word_ngrams(["a", "b", "c"], 1, 2) == ["a", "b", "c", "a b", "b c"]
+        assert word_ngrams(["a", "b", "c"], 2, 3) == ["a b", "b c", "a b c"]
+        assert word_ngrams(["a", "b"], 3, 3) == []
+
+
+class TestTfIdfConfig:
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (-1, 2), (3, 2)])
+    def test_refuses_bad_ngram_ranges(self, lo, hi):
+        with pytest.raises(ValueError, match="ngram_lo"):
+            TfIdf(lo, hi)
 
 
 class TestTfIdf:

@@ -1,10 +1,12 @@
 import itertools
 from math import factorial
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from tabtext.core import TaskKind
+from tabtext import core
+from tabtext.core import MemoryBudgetExceeded, TaskKind
 from tabtext.embed import FeatureMatrix
 from tabtext.models import ridge_solve
 from tabtext.select import (
@@ -151,6 +153,21 @@ class TestPca:
         result = select_pca(X, 1)
         assert result.selected == [0]
         assert np.allclose(result.scores, pca_oracle_scores(X), atol=1e-9)
+
+    @pytest.mark.parametrize("shape", [(30, 7), (7, 30)])
+    def test_budgets_the_centered_copy_and_factors_before_the_svd(self, monkeypatch, shape):
+        n, d = shape
+        m = min(n, d)
+        X = np.random.default_rng(9).standard_normal(shape)
+        total = 8 * (n * d + n * m + m + m * d)
+        monkeypatch.setattr(core, "MEMORY_BUDGET_BYTES", total - 1)
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            with pytest.raises(MemoryBudgetExceeded, match="PCA"):
+                select_pca(X, 2)
+            svd.assert_not_called()
+            monkeypatch.setattr(core, "MEMORY_BUDGET_BYTES", total)
+            select_pca(X, 2)
+            svd.assert_called_once()
 
     def test_single_feature_scores_one(self):
         X = np.arange(8.0).reshape(-1, 1)

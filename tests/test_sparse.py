@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from tabtext import core, sparse
 from tabtext.core import MemoryBudgetExceeded
-from tabtext.embed import HashedNgram, TfIdf, _bucket_of, tokenize, word_ngrams
+from tabtext.embed import HashedNgram, TfIdf, _bucket_of, _count_ngrams, tokenize, word_ngrams
 from tabtext.sparse import CsrMatrix, hstack
 
 
@@ -118,6 +118,95 @@ class TestCsrAgainstDense:
             S.take_columns([2, 0])
         with pytest.raises(ValueError):
             S.take_columns([0, 3])
+
+
+def spread_rows(d: int, seed: int) -> np.ndarray:
+    """Rows of at least three nonzeros (all of them when d < 3) spread over
+    1e-8..1e8, so a change in summation order changes bits; the first row
+    is dense and the last one empty."""
+    rng = np.random.default_rng(seed)
+    X = np.zeros((12, d))
+    for i in range(11):
+        k = d if i == 0 else int(rng.integers(min(3, d), min(d, 60) + 1))
+        cols = rng.choice(d, size=k, replace=False)
+        X[i, cols] = rng.choice([-1.0, 1.0], k) * 10 ** rng.uniform(-8, 8, k)
+    return X
+
+
+class TestRowNorms:
+    WIDTHS = [*range(1, 10), 127, 128, 129, 130, 136, 255, 256, 257, 1031, 5000]
+
+    @pytest.mark.parametrize("block", [sparse._NNZ_BLOCK, 1])  # 1: one row per block
+    @pytest.mark.parametrize("d", WIDTHS)
+    def test_bit_equal_to_numpy_pairwise_sum(self, d, block):
+        X = spread_rows(d, seed=d)
+        with mock.patch.object(sparse, "_NNZ_BLOCK", block):
+            got = CsrMatrix.from_dense(X).row_norms()
+        assert same_bits(got, np.sqrt((X * X).sum(axis=1)))
+
+    def test_allocates_no_dense_scratch(self):
+        X = spread_rows(1031, seed=0)
+        with mock.patch.object(sparse, "_scratch_blocks", side_effect=AssertionError):
+            got = CsrMatrix.from_dense(X).row_norms()
+        assert same_bits(got, np.sqrt((X * X).sum(axis=1)))
+
+
+def _reference_count_ngrams(texts, lo, hi):
+    """The counting the stored-order build replaced: first-seen ids from a
+    generator per gram, and from_coo's unique and bincount."""
+    first_seen: dict[str, int] = {}
+    cols, sizes = [], []
+    for text in texts:
+        tokens = tokenize(text)
+        grams = []
+        for n in range(lo, hi + 1):
+            grams.extend(" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+        cols.extend(first_seen.setdefault(g, len(first_seen)) for g in grams)
+        sizes.append(len(grams))
+    terms = sorted(first_seen)
+    rank = np.empty(len(terms), dtype=np.intp)
+    rank[[first_seen[t] for t in terms]] = np.arange(len(terms))
+    counts = CsrMatrix.from_coo(
+        np.repeat(np.arange(len(texts)), sizes),
+        rank[np.asarray(cols, dtype=np.intp)],
+        np.ones(len(cols)),
+        (len(texts), len(terms)),
+    )
+    return terms, counts
+
+
+class TestStoredOrderBuilds:
+    # a small alphabet repeats grams; it also gives empty, punctuation-only,
+    # mixed-case and digit texts
+    @settings(max_examples=300, deadline=None)
+    @given(
+        texts=st.lists(st.text(alphabet="aAbB1 .,!-", max_size=24), max_size=10),
+        ngrams=st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 3)]),
+    )
+    def test_count_ngrams_matches_reference(self, texts, ngrams):
+        terms, got = _count_ngrams(texts, *ngrams)
+        want_terms, want = _reference_count_ngrams(texts, *ngrams)
+        assert terms == want_terms
+        assert got.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            assert same_bits(getattr(got, name), getattr(want, name))
+
+    def test_hstack_edges(self):
+        X = np.array([[0.0, 1.5, 0.0], [0.0, 0.0, 0.0], [2.0, 0.0, -3.0]])
+        S = CsrMatrix.from_dense(X)
+        cases = [
+            [S],
+            [np.zeros((3, 2)), S, CsrMatrix.from_dense(np.zeros((3, 0))), X[:, :1], S],
+            [CsrMatrix.from_dense(np.zeros((3, 2))), S],
+            [CsrMatrix.from_dense(np.zeros((0, 2))), np.zeros((0, 3))],
+        ]
+        for blocks in cases:
+            got = hstack(blocks)
+            dense = np.hstack([b.toarray() if isinstance(b, CsrMatrix) else b for b in blocks])
+            want = CsrMatrix.from_dense(dense)
+            assert got.shape == want.shape
+            for name in ("data", "indices", "indptr"):
+                assert same_bits(getattr(got, name), getattr(want, name))
 
 
 def dense_tfidf(model, texts):
