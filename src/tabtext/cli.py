@@ -39,7 +39,7 @@ _LIST_KEYS = ("manifests", "embedders", "models", "selectors", "with_text")
 def _read_config(path: str) -> dict:
     """The JSON config at path, refused unless it is an object whose list
     entries are lists."""
-    config = json.loads(Path(path).read_text(encoding="utf-8"))
+    config = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     if not isinstance(config, dict):
         raise TabTextError(f"config {path} must be a JSON object")
     for key in _LIST_KEYS:

@@ -253,7 +253,7 @@ def load_word_vectors(path: str | Path) -> WordVecModel:
     cached = _VECTOR_CACHE.get(key)
     if cached is not None:
         return cached
-    lines = p.read_text(encoding="utf-8").splitlines()
+    lines = p.read_text(encoding="utf-8-sig").splitlines()
     if not lines:
         raise MalformedVectorFile("line 1: empty file")
     head = lines[0].split()

@@ -87,16 +87,17 @@ def manifest_from_dict(raw: dict) -> DatasetManifest:
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
-    """Read a manifest file (JSON key/value tree)."""
-    return manifest_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """Read a manifest file (JSON key/value tree, UTF-8 with or without a BOM)."""
+    return manifest_from_dict(json.loads(Path(path).read_text(encoding="utf-8-sig")))
 
 
 def load_csv(manifest: DatasetManifest) -> Table:
     """Load a header-full delimited file into an all-string table.
 
     Empty cells and the NaN markers become MISSING; rows past the manifest
-    row cap are truncated before anything else happens. The sha256 of the
-    file's bytes, read through the same open handle, goes into the table's
+    row cap are truncated before anything else happens. A leading UTF-8
+    byte-order mark is dropped from the text. The sha256 of the file's bytes,
+    BOM included, read through the same open handle, goes into the table's
     meta as "csv_sha256".
     """
     path = Path(manifest.csv_path)
@@ -110,7 +111,7 @@ def load_csv(manifest: DatasetManifest) -> Table:
             digest.update(chunk)
         csv_sha256 = digest.hexdigest()
         raw.seek(0)
-        fh = io.TextIOWrapper(raw, encoding="utf-8", newline="")
+        fh = io.TextIOWrapper(raw, encoding="utf-8-sig", newline="")
         reader = csv.reader(fh, delimiter=manifest.delimiter)
         try:
             header = next(reader)

@@ -694,7 +694,7 @@ def run_external(
             raise NonZeroExit(proc.returncode, proc.stderr[-2000:])
         if not out_path.exists():
             raise BadOutputShape("external command produced no output file")
-        with out_path.open(newline="", encoding="utf-8") as fh:
+        with out_path.open(newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     if not rows or not rows[0] or rows[0][0] != "prediction":
         raise BadOutputShape("output header must start with 'prediction'")

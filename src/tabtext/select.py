@@ -11,17 +11,6 @@ from .embed import FeatureMatrix
 from .models import _softmax, logistic_solve, one_hot, ridge_solve
 from .sparse import CsrMatrix
 
-SELECTOR_KINDS = (
-    "ttest",
-    "anova",
-    "variance",
-    "pca",
-    "l1",
-    "correlation",
-    "shap",
-    "random",
-)
-
 _ALL_TASKS = {TaskKind.REGRESSION, TaskKind.BINARY, TaskKind.MULTICLASS}
 
 _APPLICABLE: dict[str, set[TaskKind]] = {
@@ -34,6 +23,7 @@ _APPLICABLE: dict[str, set[TaskKind]] = {
     "shap": _ALL_TASKS,
     "random": _ALL_TASKS,
 }
+SELECTOR_KINDS = tuple(_APPLICABLE)
 
 _EPS = 1e-12
 
@@ -66,35 +56,18 @@ def applicable(kind: str, task: TaskKind) -> bool:
 
 @dataclass
 class SelectorResult:
-    kind: str
     scores: np.ndarray
     selected: list[int]
-    k: int
-    seed: int
-
-    def report(self, provenance=None) -> dict:
-        top = sorted(range(len(self.scores)), key=lambda j: (-self.scores[j], j))[:20]
-        entry = lambda j: {
-            "index": j,
-            "score": float(self.scores[j]),
-            **({"source": provenance[j][0], "encoder": provenance[j][1]} if provenance else {}),
-        }
-        return {
-            "kind": self.kind,
-            "k": self.k,
-            "seed": self.seed,
-            "top_features": [entry(j) for j in top],
-        }
 
 
-def _top_k(kind: str, scores: np.ndarray, k: int, seed: int = 0) -> SelectorResult:
+def _top_k(scores: np.ndarray, k: int) -> SelectorResult:
     if k < 1:
         raise ValueError("k must be at least 1")
     d = len(scores)
     take = min(k, d)
     # higher score wins; ties go to the lower original index
     order = np.lexsort((np.arange(d), -scores))
-    return SelectorResult(kind, scores, sorted(int(j) for j in order[:take]), k, seed)
+    return SelectorResult(scores, sorted(int(j) for j in order[:take]))
 
 
 def _groups(y) -> dict:
@@ -122,7 +95,7 @@ def select_ttest(X: np.ndarray, y, k: int) -> SelectorResult:
     t = (X1.mean(axis=0) - X0.mean(axis=0)) / np.sqrt(
         var1 / len(rows1) + var0 / len(rows0) + _EPS
     )
-    return _top_k("ttest", np.abs(t), k)
+    return _top_k(np.abs(t), k)
 
 
 def select_anova(X: np.ndarray, y, k: int) -> SelectorResult:
@@ -141,7 +114,7 @@ def select_anova(X: np.ndarray, y, k: int) -> SelectorResult:
         within += ((Xg - gm) ** 2).sum(axis=0)
     msb = between / (len(groups) - 1)
     msw = within / (n - len(groups))
-    return _top_k("anova", msb / (msw + _EPS), k)
+    return _top_k(msb / (msw + _EPS), k)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +122,7 @@ def select_anova(X: np.ndarray, y, k: int) -> SelectorResult:
 
 
 def select_variance(X: np.ndarray | CsrMatrix, k: int) -> SelectorResult:
-    return _top_k("variance", X.col_var() if isinstance(X, CsrMatrix) else X.var(axis=0), k)
+    return _top_k(X.col_var() if isinstance(X, CsrMatrix) else X.var(axis=0), k)
 
 
 def select_pca(X: np.ndarray, k: int) -> SelectorResult:
@@ -166,46 +139,29 @@ def select_pca(X: np.ndarray, k: int) -> SelectorResult:
     lam = s**2 / n
     keep = lam >= _EPS
     if not keep.any():
-        return _top_k("pca", np.zeros(d), k)
+        return _top_k(np.zeros(d), k)
     lam = lam[keep]
     loadings = vt[keep].T  # d x c
     evr = lam / lam.sum()
-    return _top_k("pca", np.abs(loadings) @ evr, k)
+    return _top_k(np.abs(loadings) @ evr, k)
 
 
 def select_random(d: int, k: int, seed: int) -> SelectorResult:
+    """A seeded draw of min(k, d) features, each scored 1.0 (the rest 0.0)."""
     rng = np.random.default_rng([seed, d, 0x7A])
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    chosen = rng.choice(d, size=min(k, d), replace=False)
     scores = np.zeros(d)
-    scores[chosen] = 1.0
-    result = SelectorResult("random", scores, sorted(int(j) for j in chosen), k, seed)
-    return result
+    scores[rng.choice(d, size=min(k, d), replace=False)] = 1.0
+    return _top_k(scores, k)
 
 
 # ---------------------------------------------------------------------------
 # Correlation filter
 
 
-def _rankdata(a: np.ndarray) -> np.ndarray:
-    """Average ranks, 1-based (ties share the mean of their positions)."""
-    order = np.argsort(a, kind="stable")
-    sa = a[order]
-    ranks = np.empty(len(a))
-    pos = np.arange(1.0, len(a) + 1.0)
-    i = 0
-    while i < len(a):
-        j = i
-        while j + 1 < len(a) and sa[j + 1] == sa[i]:
-            j += 1
-        pos[i : j + 1] = (i + j + 2) / 2.0
-        i = j + 1
-    ranks[order] = pos
-    return ranks
-
-
-def _abs_pearson(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+def select_correlation(X: np.ndarray, y: np.ndarray, k: int) -> SelectorResult:
+    """|Pearson correlation| of each feature with the target; a constant
+    feature scores 0."""
+    y = np.asarray(y, dtype=float)
     Xc = X - X.mean(axis=0)
     yc = y - y.mean()
     sx = np.sqrt((Xc**2).sum(axis=0))
@@ -213,19 +169,7 @@ def _abs_pearson(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     denom = sx * sy
     with np.errstate(invalid="ignore", divide="ignore"):
         corr = np.where(denom > 0, Xc.T @ yc / np.where(denom > 0, denom, 1.0), 0.0)
-    return np.abs(corr)
-
-
-def select_correlation(X: np.ndarray, y: np.ndarray, k: int, method: str = "pearson") -> SelectorResult:
-    y = np.asarray(y, dtype=float)
-    if method == "pearson":
-        scores = _abs_pearson(X, y)
-    elif method == "spearman":
-        Xr = np.column_stack([_rankdata(X[:, j]) for j in range(X.shape[1])])
-        scores = _abs_pearson(Xr, _rankdata(y))
-    else:
-        raise ValueError(f"unknown correlation method: {method!r}")
-    return _top_k("correlation", scores, k)
+    return _top_k(np.abs(corr), k)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +283,7 @@ def select_l1(X: np.ndarray, y, task: TaskKind, k: int) -> SelectorResult:
         _, Y = one_hot(y)
         lam_max = np.abs(Xs.T @ (Y.mean(axis=0) - Y)).max() / n
     if lam_max <= 0:
-        return _top_k("l1", np.zeros(X.shape[1]), k)
+        return _top_k(np.zeros(X.shape[1]), k)
     converged = True
     weights = prev = None
     for lam in lambda_path(lam_max):  # warm start down the path
@@ -356,14 +300,14 @@ def select_l1(X: np.ndarray, y, task: TaskKind, k: int) -> SelectorResult:
             break
     if not converged:
         warnings.warn("L1 path fit hit the sweep limit; using last iterate", NoConvergence)
-    return _top_k("l1", weights, k)
+    return _top_k(weights, k)
 
 
 # ---------------------------------------------------------------------------
 # Model-attribution scores (linear surrogate, exact attributions)
 
 
-def select_shap(X: np.ndarray, y, task: TaskKind, k: int, seed: int = 0) -> SelectorResult:
+def select_shap(X: np.ndarray, y, task: TaskKind, k: int) -> SelectorResult:
     """Mean absolute per-sample attribution of a linear surrogate fitted on
     standardized features. For a linear model under feature independence the
     attribution of feature j at sample i is exactly w_j * (x_ij - mean_j)."""
@@ -377,7 +321,7 @@ def select_shap(X: np.ndarray, y, task: TaskKind, k: int, seed: int = 0) -> Sele
         W, _ = logistic_solve(Xs, Y, l2=1e-2, max_iter=500)
         per_class = np.stack([np.abs(Xs * W[:, c]).mean(axis=0) for c in range(Y.shape[1])])
         scores = per_class.mean(axis=0)
-    return _top_k("shap", scores, k, seed)
+    return _top_k(scores, k)
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +352,8 @@ def run_selector(kind: str, X: np.ndarray, y, task: TaskKind, k: int, seed: int)
     if kind == "l1":
         return select_l1(X, y, task, k)
     if kind == "correlation":
-        return select_correlation(X, np.asarray(y, dtype=float), k)
-    if kind == "shap":
-        return select_shap(X, y, task, k, seed)
-    raise ValueError(f"unknown selector kind: {kind!r}")
+        return select_correlation(X, y, k)
+    return select_shap(X, y, task, k)  # applicable() admits no other kind
 
 
 def apply_selection(matrix: FeatureMatrix, result: SelectorResult) -> FeatureMatrix:

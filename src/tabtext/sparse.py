@@ -150,24 +150,15 @@ class CsrMatrix:
 
     # -- reductions ---------------------------------------------------------
 
-    def sum(self, axis: int) -> np.ndarray:
-        if axis == 0:
-            return self._col_sum()
-        if axis == 1:
-            return np.bincount(self._row_ids(), weights=self.data, minlength=self.shape[0])
-        raise ValueError(f"axis must be 0 or 1, got {axis}")
-
-    def _col_sum(self) -> np.ndarray:
-        if self.shape[1] == 1:
-            # one column is contiguous, and numpy sums it pairwise
-            return self.toarray().sum(axis=0)
-        # numpy reduces a C-ordered matrix over axis 0 row after row; bincount
-        # adds the entries in the same (row-major) order
-        return np.bincount(self.indices, weights=self.data, minlength=self.shape[1])
-
     def col_mean(self) -> np.ndarray:
         """Bit-equal to X.toarray().mean(axis=0)."""
-        return self._col_sum() / self.shape[0]
+        n, d = self.shape
+        if d == 1:
+            # one column is contiguous, and numpy sums it pairwise
+            return self.toarray().mean(axis=0)
+        # numpy reduces a C-ordered matrix over axis 0 row after row; bincount
+        # adds the entries in the same (row-major) order
+        return np.bincount(self.indices, weights=self.data, minlength=d) / n
 
     def col_var(self) -> np.ndarray:
         """Bit-equal to X.toarray().var(axis=0): (x − mean)² is accumulated

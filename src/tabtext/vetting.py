@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ColumnRole, MISSING, TabTextError, Table, TaskKind, k_fold_split
+from .core import ColumnRole, FoldAssignment, MISSING, TabTextError, Table, TaskKind, k_fold_split
 from .embed import TfIdf, assemble_features
 from .evaluate import format_csv, metric_accuracy, metric_r2
 from .models import Logistic, Ridge, fit
@@ -40,15 +40,15 @@ class CurationCheck:
     detail: str
 
 
-def _single_column_score(table: Table, col_name: str, seed: int) -> float:
-    """Cross-checked score of a one-column model (text columns get embedded)."""
+def _single_column_score(table: Table, col_name: str, fold: FoldAssignment) -> float:
+    """Cross-checked score of a one-column model (text columns get embedded)
+    on fold 0 of `fold`, a split of the whole table."""
     sub = Table(
         table.name,
         [table.column(col_name), table.target_column],
         table.target,
         table.task,
     )
-    fold = k_fold_split(sub, 5, seed)
     model_kind = Ridge() if table.task is TaskKind.REGRESSION else Logistic(max_iter=200)
     train_fm, test_fm = assemble_features(sub, TfIdf(1, 1, 2000), True, fold, 0)
     model = fit(model_kind, train_fm.X, train_fm.y, table.task)
@@ -104,8 +104,10 @@ def run_curation_checks(table: Table, seed: int = 0) -> list[CurationCheck]:
     detail = "heuristic: single-column models vs chance"
     verdict = "fail"
     if text_cols and non_text:
-        best_text = max(_single_column_score(table, c, seed) for c in text_cols)
-        best_other = max(_single_column_score(table, c, seed) for c in non_text)
+        # the split reads only the target, so every one-column table shares it
+        fold = k_fold_split(table, 5, seed)
+        best_text = max(_single_column_score(table, c, fold) for c in text_cols)
+        best_other = max(_single_column_score(table, c, fold) for c in non_text)
         bar = chance + DUAL_SIGNAL_MARGIN
         verdict = "pass" if best_text > bar and best_other > bar else "fail"
         detail += (

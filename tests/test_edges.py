@@ -1,5 +1,6 @@
-"""Edge-path coverage: timeouts, delimiters, multi-table break averages,
-and the HTTP chat client against a local stub server."""
+"""Edge-path coverage: timeouts, delimiters, byte-order marks, multi-table
+break averages, and the HTTP chat client against a local stub server."""
+import hashlib
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -8,10 +9,10 @@ import numpy as np
 import pytest
 
 from tabtext.breaklab import NoiseDilution, make_break_table, run_break_suite, toy_vector_file
-from tabtext.cli import main
+from tabtext.cli import _read_config, main
 from tabtext.core import TaskKind, k_fold_split
-from tabtext.embed import WordVecAvg
-from tabtext.ingest import DatasetManifest, load_csv
+from tabtext.embed import WordVecAvg, load_word_vectors
+from tabtext.ingest import DatasetManifest, load_csv, load_manifest
 from tabtext.models import ExternalTimeout, Gbdt, run_external
 from tabtext.vetting import HttpChatLlmClient
 
@@ -33,6 +34,55 @@ class TestDelimiterOverride:
         manifest = DatasetManifest("semi", str(p), "y", TaskKind.BINARY, delimiter=";")
         table = load_csv(manifest)
         assert table.column("a").values == ["1", "2"]
+
+
+BOM = "\ufeff".encode("utf-8")
+
+
+def _read_csv(d, bom):
+    # the target comes first, so a BOM left in the header would hide it
+    p = d / "t.csv"
+    p.write_bytes(bom + b"y,notes\n1,a\n0,b\n")
+    table = load_csv(DatasetManifest("t", str(p), "y", TaskKind.BINARY))
+    assert table.meta["csv_sha256"] == hashlib.sha256(p.read_bytes()).hexdigest()
+    return table.column_names, table.column("y").values
+
+
+def _read_manifest(d, bom):
+    p = d / "m.json"
+    p.write_bytes(bom + b'{"name": "m", "csv_path": "m.csv", "target_column": "y", "task": "binary"}')
+    return load_manifest(p)
+
+
+def _read_config_file(d, bom):
+    p = d / "c.json"
+    p.write_bytes(bom + b'{"models": [{"kind": "ridge"}], "seed": 3}')
+    return _read_config(str(p))
+
+
+def _read_external_output(d, bom):
+    stub = d / "stub.py"
+    stub.write_text(
+        "import sys\n"
+        f"open(sys.argv[3], 'wb').write({bom!r} + b'prediction\\nx\\nx\\nx\\n')\n"
+    )
+    return run_external(f"python3 {stub}", make_fm(), make_fm(3, seed=5))
+
+
+def _read_vectors(d, bom):
+    p = d / "v.txt"
+    p.write_bytes(bom + b"1 2\napple 1.0 2.0\n")
+    return load_word_vectors(p).transform(["apple"]).tolist()
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize(
+        "read", [_read_csv, _read_manifest, _read_config_file, _read_external_output, _read_vectors]
+    )
+    def test_bom_prefixed_file_reads_as_without(self, tmp_path, read):
+        (tmp_path / "plain").mkdir()
+        (tmp_path / "bom").mkdir()
+        assert read(tmp_path / "bom", BOM) == read(tmp_path / "plain", b"")
 
 
 class TestSmallestFold:

@@ -10,6 +10,7 @@ from tabtext.core import MemoryBudgetExceeded, TaskKind
 from tabtext.embed import FeatureMatrix
 from tabtext.models import ridge_solve
 from tabtext.select import (
+    SELECTOR_KINDS,
     IndexOutOfRange,
     NotBinary,
     SelectorNotApplicable,
@@ -36,9 +37,9 @@ class TestApplicable:
     MATRIX = {
         "ttest": (False, True, False),
         "anova": (False, True, True),
-        "l1": (True, True, True),
         "variance": (True, True, True),
         "pca": (True, True, True),
+        "l1": (True, True, True),
         "correlation": (True, False, False),
         "shap": (True, True, True),
         "random": (True, True, True),
@@ -51,9 +52,17 @@ class TestApplicable:
         assert applicable(kind, B) is bin_
         assert applicable(kind, M) is multi
 
+    def test_selector_kinds_in_table_order(self):
+        assert SELECTOR_KINDS == tuple(self.MATRIX)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             applicable("mutual-info", R)
+
+    def test_run_selector_rejects_unknown_kind(self):
+        X = np.random.default_rng(0).standard_normal((10, 3))
+        with pytest.raises(ValueError):
+            run_selector("mutual-info", X, np.arange(10.0), R, 2, 0)
 
     def test_run_selector_rejects_inapplicable(self):
         X = np.random.default_rng(0).standard_normal((10, 3))
@@ -334,14 +343,6 @@ class TestCorrelation:
         result = select_correlation(X, np.array([2.0, 4.0, 6.0]), 1)
         assert result.scores[0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_spearman_monotone_invariant(self):
-        rng = np.random.default_rng(15)
-        x = rng.standard_normal(50)
-        y = rng.standard_normal(50)
-        a = select_correlation(x[:, None], y, 1, method="spearman").scores[0]
-        b = select_correlation((x**3)[:, None], y, 1, method="spearman").scores[0]
-        assert a == pytest.approx(b, abs=1e-12)
-
     def test_independent_is_small(self):
         rng = np.random.default_rng(16)
         X = rng.standard_normal((1000, 1))
@@ -363,6 +364,17 @@ class TestRandom:
 
     def test_single(self):
         assert select_random(1, 1, seed=9).selected == [0]
+
+    def test_k_zero_rejected(self):
+        with pytest.raises(ValueError):
+            select_random(5, 0, seed=0)
+
+    @pytest.mark.parametrize("d,k", [(20, 5), (6, 6), (4, 9)])
+    def test_scores_mark_exactly_the_draw(self, d, k):
+        result = select_random(d, k, seed=2)
+        assert len(result.selected) == min(k, d)
+        assert np.flatnonzero(result.scores == 1.0).tolist() == result.selected
+        assert np.count_nonzero(result.scores) == len(result.selected)
 
 
 class TestApplySelection:
@@ -401,12 +413,3 @@ class TestApplySelection:
         X = np.column_stack([a, a.copy(), rng.standard_normal(30) * 10.0])
         result = select_variance(X, 2)
         assert result.selected == [0, 2]
-
-    def test_report_serialization(self):
-        fm = self.make_fm()
-        result = select_variance(fm.X, 2)
-        rep = result.report(fm.provenance)
-        assert rep["kind"] == "variance"
-        assert rep["k"] == 2
-        assert len(rep["top_features"]) == 4
-        assert rep["top_features"][0]["source"] == fm.provenance[rep["top_features"][0]["index"]][0]
