@@ -290,9 +290,7 @@ def run_break_suite(
             tr = inject(sub.subset(train_rows), scenario, "train", seed)
             te = inject(sub.subset(test_rows), scenario, "test", seed)
             combined = _concat(tr, te)
-            fold = FoldAssignment(
-                2, [1] * tr.n_rows + [0] * te.n_rows, seed
-            )
+            fold = FoldAssignment([1] * tr.n_rows + [0] * te.n_rows)
             for embedder in embedders:
                 train_fm, test_fm = assemble_features(combined, embedder, True, fold, 0)
                 fitted = fit(model, train_fm.X, train_fm.y, TaskKind.BINARY)

@@ -211,7 +211,8 @@ def cmd_vet(args) -> None:
 
 
 def cmd_report(args) -> None:
-    text = format_rows_text(parse_results_csv(Path(args.results).read_text(encoding="utf-8")))
+    csv_text = Path(args.results).read_text(encoding="utf-8-sig")
+    text = format_rows_text(parse_results_csv(csv_text))
     print(text, end="")
     if args.out:
         out = Path(args.out)

@@ -171,16 +171,19 @@ class Table:
         return self
 
     def subset(self, rows: list[int] | np.ndarray) -> "Table":
-        """New table containing the given rows, in the given order."""
+        """New table containing the given rows, in the given order. A
+        subsample's meta "row_source" follows them to its source's rows."""
         cols = [Column(c.name, c.role, [c.values[i] for i in rows]) for c in self.columns]
-        return Table(self.name, cols, self.target, self.task, dict(self.meta))
+        meta = dict(self.meta)
+        if "row_source" in meta:
+            source, kept = meta["row_source"]
+            meta["row_source"] = (source, kept[rows])
+        return Table(self.name, cols, self.target, self.task, meta)
 
 
 @dataclass
 class FoldAssignment:
-    k: int
     fold_of_row: list[int]
-    seed: int
 
     def fold_rows(self, fold: int) -> list[int]:
         return [i for i, f in enumerate(self.fold_of_row) if f == fold]
@@ -215,7 +218,7 @@ def k_fold_split(table: Table, k: int, seed: int) -> FoldAssignment:
         order = rng.permutation(n)
         for j, r in enumerate(order):
             fold_of_row[int(r)] = j % k
-    return FoldAssignment(k, fold_of_row, seed)
+    return FoldAssignment(fold_of_row)
 
 
 def subsample_rows(table: Table, cap: int, seed: int) -> Table:
@@ -244,4 +247,9 @@ def subsample_rows(table: Table, cap: int, seed: int) -> Table:
             keep.extend(rows_of[lab][i] for i in chosen)
     else:
         keep = list(rng.choice(n, size=cap, replace=False))
-    return table.subset(sorted(int(i) for i in keep))
+    rows = sorted(int(i) for i in keep)
+    sub = table.subset(rows)
+    # the table the rows came from and their rows there, for files aligned
+    # with it (see embed.load_external_embeddings)
+    sub.meta.setdefault("row_source", (table, np.array(rows)))
+    return sub

@@ -6,7 +6,6 @@ import re
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -292,7 +291,6 @@ class WordVecAvg:
 # Hashed n-grams
 
 
-@lru_cache(maxsize=1 << 18)
 def _bucket_of(term: str, buckets: int) -> int:
     digest = hashlib.blake2b(term.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big") % buckets
@@ -464,17 +462,20 @@ def write_external_embeddings(path: str | Path, matrix: np.ndarray, table: Table
 
 
 def load_external_embeddings(embedding_file: str | Path, table: Table) -> np.ndarray:
-    matrix = np.loadtxt(embedding_file, delimiter=",", ndmin=2)
-    if matrix.shape[0] != table.n_rows:
+    """The embedding rows of `table`'s rows. The file is aligned with, and
+    its guard checked against, `table` or, for a subsample, its source."""
+    source, rows = table.meta.get("row_source", (table, None))
+    matrix = np.loadtxt(embedding_file, delimiter=",", ndmin=2, encoding="utf-8-sig")
+    if matrix.shape[0] != source.n_rows:
         raise RowCountMismatch(
-            f"{matrix.shape[0]} embedding rows for {table.n_rows} table rows"
+            f"{matrix.shape[0]} embedding rows for {source.n_rows} table rows"
         )
     sidecar = _sidecar_path(embedding_file)
     if sidecar.exists():
-        stored = sidecar.read_text(encoding="utf-8").strip()
-        if stored != table_guard(table):
+        stored = sidecar.read_text(encoding="utf-8-sig").strip()
+        if stored != table_guard(source):
             raise ChecksumMismatch("table changed since embeddings were written")
-    return matrix
+    return matrix if rows is None else matrix[rows]
 
 
 EmbedderKind = TfIdf | WordVecAvg | HashedNgram | TopicFactorization | ExternalEmbedding

@@ -172,7 +172,7 @@ def _score_fold(spec: ExperimentSpec, train, test) -> tuple[float, bool]:
         applied = True
 
     if isinstance(spec.model, External):
-        preds, _ = run_external(spec.model.command, train, test, timeout=spec.model.timeout)
+        preds = run_external(spec.model.command, train, test, timeout=spec.model.timeout)
     else:
         preds = fit(spec.model, train.X, train.y, spec.task).predict(test.X)
     y_true = test.target_column.values if isinstance(test, Table) else test.y
@@ -302,29 +302,6 @@ def _cell(mean: float, std: float) -> str:
     return f"{mean:.3f}±{std:.3f}"
 
 
-def result_rows(results: list[EvalResult]) -> list[dict]:
-    rows = []
-    for r in results:
-        spec = r.spec
-        rows.append(
-            {
-                "dataset": spec.dataset_name,
-                "task": spec.task.value,
-                "metric": r.metric_name,
-                "model": spec.model.tag,
-                "embedder": spec.embedder.tag,
-                "selector": spec.selector or "all",
-                "with_text": spec.with_text,
-                "selector_applied": r.selector_applied,
-                "mean": r.mean,
-                "std": r.std,
-                "folds": list(r.per_fold),
-                "seed": spec.seed,
-            }
-        )
-    return rows
-
-
 CSV_COLUMNS = [
     "dataset", "task", "metric", "model", "embedder", "selector",
     "with_text", "selector_applied", "mean", "std", "folds", "seed",
@@ -350,20 +327,20 @@ def format_results_csv(results: list[EvalResult]) -> str:
         [CSV_COLUMNS]
         + [
             [
-                row["dataset"],
-                row["task"],
-                row["metric"],
-                row["model"],
-                row["embedder"],
-                row["selector"],
-                str(row["with_text"]).lower(),
-                str(row["selector_applied"]).lower(),
-                repr(row["mean"]),
-                repr(row["std"]),
-                "|".join(repr(v) for v in row["folds"]),
-                str(row["seed"]),
+                r.spec.dataset_name,
+                r.spec.task.value,
+                r.metric_name,
+                r.spec.model.tag,
+                r.spec.embedder.tag,
+                r.spec.selector or "all",
+                str(r.spec.with_text).lower(),
+                str(r.selector_applied).lower(),
+                repr(r.mean),
+                repr(r.std),
+                "|".join(repr(v) for v in r.per_fold),
+                str(r.spec.seed),
             ]
-            for row in result_rows(results)
+            for r in results
         ]
     )
 
@@ -461,7 +438,7 @@ def format_rows_text(rows: list[dict]) -> str:
 
 
 def format_results_text(results: list[EvalResult]) -> str:
-    return format_rows_text(result_rows(results))
+    return format_rows_text(parse_results_csv(format_results_csv(results)))
 
 
 def emit_report(results: list[EvalResult], out_dir: str | Path) -> dict[str, Path]:
@@ -470,8 +447,10 @@ def emit_report(results: list[EvalResult], out_dir: str | Path) -> dict[str, Pat
     csv_path = out / "results.csv"
     txt_path = out / "results.txt"
     lock_path = out / "manifest-lock"
-    csv_path.write_text(format_results_csv(results), encoding="utf-8")
-    txt_path.write_text(format_results_text(results), encoding="utf-8")
+    csv_text = format_results_csv(results)
+    csv_path.write_text(csv_text, encoding="utf-8")
+    # rendered from the CSV, as `tabtext report` renders it
+    txt_path.write_text(format_rows_text(parse_results_csv(csv_text)), encoding="utf-8")
     lock = {
         "results": [
             {

@@ -540,7 +540,6 @@ def _gbdt_scores(fit: _GbdtFit, X: np.ndarray, task: TaskKind) -> np.ndarray:
 
 @dataclass
 class FittedModel:
-    kind: ModelKind
     task: TaskKind
     n_features_expected: int
     classes: list | None
@@ -609,7 +608,7 @@ def fit(kind: ModelKind, X: np.ndarray | CsrMatrix, y, task: TaskKind) -> Fitted
             inner = _fit_gbdt(kind, X, y_arr[:, None], task)
         else:
             raise TabTextError(f"{kind.tag} does not support regression")
-        return FittedModel(kind, task, X.shape[1], None, inner)
+        return FittedModel(task, X.shape[1], None, inner)
 
     classes, Y = one_hot(y)
     if isinstance(kind, Logistic):
@@ -620,7 +619,7 @@ def fit(kind: ModelKind, X: np.ndarray | CsrMatrix, y, task: TaskKind) -> Fitted
         inner = _fit_gbdt(kind, X, Y[:, 1:] if len(classes) == 2 else Y, task)
     else:
         raise TabTextError(f"{kind.tag} does not support classification")
-    return FittedModel(kind, task, X.shape[1], classes, inner)
+    return FittedModel(task, X.shape[1], classes, inner)
 
 
 # ---------------------------------------------------------------------------
@@ -665,13 +664,13 @@ def run_external(
     train: FeatureMatrix | Table,
     test: FeatureMatrix | Table,
     timeout: float = 600.0,
-):
+) -> list[str]:
     """Drive an external predictor over the CSV file protocol.
 
     Writes train.csv (features plus __target) and test.csv (features only)
     to a scratch directory, invokes `command train.csv test.csv out.csv`,
-    and parses out.csv: a 'prediction' column plus optional per-class
-    'proba_<label>' columns. Returns (predictions, probas-or-None).
+    and returns out.csv's first column, 'prediction'; any further columns
+    are ignored.
     """
     n_test = test.n_rows
     with tempfile.TemporaryDirectory(prefix="tabtext-ext-") as tmp:
@@ -703,15 +702,4 @@ def run_external(
         raise BadOutputShape(f"expected {n_test} prediction rows, got {len(body)}")
     if any(len(r) != len(header) for r in body):
         raise BadOutputShape("ragged prediction rows")
-    predictions = [r[0] for r in body]
-    proba_labels = [h[len("proba_") :] for h in header[1:] if h.startswith("proba_")]
-    probas = None
-    if proba_labels:
-        try:
-            probas = {
-                lab: np.array([float(r[1 + i]) for r in body])
-                for i, lab in enumerate(proba_labels)
-            }
-        except ValueError:
-            raise BadOutputShape("non-numeric probability cell") from None
-    return predictions, probas
+    return [r[0] for r in body]

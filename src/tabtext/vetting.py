@@ -25,10 +25,6 @@ class MalformedResponse(TabTextError):
     pass
 
 
-class NoVerdictFound(TabTextError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Inclusion-rule checks
 
@@ -238,23 +234,6 @@ SIMILARITY_PROMPT_TEMPLATE = """
     {dataset2_values}
 """
 
-FITNESS_PROMPT_TEMPLATE = """
-I am a researcher in the field of AI and I want to create a benchmark for tabular datasets with meaningful textual features. The textual features would be replaced with textual embeddings and the dataset will be used to benchmark a set of different tabular models.  For each dataset I will provide you with column names, first few rows and declaration of the target feature. Based on conditions below, review each dataset and classify it as Green (meets all conditions), Yellow (meets some), or Red (meets none) based on its fitness to be included in the benchmark, then justify your choice.
-The general conditions are:
-(1) suitability for regression/classification (not recommendation or look up table tasks),
-(2) prediction is to be boosted by both textual and non textual features
-(3) target feature is native to the prediction task and relavant to the feature space
-(4) Textual features are semantically rich (e.g., 'item_condition' > 'seller_name').
-(5) The features must contain enough signal for the model to go beyond predicting the mean/target statistics.
-Always explain your reasoning
-(e.g., 'Yellow: meets 1, 3, and 5 but lacks long-text features' and hence is not a good fit for the benchmark).
-
-### Dataset: {dataset_name}
-Target feature: {target}
-{dataset_values}
-"""
-
-
 SCHEMA_SAMPLE_ROWS = 3  # example rows shown to the LLM per table
 
 
@@ -274,12 +253,6 @@ def build_similarity_prompt(a: Table, b: Table) -> str:
         format_template=_FORMAT_TEMPLATE,
         dataset1_values=schema_sample(a),
         dataset2_values=schema_sample(b),
-    )
-
-
-def build_fitness_prompt(table: Table) -> str:
-    return FITNESS_PROMPT_TEMPLATE.format(
-        dataset_name=table.name, target=table.target, dataset_values=schema_sample(table)
     )
 
 
@@ -342,17 +315,6 @@ def parse_match_response(raw: str, dataset_a: str = "", dataset_b: str = "") -> 
     return report
 
 
-_VERDICT_RE = re.compile(r"\b(GREEN|YELLOW|RED)\b", re.IGNORECASE)
-
-
-def parse_fitness_response(raw: str) -> tuple[str, str]:
-    m = _VERDICT_RE.search(raw)
-    if m is None:
-        raise NoVerdictFound("response contains no GREEN/YELLOW/RED verdict")
-    color = m.group(1).capitalize()
-    return color, raw[m.end() :].strip()
-
-
 # ---------------------------------------------------------------------------
 # LLM clients
 
@@ -371,20 +333,21 @@ class ReplayLlmClient:
         return path.read_text(encoding="utf-8")
 
 
+LLM_API_KEY_ENV = "LLM_API_KEY"  # the live client's key, never read from config files
+LLM_TIMEOUT_S = 120.0
+
+
 class HttpChatLlmClient:
     """Minimal chat-completion client: POSTs a single user message to a
     configurable endpoint, reads choices[0].message.content. The API key
-    comes from an environment variable, never from config files."""
+    comes from the LLM_API_KEY_ENV environment variable."""
 
-    def __init__(self, endpoint: str, model: str, api_key_env: str = "LLM_API_KEY",
-                 timeout: float = 120.0):
+    def __init__(self, endpoint: str, model: str):
         self.endpoint = endpoint
         self.model = model
-        self.api_key_env = api_key_env
-        self.timeout = timeout
 
     def complete(self, prompt: str, key: str | None = None) -> str:
-        api_key = os.environ.get(self.api_key_env, "")
+        api_key = os.environ.get(LLM_API_KEY_ENV, "")
         payload = json.dumps(
             {"model": self.model, "messages": [{"role": "user", "content": prompt}]}
         ).encode("utf-8")
@@ -396,7 +359,7 @@ class HttpChatLlmClient:
                 "Authorization": f"Bearer {api_key}",
             },
         )
-        with urllib.request.urlopen(req, timeout=self.timeout) as resp:
+        with urllib.request.urlopen(req, timeout=LLM_TIMEOUT_S) as resp:
             body = json.loads(resp.read().decode("utf-8"))
         return body["choices"][0]["message"]["content"]
 
@@ -422,11 +385,6 @@ def coverage_matrix(tables: list[Table], client) -> CoverageMatrix:
             coverage[j, i] = b_to_a
     matrix = CoverageMatrix(names, coverage, np.full((n, n), -1, dtype=int))
     return binarize(matrix)
-
-
-def dataset_fitness(table: Table, client) -> tuple[str, str]:
-    raw = client.complete(build_fitness_prompt(table), key=f"{table.name}__fitness")
-    return parse_fitness_response(raw)
 
 
 def default_fixture_dir() -> Path:

@@ -6,6 +6,11 @@ import pytest
 
 from tabtext import breaklab, cli
 from tabtext.cli import main
+from tabtext.core import TaskKind
+from tabtext.embed import TfIdf
+from tabtext.evaluate import EvalResult, ExperimentSpec, emit_report
+from tabtext.ingest import DatasetManifest
+from tabtext.models import Logistic
 from tabtext.vetting import default_fixture_dir
 
 
@@ -249,6 +254,19 @@ class TestReportCommand:
         assert rendered.startswith("dataset")
         assert "taps" in rendered
         assert rendered == (out_dir / "results.txt").read_text()
+
+    def test_emitted_text_is_the_report_of_the_emitted_csv(self, tmp_path, capsys):
+        name = 'taps, "draft"\rcask'
+        manifest = DatasetManifest(name, "unused.csv", "y", TaskKind.BINARY)
+        results = [
+            EvalResult(ExperimentSpec(manifest, TfIdf(), sel, Logistic(), wt), [0.5, 0.75],
+                       0.625, 0.125, "accuracy", sel is not None)
+            for sel in (None, "variance")
+            for wt in (True, False)
+        ]
+        paths = emit_report(results, tmp_path / "run")
+        assert main(["report", str(paths["csv"])]) == 0
+        assert capsys.readouterr().out == paths["txt"].read_text(encoding="utf-8")
 
 
 def command_argv(command, dataset, tmp_path):

@@ -10,8 +10,13 @@ import pytest
 
 from tabtext.breaklab import NoiseDilution, make_break_table, run_break_suite, toy_vector_file
 from tabtext.cli import _read_config, main
-from tabtext.core import TaskKind, k_fold_split
-from tabtext.embed import WordVecAvg, load_word_vectors
+from tabtext.core import Column, Table, TaskKind, k_fold_split
+from tabtext.embed import (
+    WordVecAvg,
+    load_external_embeddings,
+    load_word_vectors,
+    write_external_embeddings,
+)
 from tabtext.ingest import DatasetManifest, load_csv, load_manifest
 from tabtext.models import ExternalTimeout, Gbdt, run_external
 from tabtext.vetting import HttpChatLlmClient
@@ -75,9 +80,32 @@ def _read_vectors(d, bom):
     return load_word_vectors(p).transform(["apple"]).tolist()
 
 
+def _read_external_embeddings(d, bom):
+    table = Table("t", [Column("y", None, ["a", "b"])], "y", TaskKind.BINARY)
+    p = d / "e.csv"
+    write_external_embeddings(p, np.array([[0.5, 1.0], [2.0, 3.0]]), table)
+    for f in (p, d / "e.csv.check"):  # the matrix and its guard
+        f.write_bytes(bom + f.read_bytes())
+    return load_external_embeddings(p, table).tolist()
+
+
+def _read_results_csv(d, bom):
+    p = d / "results.csv"
+    p.write_bytes(
+        bom + b"dataset,task,metric,model,embedder,selector,with_text,selector_applied,"
+        b"mean,std,folds,seed\nd,binary,accuracy,ridge,tfidf,all,true,false,0.5,0.0,0.5|0.5,0\n"
+    )
+    assert main(["--out", str(d / "report"), "report", str(p)]) == 0
+    return (d / "report" / "results.txt").read_text()
+
+
 class TestByteOrderMark:
     @pytest.mark.parametrize(
-        "read", [_read_csv, _read_manifest, _read_config_file, _read_external_output, _read_vectors]
+        "read",
+        [
+            _read_csv, _read_manifest, _read_config_file, _read_external_output, _read_vectors,
+            _read_external_embeddings, _read_results_csv,
+        ],
     )
     def test_bom_prefixed_file_reads_as_without(self, tmp_path, read):
         (tmp_path / "plain").mkdir()

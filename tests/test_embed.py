@@ -7,7 +7,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tabtext.core import MISSING, Column, ColumnRole, FoldAssignment, Table, TaskKind
+from tabtext.core import (
+    MISSING,
+    Column,
+    ColumnRole,
+    FoldAssignment,
+    Table,
+    TaskKind,
+    subsample_rows,
+)
 from tabtext.embed import (
     ChecksumMismatch,
     EmptyCorpus,
@@ -204,7 +212,7 @@ def tiny_table(n=6, with_text=True):
 
 
 def fold_all_but_last(n):
-    return FoldAssignment(2, [1] * (n - 1) + [0], seed=0)
+    return FoldAssignment([1] * (n - 1) + [0])
 
 
 class TestExternalEmbeddings:
@@ -232,6 +240,16 @@ class TestExternalEmbeddings:
         with pytest.raises(ChecksumMismatch):
             load_external_embeddings(path, changed)
 
+    def test_subsamples_and_their_subsets_read_their_source_rows(self, tmp_path):
+        ids = [float(i) for i in range(12)]
+        table = Table("ids", [Column("id", ColumnRole.NUMERICAL, ids),
+                              Column("y", None, ["p", "n"] * 6)], "y", TaskKind.BINARY)
+        path = tmp_path / "emb.csv"
+        write_external_embeddings(path, np.array(ids)[:, None], table)
+        sub = subsample_rows(table, 8, seed=0)
+        for part in (sub, sub.subset([5, 0, 2]), subsample_rows(sub, 4, seed=1)):
+            assert load_external_embeddings(path, part)[:, 0].tolist() == part.column("id").values
+
 
 class TestAssembleFeatures:
     def test_without_text_has_no_text_provenance(self):
@@ -258,7 +276,7 @@ class TestAssembleFeatures:
 
     def test_missing_text_becomes_empty_string(self):
         table = tiny_table()
-        fold = FoldAssignment(2, [1, 1, 0, 1, 1, 1], seed=0)  # missing text row is test
+        fold = FoldAssignment([1, 1, 0, 1, 1, 1])  # missing text row is test
         train, test = assemble_features(table, TfIdf(), True, fold, 0)
         text_cols = [i for i, (_, tag, _) in enumerate(train.provenance) if tag == "tfidf"]
         assert np.all(test.X.toarray()[0, text_cols] == 0.0)
@@ -291,7 +309,7 @@ class TestAssembleFeatures:
         assume(any(test for test, _, _ in cells) and not all(test for test, _, _ in cells))
         train_texts = ["" if t is MISSING else t for test, t, _ in cells if not test]
         assume(any(tokenize(t) for t in train_texts))
-        fold = FoldAssignment(2, [int(not test) for test, _, _ in cells], seed=0)
+        fold = FoldAssignment([int(not test) for test, _, _ in cells])
 
         def fitted(texts):
             table = Table(

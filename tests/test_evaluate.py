@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tabtext import embed, evaluate
+from tabtext import embed, evaluate, write_external_embeddings
 from tabtext.breaklab import toy_vector_file
 from tabtext.core import Column, ColumnRole, Table, TaskKind, k_fold_split
 from tabtext.embed import ExternalEmbedding, HashedNgram, TfIdf, WordVecAvg, assemble_features
@@ -553,6 +553,20 @@ class TestSharedRunner:
         assert str(outcomes[0]) == str(outcomes[1])
         assert isinstance(outcomes[2], EvalResult)  # no text: nothing to load
         assert assemble.call_count == 1 + 5
+
+    def test_external_embeddings_written_for_the_table_survive_the_row_cap(self, tmp_path):
+        rng = np.random.default_rng(0)
+        y = [float(v) for v in rng.standard_normal(50)]
+        table = Table("synth-reg", [
+            Column("note", ColumnRole.TEXTUAL, [f"word{i % 4}" for i in range(50)]),
+            Column("y", None, y),
+        ], "y", TaskKind.REGRESSION)
+        path = tmp_path / "emb.csv"
+        write_external_embeddings(path, np.column_stack([y, rng.standard_normal(50)]), table)
+        spec = ExperimentSpec(reg_manifest(), ExternalEmbedding(str(path)), None, Ridge(), True,
+                              row_cap=40)
+        # each of the 40 kept rows is fitted on its own embedding row, the target
+        assert min(run_experiment(spec, table).per_fold) > 0.99
 
     def test_raw_table_external_reads_the_fold_rows(self):
         table = text_signal_table()  # the label is readable from the text only

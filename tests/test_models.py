@@ -683,10 +683,9 @@ class TestRunExternal:
         stub.write_text(MAJORITY_STUB)
         train = make_fm(10, seed=1)
         test = make_fm(4, seed=2)
-        preds, probas = run_external(f"python3 {stub}", train, test)
+        preds = run_external(f"python3 {stub}", train, test)
         assert len(preds) == 4
         assert set(preds) <= {"x", "y"}
-        assert probas is None
 
     def test_nonzero_exit(self, tmp_path):
         stub = tmp_path / "boom.py"
@@ -722,7 +721,7 @@ class TestRunExternal:
             Column("y", None, ["a", "b", "a"]),
         ]
         table = Table("raw", cols, "y", TaskKind.BINARY)
-        preds, _ = run_external(f"python3 {stub}", table, table)
+        preds = run_external(f"python3 {stub}", table, table)
         assert preds == ["ok", "ok", "ok"]
 
     def test_proba_columns_parsed(self, tmp_path):
@@ -735,8 +734,7 @@ class TestRunExternal:
             "    w = csv.writer(fh)\n"
             "    w.writerow(['prediction', 'proba_x', 'proba_y'])\n"
             "    for _ in range(n):\n"
-            "        w.writerow(['x', '0.8', '0.2'])\n"
+            "        w.writerow(['x', 'not a number', ''])\n"
         )
-        preds, probas = run_external(f"python3 {stub}", make_fm(), make_fm(3, seed=5))
-        assert preds == ["x", "x", "x"]
-        assert np.allclose(probas["x"], 0.8)
+        # only 'prediction' is read: the columns after it are not parsed
+        assert run_external(f"python3 {stub}", make_fm(), make_fm(3, seed=5)) == ["x", "x", "x"]

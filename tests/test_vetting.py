@@ -9,17 +9,13 @@ from tabtext.vetting import (
     EmptySchema,
     FeatureMatchReport,
     MalformedResponse,
-    NoVerdictFound,
     ReplayLlmClient,
     binarize,
-    build_fitness_prompt,
     build_similarity_prompt,
     coverage_matrix,
-    dataset_fitness,
     default_fixture_dir,
     directional_coverage,
     export_coverage,
-    parse_fitness_response,
     parse_match_response,
     run_curation_checks,
 )
@@ -100,13 +96,6 @@ class TestPrompts:
         assert "bike_name: [a, b, c]" in prompt
         assert prompt == build_similarity_prompt(a, b)
 
-    def test_fitness_prompt_contents(self):
-        t = vehicle_table("brews", ["notes"])
-        prompt = build_fitness_prompt(t)
-        for marker in ["(1)", "(2)", "(3)", "(4)", "(5)", "Green", "Yellow", "Red"]:
-            assert marker in prompt
-        assert "Target feature: price" in prompt
-
 
 class TestParseMatchResponse:
     def test_fixture_parses(self):
@@ -132,21 +121,6 @@ class TestParseMatchResponse:
     def test_non_json_rejected(self):
         with pytest.raises(MalformedResponse):
             parse_match_response("I could not compare these datasets, sorry.")
-
-
-class TestParseFitness:
-    def test_green(self):
-        color, rationale = parse_fitness_response("Classification: GREEN\nAll conditions hold.")
-        assert color == "Green"
-        assert "conditions hold" in rationale
-
-    def test_red(self):
-        color, _ = parse_fitness_response("Final Rating: RED: only condition 1 is met.")
-        assert color == "Red"
-
-    def test_no_verdict(self):
-        with pytest.raises(NoVerdictFound):
-            parse_fitness_response("the dataset seems fine to me")
 
 
 def dual_signal_table(n=60, text_signal=True, seed=0):
@@ -224,12 +198,6 @@ class TestEndToEnd:
         assert matrix.binary[1, 0] == 1
         paths = export_coverage(matrix, tmp_path)
         assert "0.778" in paths["coverage"].read_text()
-
-    def test_dataset_fitness_from_fixture(self):
-        t = vehicle_table("brews", ["notes"])
-        client = ReplayLlmClient(default_fixture_dir())
-        color, rationale = dataset_fitness(t, client)
-        assert color == "Green"
 
     def test_missing_fixture_raises(self):
         client = ReplayLlmClient(default_fixture_dir())
