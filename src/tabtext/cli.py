@@ -7,8 +7,8 @@ import sys
 from pathlib import Path
 
 from . import breaklab, vetting
-from .core import TabTextError
-from .embed import make_embedder
+from .core import TabTextError, as_int
+from .embed import HashedNgram, TfIdf, WordVecAvg, make_embedder
 from .evaluate import (
     DuplicateDatasetName,
     EvalResult,
@@ -34,17 +34,27 @@ EXIT_CODES = {"ingest": 2, "eval": 3, "break": 4, "vet": 5, "report": 1}
 
 # config entries that hold one value per grid axis (or per table)
 _LIST_KEYS = ("manifests", "embedders", "models", "selectors", "with_text")
+# the types, and their description, of the items of these lists
+_ITEM_TYPES = {"selectors": ((str, type(None)), "names or nulls"), "with_text": (bool, "booleans")}
+_INT_KEYS = ("k_folds", "feature_cap", "row_cap", "seed")
 
 
 def _read_config(path: str) -> dict:
     """The JSON config at path, refused unless it is an object whose list
-    entries are lists."""
+    entries are lists, whose selectors and with_text hold names or null and
+    booleans, and whose integer entries int() accepts (and converts)."""
     config = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     if not isinstance(config, dict):
         raise TabTextError(f"config {path} must be a JSON object")
     for key in _LIST_KEYS:
         if key in config and not isinstance(config[key], list):
             raise TabTextError(f"config {key!r} must be a list, got {config[key]!r}")
+    for key, (types, what) in _ITEM_TYPES.items():
+        if not all(isinstance(item, types) for item in config.get(key, [])):
+            raise TabTextError(f"config {key!r} must be a list of {what}, got {config[key]!r}")
+    for key in _INT_KEYS:
+        if key in config:
+            config[key] = as_int(config[key], f"config {key!r}")
     return config
 
 
@@ -105,10 +115,10 @@ def _build_grid(config: dict, manifests: list[DatasetManifest], seed: int) -> li
                                 embedder=embedder,
                                 selector=sel,
                                 model=model,
-                                with_text=bool(with_text),
-                                k_folds=int(config.get("k_folds", 5)),
-                                feature_cap=int(config.get("feature_cap", 300)),
-                                row_cap=int(config.get("row_cap", 3000)),
+                                with_text=with_text,
+                                k_folds=config.get("k_folds", 5),
+                                feature_cap=config.get("feature_cap", 300),
+                                row_cap=config.get("row_cap", 3000),
                                 seed=seed,
                             )
                         )
@@ -120,7 +130,7 @@ def cmd_eval(args) -> None:
     out = args.out or config.get("out", "run")
     _check_out(out)
     manifests = _load_manifests(config["manifests"])
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    seed = args.seed if args.seed is not None else config.get("seed", 0)
     names = [m.name for m in manifests]
     for name in names:
         if names.count(name) > 1:
@@ -145,24 +155,16 @@ def cmd_eval(args) -> None:
     print(f"wrote {paths['csv']}")
 
 
-def _default_break_embedders():
-    return [
-        make_embedder({"kind": "tfidf"}),
-        make_embedder({"kind": "wordvec", "vector_file": str(breaklab.toy_vector_file())}),
-        make_embedder({"kind": "hashed"}),
-    ]
-
-
 def cmd_break(args) -> None:
     config = _read_config(args.config) if args.config else {}
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    seed = args.seed if args.seed is not None else config.get("seed", 0)
     # compact booster keeps the default run at desk scale
     model = make_model(config["model"]) if "model" in config else Gbdt(4, 0.3, 30)
     breaklab.check_break_model(model)
     if "embedders" in config:
         embedders = [make_embedder(e) for e in config["embedders"]]
     else:
-        embedders = _default_break_embedders()
+        embedders = [TfIdf(), WordVecAvg(str(breaklab.toy_vector_file())), HashedNgram()]
     if "manifests" in config:
         tables = [ingest_dataset(m)[0] for m in _load_manifests(config["manifests"])]
     else:

@@ -1,7 +1,8 @@
-"""In-memory tables, task typing and deterministic splitting/subsampling."""
+"""In-memory tables, task typing, config values and deterministic splitting/subsampling."""
 from __future__ import annotations
 
 import enum
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,6 +90,32 @@ def parse_task(name: str) -> TaskKind:
         return _TASK_ALIASES[name.strip().lower()]
     except KeyError:
         raise ValueError(f"unknown task kind: {name!r}") from None
+
+
+def as_int(value, what: str) -> int:
+    """int(value); a value int() refuses (null, a list, an object, a
+    non-numeric string) raises ValueError naming `what`."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a JSON integer, got {value!r}") from None
+
+
+def from_spec(spec, kinds, what: str):
+    """Build the class of the union `kinds` whose tag is spec["kind"] from
+    the rest of a config mapping, e.g. {"kind": "ridge", "alpha": 2.0}; a
+    malformed spec raises ValueError naming `what` ("model", "embedder")."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{what} spec must be a JSON object, got {spec!r}")
+    params = dict(spec)
+    kind = params.pop("kind", None)
+    by_tag = {cls.tag: cls for cls in typing.get_args(kinds)}
+    if not isinstance(kind, str) or kind not in by_tag:
+        raise ValueError(f"unknown {what} kind: {kind!r}")
+    try:
+        return by_tag[kind](**params)
+    except TypeError as exc:  # an unknown or mistyped parameter
+        raise ValueError(f"{what} {kind!r}: {exc}") from None
 
 
 @dataclass

@@ -4,13 +4,13 @@ from __future__ import annotations
 import hashlib
 import re
 from array import array
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import MISSING, ColumnRole, FoldAssignment, TabTextError, Table, TaskKind
+from .core import MISSING, ColumnRole, FoldAssignment, TabTextError, Table, TaskKind, from_spec
 from .sparse import CsrMatrix, all_finite, hstack, run_starts
 
 
@@ -48,21 +48,32 @@ def word_ngrams(tokens: list[str], lo: int, hi: int) -> list[str]:
     return grams
 
 
+def word_grams(text: str, lo: int, hi: int) -> list[str]:
+    """The word lo..hi-grams of a text (see word_ngrams)."""
+    return word_ngrams(tokenize(text), lo, hi)
+
+
+def char_grams(text: str, n: int) -> list[str]:
+    """The character n-grams of the lowercased text, in order."""
+    s = text.lower()
+    return [s[i : i + n] for i in range(len(s) - n + 1)]
+
+
 # ---------------------------------------------------------------------------
 # Tokenized corpora
 
 
-def _count_ngrams(texts: list[str], lo: int, hi: int) -> tuple[list[str], CsrMatrix]:
-    """The sorted list of the texts' word lo..hi-grams and the texts × terms
-    count matrix."""
+def _count_ngrams(texts: list[str], grams) -> tuple[list[str], CsrMatrix]:
+    """The sorted list of the grams of the texts, grams(text) for each, and
+    the texts × terms count matrix."""
     # a missing gram's id is the number of grams seen before it
     first_seen: defaultdict[str, int] = defaultdict()
     first_seen.default_factory = first_seen.__len__
     ids, sizes = array("q"), array("q")
     for text in texts:
-        grams = word_ngrams(tokenize(text), lo, hi)
-        ids.extend(map(first_seen.__getitem__, grams))
-        sizes.append(len(grams))
+        found = grams(text)
+        ids.extend(map(first_seen.__getitem__, found))
+        sizes.append(len(found))
     # the factory refers back to the dict; without this the cycle keeps
     # every gram alive until the garbage collector runs
     first_seen.default_factory = None
@@ -84,8 +95,8 @@ def _count_ngrams(texts: list[str], lo: int, hi: int) -> tuple[list[str], CsrMat
 
 class TextCorpus:
     """One text column's documents. What depends on the text alone (the
-    n-gram counts of a range, a hashed block) is computed once, on first
-    use, and kept; the n-gram embedders fit and transform on row views
+    word or character n-gram counts, a hashed block) is computed once, on
+    first use, and kept; the n-gram embedders fit and transform on row views
     (`rows`) of it."""
 
     def __init__(self, texts: list[str]):
@@ -103,15 +114,15 @@ class TextCorpus:
             self._memo[key] = build()
         return self._memo[key]
 
-    def ngram_counts(self, lo: int, hi: int) -> tuple[list[str], dict[str, int], CsrMatrix]:
-        """The sorted list of word lo..hi-grams, their column index, and the
-        documents × terms count matrix."""
+    def ngram_counts(self, grams, *params) -> tuple[list[str], dict[str, int], CsrMatrix]:
+        """The sorted list of the documents' grams(text, *params), their
+        column index, and the documents × terms count matrix."""
 
         def build():
-            terms, counts = _count_ngrams(self.texts, lo, hi)
+            terms, counts = _count_ngrams(self.texts, lambda text: grams(text, *params))
             return terms, {t: i for i, t in enumerate(terms)}, counts
 
-        return self.memo(("ngrams", lo, hi), build)
+        return self.memo((grams, *params), build)
 
 
 class CorpusRows:
@@ -133,6 +144,20 @@ class CorpusRows:
 def corpus_rows(texts) -> CorpusRows:
     """texts as a corpus view; a plain list of strings gets its own corpus."""
     return texts if isinstance(texts, CorpusRows) else TextCorpus(texts).rows()
+
+
+def _vocab_counts(docs: CorpusRows, vocab: dict[str, int], grams, *params) -> CsrMatrix:
+    """The documents × vocabulary counts of grams(text, *params), for a
+    vocabulary whose terms are sorted and numbered in order."""
+    _, index, counts = docs.corpus.ngram_counts(grams, *params)
+    # vocabulary and corpus terms are both sorted, so the corpus columns
+    # of the vocabulary terms it holds are increasing
+    found = [(index[term], i) for term, i in vocab.items() if term in index]
+    corpus_cols, vocab_cols = np.array(found, dtype=np.intp).reshape(-1, 2).T
+    picked = counts.take_rows(docs.rows).take_columns(corpus_cols)
+    return CsrMatrix(
+        picked.data, vocab_cols[picked.indices], picked.indptr, (len(docs), len(vocab))
+    )
 
 
 def text_corpora(table: Table) -> dict[str, TextCorpus]:
@@ -168,7 +193,7 @@ class TfIdf:
         docs = corpus_rows(train_texts)
         if not len(docs):
             raise EmptyCorpus("tf-idf fit needs at least one document")
-        terms, _, counts = docs.corpus.ngram_counts(self.ngram_lo, self.ngram_hi)
+        terms, _, counts = docs.corpus.ngram_counts(word_grams, self.ngram_lo, self.ngram_hi)
         # a row stores each of its terms once, so column counts are df
         df = np.bincount(counts.take_rows(docs.rows).indices, minlength=len(terms))
         seen = np.flatnonzero(df)
@@ -195,16 +220,8 @@ class TfIdfModel:
         return len(self.vocab)
 
     def transform(self, texts: list[str] | CorpusRows) -> CsrMatrix:
-        docs = corpus_rows(texts)
-        _, index, counts = docs.corpus.ngram_counts(self.config.ngram_lo, self.config.ngram_hi)
-        # vocabulary and corpus terms are both sorted, so the corpus columns
-        # of the vocabulary terms it holds are increasing
-        found = [(index[term], i) for term, i in self.vocab.items() if term in index]
-        corpus_cols, vocab_cols = np.array(found, dtype=np.intp).reshape(-1, 2).T
-        picked = counts.take_rows(docs.rows).take_columns(corpus_cols)
-        out = CsrMatrix(
-            picked.data, vocab_cols[picked.indices], picked.indptr, (len(docs), self.dim)
-        )
+        cfg = self.config
+        out = _vocab_counts(corpus_rows(texts), self.vocab, word_grams, cfg.ngram_lo, cfg.ngram_hi)
         out.data *= self.idf[out.indices]
         norms = out.row_norms()
         out.data /= np.repeat(np.where(norms > 0, norms, 1.0), np.diff(out.indptr))
@@ -325,7 +342,7 @@ class HashedNgram:
 
     def _block(self, texts: list[str]) -> CsrMatrix:
         # the counts are not kept: once bucketed, nothing reads them again
-        terms, counts = _count_ngrams(texts, 1, 3)
+        terms, counts = _count_ngrams(texts, lambda text: word_grams(text, 1, 3))
         bucket = np.array([_bucket_of(term, self.buckets) for term in terms], dtype=np.intp)
         n = len(texts)
         rows = [np.repeat(np.arange(n), np.diff(counts.indptr))]
@@ -362,34 +379,22 @@ class TopicFactorization:
         if self.n_components < 1:
             raise ValueError("n_components must be at least 1")
 
-    def _char_grams(self, text: str) -> list[str]:
-        s = text.lower()
-        n = self.ngram_size
-        return [s[i : i + n] for i in range(len(s) - n + 1)]
-
-    def _count_matrix(self, texts: list[str], vocab: dict[str, int]) -> np.ndarray:
-        V = np.zeros((len(texts), len(vocab)))
-        for r, text in enumerate(texts):
-            for gram, cnt in Counter(self._char_grams(text)).items():
-                col = vocab.get(gram)
-                if col is not None:
-                    V[r, col] = cnt
-        return V
-
-    def fit(self, train_texts: list[str]) -> "TopicModel":
-        if not train_texts:
+    def fit(self, train_texts: list[str] | CorpusRows) -> "TopicModel":
+        docs = corpus_rows(train_texts)
+        if not len(docs):
             raise EmptyCorpus("topic fit needs at least one document")
-        vocab_terms = sorted({g for t in train_texts for g in self._char_grams(t)})
-        if not vocab_terms:
+        terms, _, counts = docs.corpus.ngram_counts(char_grams, self.ngram_size)
+        counts = counts.take_rows(docs.rows)
+        seen = np.flatnonzero(np.bincount(counts.indices, minlength=len(terms)))
+        if not seen.size:
             raise EmptyCorpus("training corpus contains no character n-grams")
-        vocab = {g: i for i, g in enumerate(vocab_terms)}
-        V = self._count_matrix(train_texts, vocab)
+        V = counts.take_columns(seen).toarray()
         _, H = factorize_counts(V, self.n_components, self.iters, self.seed)
         # canonicalize the scale split between the factors: unit-norm topic
         # rows keep the output activations at count scale
         norms = np.linalg.norm(H, axis=1, keepdims=True)
         norms = np.where(norms > 0, norms, 1.0)
-        return TopicModel(self, vocab, H / norms)
+        return TopicModel(self, {terms[c]: i for i, c in enumerate(seen)}, H / norms)
 
 
 @dataclass(frozen=True)
@@ -404,15 +409,21 @@ class TopicModel:
     def dim(self) -> int:
         return self.config.n_components
 
-    def transform(self, texts: list[str]) -> np.ndarray:
-        V = self.config._count_matrix(texts, self.vocab)
+    def transform(self, texts: list[str] | CorpusRows) -> np.ndarray:
+        cfg = self.config
+        V = _vocab_counts(corpus_rows(texts), self.vocab, char_grams, cfg.ngram_size).toarray()
         H = self.components
-        rng = np.random.default_rng(self.config.seed + 1)
+        rng = np.random.default_rng(cfg.seed + 1)
         W = rng.random((V.shape[0], self.dim)) + 0.01
-        HHt = H @ H.T
-        for _ in range(self.config.iters):
-            W *= (V @ H.T) / (W @ HHt + _EPS)
+        VHt, HHt = V @ H.T, H @ H.T
+        for _ in range(cfg.iters):
+            _update_activations(W, VHt, HHt)
         return W
+
+
+def _update_activations(W: np.ndarray, VHt: np.ndarray, HHt: np.ndarray) -> None:
+    """One multiplicative update of W in place, given V @ H.T and H @ H.T."""
+    W *= VHt / (W @ HHt + _EPS)
 
 
 def factorize_counts(
@@ -424,7 +435,7 @@ def factorize_counts(
     W = rng.random((V.shape[0], n_components)) + 0.01
     H = rng.random((n_components, V.shape[1])) + 0.01
     for _ in range(iters):
-        W *= (V @ H.T) / (W @ (H @ H.T) + _EPS)
+        _update_activations(W, V @ H.T, H @ H.T)
         H *= (W.T @ V) / ((W.T @ W) @ H + _EPS)
     return W, H
 
@@ -495,25 +506,7 @@ def embedder_key(embedder: EmbedderKind) -> str:
 
 def make_embedder(spec: dict) -> EmbedderKind:
     """Build an embedder from a config mapping, e.g. {"kind": "tfidf"}."""
-    kinds = {
-        "tfidf": TfIdf,
-        "wordvec": WordVecAvg,
-        "hashed": HashedNgram,
-        "topic": TopicFactorization,
-        "external": ExternalEmbedding,
-    }
-    if not isinstance(spec, dict):
-        raise ValueError(f"embedder spec must be a JSON object, got {spec!r}")
-    params = dict(spec)
-    kind = params.pop("kind")
-    try:
-        cls = kinds[kind]
-    except KeyError:
-        raise ValueError(f"unknown embedder kind: {kind!r}") from None
-    try:
-        return cls(**params)
-    except TypeError as exc:  # an unknown or mistyped parameter
-        raise ValueError(f"embedder {kind!r}: {exc}") from None
+    return from_spec(spec, EmbedderKind, "embedder")
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .core import (
     TabTextError,
     Table,
     TaskKind,
+    as_int,
     parse_task,
 )
 
@@ -72,17 +73,23 @@ class DatasetManifest:
 
 
 def manifest_from_dict(raw: dict) -> DatasetManifest:
-    overrides = {
-        col: ColumnRole(role.lower()) for col, role in raw.get("role_overrides", {}).items()
-    }
+    """The manifest a JSON object describes; a missing key raises KeyError,
+    a value of the wrong type ValueError."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"manifest must be a JSON object, got {raw!r}")
+    fields = {key: raw[key] for key in ("name", "csv_path", "target_column", "task")}
+    fields["delimiter"] = raw.get("delimiter", ",")
+    for key, value in fields.items():
+        if not isinstance(value, str):
+            raise ValueError(f"manifest {key!r} must be a string, got {value!r}")
+    overrides = raw.get("role_overrides", {})
+    if not isinstance(overrides, dict) or not all(isinstance(r, str) for r in overrides.values()):
+        raise ValueError(f"manifest 'role_overrides' must map columns to roles, got {overrides!r}")
+    fields["task"] = parse_task(fields["task"])
     return DatasetManifest(
-        name=raw["name"],
-        csv_path=raw["csv_path"],
-        target_column=raw["target_column"],
-        task=parse_task(raw["task"]),
-        role_overrides=overrides,
-        row_cap=int(raw.get("row_cap", DEFAULT_ROW_CAP)),
-        delimiter=raw.get("delimiter", ","),
+        **fields,
+        role_overrides={col: ColumnRole(role.lower()) for col, role in overrides.items()},
+        row_cap=as_int(raw.get("row_cap", DEFAULT_ROW_CAP), "manifest 'row_cap'"),
     )
 
 
@@ -331,6 +338,18 @@ def coerce_numeric_column(col: Column) -> Column:
     return _coerced(col, _read_column(col, len(col.values), stop_early=False))
 
 
+def _drop_columns(cols, target, report, reason, drops) -> list[Column]:
+    """The columns kept: the target, and each column for which drops(column)
+    is false; a dropped column is reported with `reason`."""
+    kept = []
+    for c in cols:
+        if c.name != target and drops(c):
+            report.dropped_columns.append((c.name, reason))
+        else:
+            kept.append(c)
+    return kept
+
+
 def general_preprocess(
     table: Table, role_overrides: dict[str, ColumnRole] | None = None
 ) -> tuple[Table, PreprocessReport]:
@@ -340,72 +359,45 @@ def general_preprocess(
     survivors.
     """
     overrides = role_overrides or {}
-    report = PreprocessReport(dataset=table.name, target=table.target)
+    target = table.target
+    report = PreprocessReport(dataset=table.name, target=target)
     report.dropped_rows["row-cap"] = int(table.meta.get("rows_over_cap", 0))
 
-    cols = list(table.columns)
-    n = table.n_rows
-
-    kept = []
-    for c in cols:
-        # an explicit role override is a curator's keep decision: it exempts
-        # the column from the mostly-missing drop
-        if (
-            c.name != table.target
-            and c.name not in overrides
-            and n > 0
-            and c.missing_fraction() > 0.5
-        ):
-            report.dropped_columns.append((c.name, "missing>50%"))
-        else:
-            kept.append(c)
-    cols = kept
-
-    kept = []
-    for c in cols:
-        if c.name != table.target and n > 0 and len(set(c.non_missing())) == 1:
-            report.dropped_columns.append((c.name, "constant"))
-        else:
-            kept.append(c)
-    cols = kept
+    # an explicit role override is a curator's keep decision: it exempts
+    # the column from the mostly-missing drop
+    cols = _drop_columns(
+        table.columns, target, report, "missing>50%",
+        lambda c: c.name not in overrides and c.missing_fraction() > 0.5,
+    )
+    cols = _drop_columns(cols, target, report, "constant", lambda c: len(set(c.non_missing())) == 1)
 
     seen = set()
-    keep_rows = []
+    unique = []
     for i, key in enumerate(zip(*(c.values for c in cols))):
-        if key in seen:
-            continue
-        seen.add(key)
-        keep_rows.append(i)
-    report.dropped_rows["duplicate"] = n - len(keep_rows)
-    cols = [Column(c.name, c.role, [c.values[i] for i in keep_rows]) for c in cols]
+        if key not in seen:
+            seen.add(key)
+            unique.append(i)
+    report.dropped_rows["duplicate"] = table.n_rows - len(unique)
 
-    tcol = next(c for c in cols if c.name == table.target)
+    tvals = next(c for c in cols if c.name == target).values
     if table.task is TaskKind.REGRESSION:
         numbers = {}  # each distinct target string is parsed once
-        tvals = []
-        for v in tcol.values:
+        parsed = []
+        for v in tvals:
             if v is MISSING or isinstance(v, (int, float)):
-                tvals.append(float(v) if v is not MISSING else MISSING)
+                parsed.append(float(v) if v is not MISSING else MISSING)
                 continue
             s = str(v)
             if s not in numbers:
                 num = _direct_number(s)
                 numbers[s] = num if num is not None else MISSING
-            tvals.append(numbers[s])
-        tcol.values = tvals
-    keep_rows = [i for i, v in enumerate(tcol.values) if v is not MISSING]
-    report.dropped_rows["missing-target"] = len(tcol.values) - len(keep_rows)
-    cols = [Column(c.name, c.role, [c.values[i] for i in keep_rows]) for c in cols]
+            parsed.append(numbers[s])
+        tvals = parsed
+    keep = [i for i in unique if tvals[i] is not MISSING]
+    report.dropped_rows["missing-target"] = len(unique) - len(keep)
 
-    kept = []
-    for c in cols:
-        if c.name != table.target and c.name.startswith("Unnamed"):
-            report.dropped_columns.append((c.name, "unnamed"))
-        else:
-            kept.append(c)
-    cols = kept
-
-    n_rows = len(cols[0].values) if cols else 0
+    cols = _drop_columns(cols, target, report, "unnamed", lambda c: c.name.startswith("Unnamed"))
+    n_rows = len(keep)
     if n_rows == 0 or len(cols) < 2:
         raise EmptyTable(
             f"table {table.name!r} has no usable rows or feature columns after cleaning"
@@ -413,21 +405,21 @@ def general_preprocess(
 
     out_cols = []
     for c in cols:
-        if c.name == table.target:
-            out_cols.append(c)
-            continue
-        role = overrides.get(c.name)
-        if role is None:
-            c = _typed_column(c, n_rows)
-        elif role is ColumnRole.NUMERICAL:
-            c = coerce_numeric_column(c)
-        else:
-            c = Column(c.name, role, c.values)
-        report.role_assignments[c.name] = c.role
+        values = tvals if c.name == target else c.values
+        c = Column(c.name, c.role, [values[i] for i in keep])
+        if c.name != target:
+            role = overrides.get(c.name)
+            if role is None:
+                c = _typed_column(c, n_rows)
+            elif role is ColumnRole.NUMERICAL:
+                c = coerce_numeric_column(c)
+            else:
+                c.role = role
+            report.role_assignments[c.name] = c.role
         out_cols.append(c)
 
     report.n_rows = n_rows
-    cleaned = Table(table.name, out_cols, table.target, table.task, dict(table.meta))
+    cleaned = Table(table.name, out_cols, target, table.task, dict(table.meta))
     return cleaned.validate(), report
 
 
@@ -437,20 +429,12 @@ def ingest_dataset(manifest: DatasetManifest) -> tuple[Table, PreprocessReport]:
 
 
 def write_table_cache(table: Table, csv_path: str | Path) -> None:
-    """Delimited snapshot of a cleaned table plus a role sidecar file."""
-    csv_path = Path(csv_path)
-    with csv_path.open("w", newline="", encoding="utf-8") as fh:
+    """Delimited snapshot of a cleaned table (its target and roles are in
+    the ingest report)."""
+    with Path(csv_path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(table.column_names)
         for i in range(table.n_rows):
             writer.writerow(
                 ["" if c.values[i] is MISSING else c.values[i] for c in table.columns]
             )
-    sidecar = {
-        "target": table.target,
-        "task": table.task.value,
-        "roles": {c.name: c.role.value for c in table.feature_columns if c.role},
-    }
-    csv_path.with_suffix(csv_path.suffix + ".roles.json").write_text(
-        json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
-    )

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MISSING, TabTextError, Table, TaskKind, require_memory
+from .core import MISSING, TabTextError, Table, TaskKind, from_spec, require_memory
 from .embed import FeatureMatrix
 from .sparse import CsrMatrix, all_finite, dense_row_blocks
 
@@ -92,19 +92,8 @@ ModelKind = Ridge | Logistic | Gbdt | External
 
 
 def make_model(spec: dict) -> ModelKind:
-    kinds = {"ridge": Ridge, "logistic": Logistic, "gbdt": Gbdt, "external": External}
-    if not isinstance(spec, dict):
-        raise ValueError(f"model spec must be a JSON object, got {spec!r}")
-    params = dict(spec)
-    kind = params.pop("kind")
-    try:
-        cls = kinds[kind]
-    except KeyError:
-        raise ValueError(f"unknown model kind: {kind!r}") from None
-    try:
-        return cls(**params)
-    except TypeError as exc:  # an unknown or mistyped parameter
-        raise ValueError(f"model {kind!r}: {exc}") from None
+    """Build a model from a config mapping, e.g. {"kind": "ridge", "alpha": 2.0}."""
+    return from_spec(spec, ModelKind, "model")
 
 
 # ---------------------------------------------------------------------------
@@ -543,13 +532,12 @@ class FittedModel:
     task: TaskKind
     n_features_expected: int
     classes: list | None
-    _inner: object
+    _inner: object  # a _GbdtFit, or the (weights, intercept) of Ridge or Logistic
 
     @property
     def train_loss(self) -> list[float]:
-        if isinstance(self._inner, _GbdtFit):
-            return self._inner.train_loss
-        return []
+        """The booster's loss after each round; empty for the other models."""
+        return getattr(self._inner, "train_loss", [])
 
     def _check(self, X: np.ndarray):
         if X.ndim != 2 or X.shape[1] != self.n_features_expected:
@@ -557,29 +545,31 @@ class FittedModel:
                 f"expected {self.n_features_expected} features, got {X.shape}"
             )
 
+    def _scores(self, X) -> np.ndarray:
+        """The n×1 regression predictions, or the n×classes probabilities."""
+        if isinstance(self._inner, _GbdtFit):
+            P = _gbdt_scores(self._inner, np.asarray(X), self.task)
+            # a binary booster's one margin gives the second class's probability
+            return np.column_stack([1 - P, P]) if len(self.classes or ()) == 2 else P
+        W, b = self._inner
+        if self.task is TaskKind.REGRESSION:
+            return (X @ W + b)[:, None]  # Ridge keeps a CSR design sparse
+        return _softmax(np.asarray(X) @ W + b)
+
     def predict(self, X: np.ndarray):
         self._check(X)
         if X.shape[0] == 0:
             return np.array([]) if self.task is TaskKind.REGRESSION else []
+        scores = self._scores(X)
         if self.task is TaskKind.REGRESSION:
-            if isinstance(self._inner, _GbdtFit):
-                return _gbdt_scores(self._inner, np.asarray(X), self.task)[:, 0]
-            w, b = self._inner
-            return X @ w + b
-        proba = self.predict_proba(X)
-        return [self.classes[i] for i in np.argmax(proba, axis=1)]
+            return scores[:, 0]
+        return [self.classes[i] for i in np.argmax(scores, axis=1)]
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         self._check(X)
         if self.task is TaskKind.REGRESSION:
             raise TabTextError("probabilities are undefined for regression")
-        X = np.asarray(X)
-        if isinstance(self._inner, _GbdtFit):
-            P = _gbdt_scores(self._inner, X, self.task)
-            # a binary booster's one margin gives the second class's probability
-            return np.column_stack([1 - P, P]) if P.shape[1] == 1 else P
-        W, b = self._inner
-        return _softmax(X @ W + b)
+        return self._scores(X)
 
 
 def one_hot(y) -> tuple[list, np.ndarray]:
@@ -629,34 +619,29 @@ def fit(kind: ModelKind, X: np.ndarray | CsrMatrix, y, task: TaskKind) -> Fitted
 TARGET_FIELD = "__target"
 
 
-def _write_matrix_csv(path: Path, fm: FeatureMatrix, include_target: bool):
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = fm.feature_names()
-        if include_target:
-            header = header + [TARGET_FIELD]
-        writer.writerow(header)
-        X = np.asarray(fm.X)
-        for i in range(fm.n_rows):
-            row = [repr(float(v)) for v in X[i]]
-            if include_target:
-                row.append(str(fm.y[i]))
-            writer.writerow(row)
-
-
-def _write_table_csv(path: Path, table: Table, include_target: bool):
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        cols = table.feature_columns
+def _write_external_csv(path: Path, data: FeatureMatrix | Table, include_target: bool):
+    """Feature names, then one row per row: a feature matrix's values as
+    repr(float), a table's feature cells as text (MISSING empty), followed by
+    the target under TARGET_FIELD when include_target."""
+    if isinstance(data, Table):
+        cols = data.feature_columns
         header = [c.name for c in cols]
-        if include_target:
-            header = header + [TARGET_FIELD]
+        rows = (
+            ["" if c.values[i] is MISSING else str(c.values[i]) for c in cols]
+            for i in range(data.n_rows)
+        )
+        targets = data.target_column.values
+    else:
+        header = data.feature_names()
+        rows = ([repr(float(v)) for v in x] for x in np.asarray(data.X))
+        targets = data.y
+    if include_target:
+        header = header + [TARGET_FIELD]
+        rows = (row + [str(t)] for row, t in zip(rows, targets))
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(table.n_rows):
-            row = ["" if c.values[i] is MISSING else str(c.values[i]) for c in cols]
-            if include_target:
-                row.append(str(table.target_column.values[i]))
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def run_external(
@@ -678,12 +663,8 @@ def run_external(
         train_path = tmpdir / "train.csv"
         test_path = tmpdir / "test.csv"
         out_path = tmpdir / "out.csv"
-        if isinstance(train, Table):
-            _write_table_csv(train_path, train, include_target=True)
-            _write_table_csv(test_path, test, include_target=False)
-        else:
-            _write_matrix_csv(train_path, train, include_target=True)
-            _write_matrix_csv(test_path, test, include_target=False)
+        _write_external_csv(train_path, train, include_target=True)
+        _write_external_csv(test_path, test, include_target=False)
         argv = shlex.split(command) + [str(train_path), str(test_path), str(out_path)]
         try:
             proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)

@@ -275,14 +275,16 @@ def _extract_json(raw: str) -> dict:
 
 
 def _col_name(entry) -> str:
-    if isinstance(entry, str):
-        return entry
-    if isinstance(entry, dict):
-        if "col_name" in entry:
-            inner = entry["col_name"]
-            return inner if isinstance(inner, str) else next(iter(inner))
-        return next(iter(entry))
-    raise MalformedResponse(f"cannot read a column name from {entry!r}")
+    """A column name: the entry itself, or an object's "col_name" (the first
+    key or item of a non-string one) or, without one, its first key."""
+    name = entry
+    if isinstance(name, dict):
+        name = name.get("col_name", next(iter(name), None))
+        if isinstance(name, (dict, list)):
+            name = next(iter(name), None)
+    if not isinstance(name, str):
+        raise MalformedResponse(f"cannot read a column name from {entry!r}")
+    return name
 
 
 def parse_match_response(raw: str, dataset_a: str = "", dataset_b: str = "") -> FeatureMatchReport:
@@ -310,8 +312,12 @@ def parse_match_response(raw: str, dataset_a: str = "", dataset_b: str = "") -> 
             )
         )
     dissimilar = obj.get("dissimilar_features", {})
-    report.dissimilar_a = [_col_name(e) for e in dissimilar.get("dataset1", [])]
-    report.dissimilar_b = [_col_name(e) for e in dissimilar.get("dataset2", [])]
+    if not isinstance(dissimilar, dict):
+        raise MalformedResponse("dissimilar_features must be an object")
+    sides = [dissimilar.get("dataset1", []), dissimilar.get("dataset2", [])]
+    if not all(isinstance(side, list) for side in sides):
+        raise MalformedResponse("dissimilar_features entries must be lists")
+    report.dissimilar_a, report.dissimilar_b = ([_col_name(e) for e in s] for s in sides)
     return report
 
 

@@ -56,13 +56,25 @@ class TestIngestCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "Cat" in out and "Num" in out and "Text" in out
-        assert (tmp_path / "cache" / "taps.clean.csv").exists()
-        assert (tmp_path / "cache" / "taps.clean.csv.roles.json").exists()
+        written = sorted(p.name for p in (tmp_path / "cache").iterdir())
+        assert written == ["taps.clean.csv", "taps.report.json"]
 
     def test_missing_file_exits_two(self, tmp_path):
         manifest = tmp_path / "m.json"
         write_manifest(manifest, tmp_path / "missing.csv")
         assert main(["ingest", str(manifest)]) == 2
+
+    @pytest.mark.parametrize(
+        "key, value, reason",
+        [("task", 1, "manifest 'task' must be a string, got 1"),
+         ("row_cap", None, "manifest 'row_cap' must be a JSON integer, got None"),
+         ("role_overrides", ["a"],
+          "manifest 'role_overrides' must map columns to roles, got ['a']")],
+    )
+    def test_wrong_type_manifest_value_exits_two(self, key, value, reason, dataset, capsys):
+        dataset.write_text(json.dumps({**json.loads(dataset.read_text()), key: value}))
+        assert main(["ingest", str(dataset)]) == 2
+        assert capsys.readouterr().err == f"ingest failed: {reason}\n"
 
 
 def eval_config(tmp_path, dataset, selectors=None, **extra):
@@ -332,7 +344,8 @@ def test_config_out_naming_a_file_is_refused_before_ingest(dataset, tmp_path, mo
 @pytest.mark.parametrize(
     "key, value",
     [("manifests", "taps.json"), ("embedders", 5), ("models", {"kind": "gbdt"}),
-     ("selectors", None), ("with_text", True)],
+     ("selectors", None), ("with_text", True), ("selectors", [{"kind": "variance"}]),
+     ("with_text", ["false"]), ("k_folds", None), ("seed", None)],
 )
 def test_wrong_shape_config_is_refused_without_a_traceback(command, code, key, value, tmp_path,
                                                            capsys):
@@ -361,7 +374,8 @@ def test_config_that_is_not_an_object_is_refused(command, code, tmp_path, capsys
     [({"model": 5}, "model spec must be a JSON object, got 5"),
      ({"model": {"kind": "gbdt", "depth": 3}}, "unexpected keyword argument 'depth'"),
      ({"embedders": [5]}, "embedder spec must be a JSON object, got 5"),
-     ({"embedders": [{"kind": "hashed", "bucket": 8}]}, "unexpected keyword argument 'bucket'")],
+     ({"embedders": [{"kind": "hashed", "bucket": 8}]}, "unexpected keyword argument 'bucket'"),
+     ({"embedders": [{"kind": ["tfidf"]}]}, "unknown embedder kind: ['tfidf']")],
 )
 def test_malformed_model_or_embedder_is_refused(spec, reason, tmp_path, capsys):
     config = tmp_path / "config.json"

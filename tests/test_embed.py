@@ -7,11 +7,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tabtext import core
 from tabtext.core import (
     MISSING,
     Column,
     ColumnRole,
     FoldAssignment,
+    MemoryBudgetExceeded,
     Table,
     TaskKind,
     subsample_rows,
@@ -192,6 +194,76 @@ class TestTopicFactorization:
         a = model.transform(["repeatable text"])
         b = model.transform(["repeatable text"])
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "config",
+        [TopicFactorization(n_components=4, iters=25, seed=1),
+         TopicFactorization(n_components=2, ngram_size=2, iters=7, seed=5),
+         TopicFactorization(n_components=3, ngram_size=4, iters=12)],
+    )
+    def test_fit_and_transform_match_dense_counter_reference(self, config):
+        # mixed case, texts shorter than a gram, empty and unseen-only texts
+        texts = ["Hoppy amber ALE", "hoppy stout", "", "ab", "malty AMBER lager, hoppy",
+                 "zzzz qqqq", "amber", "crisp lager", "Stout! stout.", "ale"]
+        fold_of_row = [0, 1, 0, 2, 1, 0, 2, 1, 0, 2]
+        corpus = TextCorpus(texts)  # shared by every fold, as in run_experiment
+        for f in range(3):
+            train = [i for i, g in enumerate(fold_of_row) if g != f]
+            test = [i for i, g in enumerate(fold_of_row) if g == f] + [5]
+            vocab, components, want = reference_topic(
+                config, [texts[i] for i in train], [texts[i] for i in test]
+            )
+            for model, docs in (
+                (config.fit(corpus.rows(train)), corpus.rows(test)),
+                (config.fit([texts[i] for i in train]), [texts[i] for i in test]),
+            ):
+                assert model.vocab == vocab
+                assert model.components.tobytes() == components.tobytes()
+                assert model.transform(docs).tobytes() == want.tobytes()
+
+    def test_dense_train_counts_are_budgeted(self, monkeypatch):
+        texts = ["abcd", "bcde", "cdef"]  # 3 rows × 4 trigrams
+        monkeypatch.setattr(core, "MEMORY_BUDGET_BYTES", 8 * 3 * 4 - 1)
+        with mock.patch("tabtext.embed.factorize_counts", side_effect=AssertionError):
+            with pytest.raises(MemoryBudgetExceeded):
+                TopicFactorization(n_components=2, iters=5).fit(texts)
+        monkeypatch.setattr(core, "MEMORY_BUDGET_BYTES", 8 * 3 * 4)
+        TopicFactorization(n_components=2, iters=5).fit(texts)
+
+
+def _reference_char_counts(texts, n, vocab):
+    """The per-text Counter loop the corpus counts replaced."""
+    V = np.zeros((len(texts), len(vocab)))
+    for r, text in enumerate(texts):
+        s = text.lower()
+        for gram, cnt in Counter(s[i : i + n] for i in range(len(s) - n + 1)).items():
+            col = vocab.get(gram)
+            if col is not None:
+                V[r, col] = cnt
+    return V
+
+
+def reference_topic(config, train_texts, test_texts):
+    """The vocabulary, unit-norm components and test activations of a topic
+    fit, from dense Counter counts and the original update loops."""
+    n = config.ngram_size
+    grams = sorted({t.lower()[i : i + n] for t in train_texts for i in range(len(t) - n + 1)})
+    vocab = {g: i for i, g in enumerate(grams)}
+    V = _reference_char_counts(train_texts, n, vocab)
+    rng = np.random.default_rng(config.seed)
+    W = rng.random((V.shape[0], config.n_components)) + 0.01
+    H = rng.random((config.n_components, V.shape[1])) + 0.01
+    for _ in range(config.iters):
+        W *= (V @ H.T) / (W @ (H @ H.T) + 1e-12)
+        H *= (W.T @ V) / ((W.T @ W) @ H + 1e-12)
+    norms = np.linalg.norm(H, axis=1, keepdims=True)
+    H = H / np.where(norms > 0, norms, 1.0)
+    V = _reference_char_counts(test_texts, n, vocab)
+    W = np.random.default_rng(config.seed + 1).random((V.shape[0], config.n_components)) + 0.01
+    HHt = H @ H.T
+    for _ in range(config.iters):
+        W *= (V @ H.T) / (W @ HHt + 1e-12)
+    return vocab, H, W
 
 
 def tiny_table(n=6, with_text=True):

@@ -7,7 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tabtext import core, models, sparse
-from tabtext.core import Column, ColumnRole, MemoryBudgetExceeded, Table, TabTextError, TaskKind
+from tabtext.core import (
+    MISSING,
+    Column,
+    ColumnRole,
+    MemoryBudgetExceeded,
+    Table,
+    TabTextError,
+    TaskKind,
+)
 from tabtext.embed import FeatureMatrix
 from tabtext.models import (
     BadOutputShape,
@@ -738,3 +746,43 @@ class TestRunExternal:
         )
         # only 'prediction' is read: the columns after it are not parsed
         assert run_external(f"python3 {stub}", make_fm(), make_fm(3, seed=5)) == ["x", "x", "x"]
+
+    def test_files_written_byte_for_byte(self, tmp_path):
+        stub = tmp_path / "keep.py"
+        stub.write_text(
+            "import csv, shutil, sys\n"
+            "dest, train, test, out = sys.argv[1:]\n"
+            "shutil.copy(train, dest + '/train.csv')\n"
+            "shutil.copy(test, dest + '/test.csv')\n"
+            "n = len(list(csv.reader(open(test, newline='')))) - 1\n"
+            "open(out, 'w').write('prediction\\n' + 'p\\n' * n)\n"
+        )
+        X = np.array([[0.1, -2.0, 1 / 3], [1e-300, 3.0, 0.0], [-0.0, 2.5e10, 7.0]])
+        prov = [("num", "num", 0), ("notes", "tfidf", 0), ("notes", "tfidf", 1)]
+        matrices = (FeatureMatrix(X, prov, np.array([1.5, -0.25, 2.0])),
+                    FeatureMatrix(X[:2], prov, np.array([0.0, 1.0])))
+        cols = [
+            Column("num", ColumnRole.NUMERICAL, [1.0, MISSING, 3.25]),
+            Column("notes", ColumnRole.TEXTUAL, ['a, "quoted" note', "two\nlines", MISSING]),
+            Column("kind", ColumnRole.CATEGORICAL, ["x", "y", "x"]),
+            Column("y", None, ["good", "bad", "good"]),
+        ]
+        table = Table("raw", cols, "y", TaskKind.BINARY)
+        expected = {
+            "matrix": (
+                b"num__num__0,notes__tfidf__0,notes__tfidf__1,__target\r\n"
+                b"0.1,-2.0,0.3333333333333333,1.5\r\n1e-300,3.0,0.0,-0.25\r\n"
+                b"-0.0,25000000000.0,7.0,2.0\r\n",
+                b"num__num__0,notes__tfidf__0,notes__tfidf__1\r\n"
+                b"0.1,-2.0,0.3333333333333333\r\n1e-300,3.0,0.0\r\n",
+            ),
+            "table": (
+                b'num,notes,kind,__target\r\n1.0,"a, ""quoted"" note",x,good\r\n'
+                b',"two\nlines",y,bad\r\n3.25,,x,good\r\n',
+                b'num,notes,kind\r\n1.0,"a, ""quoted"" note",x\r\n,"two\nlines",y\r\n3.25,,x\r\n',
+            ),
+        }
+        for name, (train, test) in (("matrix", matrices), ("table", (table, table))):
+            run_external(f"python3 {stub} {tmp_path}", train, test)
+            written = ((tmp_path / "train.csv").read_bytes(), (tmp_path / "test.csv").read_bytes())
+            assert written == expected[name]

@@ -122,6 +122,23 @@ class TestParseMatchResponse:
         with pytest.raises(MalformedResponse):
             parse_match_response("I could not compare these datasets, sorry.")
 
+    @pytest.mark.parametrize(
+        "dissimilar, similar",
+        [
+            ('["kms_driven"]', "[]"),
+            ('"none"', "[]"),
+            ('{"dataset1": {"kms_driven": "x"}}', "[]"),
+            ('{"dataset2": [{}]}', "[]"),
+            ('{"dataset1": [{"col_name": {}}]}', "[]"),
+            ('{"dataset1": [{"col_name": 3}]}', "[]"),
+            ("{}", '[{"dataset1_col_name": {}, "dataset2_col_name": "b"}]'),
+        ],
+    )
+    def test_malformed_column_entries_rejected(self, dissimilar, similar):
+        raw = f'{{"similar_features": {similar}, "dissimilar_features": {dissimilar}}}'
+        with pytest.raises(MalformedResponse):
+            parse_match_response(raw)
+
 
 def dual_signal_table(n=60, text_signal=True, seed=0):
     rng = np.random.default_rng(seed)
