@@ -42,7 +42,7 @@ _INT_KEYS = ("k_folds", "feature_cap", "row_cap", "seed")
 def _read_config(path: str) -> dict:
     """The JSON config at path, refused unless it is an object whose list
     entries are lists, whose selectors and with_text hold names or null and
-    booleans, and whose integer entries int() accepts (and converts)."""
+    booleans, and whose integer entries hold integers (see core.as_int)."""
     config = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     if not isinstance(config, dict):
         raise TabTextError(f"config {path} must be a JSON object")

@@ -93,12 +93,15 @@ def parse_task(name: str) -> TaskKind:
 
 
 def as_int(value, what: str) -> int:
-    """int(value); a value int() refuses (null, a list, an object, a
-    non-numeric string) raises ValueError naming `what`."""
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} must be a JSON integer, got {value!r}") from None
+    """int(value) for an integral value; a boolean, a non-integral number or
+    a value int() refuses (null, a list, an object, a non-numeric string)
+    raises ValueError naming `what`, so 2.9 is refused rather than truncated."""
+    if not isinstance(value, bool) and (not isinstance(value, float) or value.is_integer()):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{what} must be a JSON integer, got {value!r}")
 
 
 def from_spec(spec, kinds, what: str):
@@ -132,7 +135,7 @@ class Column:
     def missing_fraction(self) -> float:
         if not self.values:
             return 0.0
-        return sum(1 for v in self.values if v is MISSING) / len(self.values)
+        return self.values.count(MISSING) / len(self.values)
 
 
 @dataclass
@@ -185,11 +188,12 @@ class Table:
         for c in self.columns:
             if len(c.values) != n:
                 raise ValueError(f"column {c.name!r} has {len(c.values)} cells, expected {n}")
-            if c.role is ColumnRole.NUMERICAL:
-                for v in c.values:
-                    if v is not MISSING and not isinstance(v, (int, float)):
-                        raise ValueError(f"non-numeric cell {v!r} in numerical column {c.name!r}")
-        if any(v is MISSING for v in self.target_column.values):
+            if c.role is ColumnRole.NUMERICAL and not all(
+                issubclass(t, (int, float, _Missing)) for t in set(map(type, c.values))
+            ):
+                v = next(v for v in c.values if not isinstance(v, (int, float, _Missing)))
+                raise ValueError(f"non-numeric cell {v!r} in numerical column {c.name!r}")
+        if MISSING in self.target_column.values:
             raise ValueError("target column contains MISSING after validation")
         if self.task is TaskKind.BINARY and len(set(self.target_column.values)) != 2:
             raise ValueError("binary task requires exactly 2 distinct labels")

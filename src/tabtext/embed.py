@@ -378,6 +378,8 @@ class TopicFactorization:
     def __post_init__(self):
         if self.n_components < 1:
             raise ValueError("n_components must be at least 1")
+        if self.ngram_size < 1:
+            raise ValueError("ngram_size must be at least 1")
 
     def fit(self, train_texts: list[str] | CorpusRows) -> "TopicModel":
         docs = corpus_rows(train_texts)

@@ -7,9 +7,11 @@ import io
 import json
 import math
 import re
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
+from itertools import count, islice, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -44,9 +46,9 @@ class CoercionFailure(TabTextError):
 DEFAULT_ROW_CAP = 100_000
 
 _MISSING_MARKERS = {"", "NaN", "nan"}
+# a cell's load value: MISSING for a marker, else the cell, via get(cell, cell)
+_LOADED = dict.fromkeys(_MISSING_MARKERS, MISSING).get
 
-# commas, currency symbols and percent signs are stripped before any numeric parse
-_FORMATTING_CHARS = str.maketrans("", "", ",$€£%")
 
 # number with an optional short non-numeric prefix/suffix ("ABV 12%", "15s");
 # a number starts with a dot only after a non-word character, so "ABV .5"
@@ -101,8 +103,10 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 def load_csv(manifest: DatasetManifest) -> Table:
     """Load a header-full delimited file into an all-string table.
 
-    Empty cells and the NaN markers become MISSING; rows past the manifest
-    row cap are truncated before anything else happens. A leading UTF-8
+    Empty cells and the NaN markers become MISSING; blank lines are skipped.
+    The first `row_cap` records are kept; the records past it are checked
+    for width and counted but never held. A record whose width is not the
+    header's is a ParseError naming its physical line. A leading UTF-8
     byte-order mark is dropped from the text. The sha256 of the file's bytes,
     BOM included, read through the same open handle, goes into the table's
     meta as "csv_sha256".
@@ -110,8 +114,6 @@ def load_csv(manifest: DatasetManifest) -> Table:
     path = Path(manifest.csv_path)
     if not path.exists():
         raise FileNotFoundError(str(path))
-    rows: list[list] = []
-    over_cap = 0
     with path.open("rb") as raw:
         digest = hashlib.sha256()
         for chunk in iter(lambda: raw.read(1 << 20), b""):
@@ -124,23 +126,31 @@ def load_csv(manifest: DatasetManifest) -> Table:
             header = next(reader)
         except StopIteration:
             raise ParseError("file has no header row") from None
-        width = len(header)
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != width:
-                raise ParseError(f"line {lineno}: expected {width} fields, got {len(rec)}")
-            if len(rows) >= manifest.row_cap:
-                over_cap += 1
-                continue
-            rows.append([MISSING if cell in _MISSING_MARKERS else cell for cell in rec])
+        records = filter(None, reader)  # a blank line reads as an empty record
+        rows = list(islice(records, max(manifest.row_cap, 0)))
+        over_cap = Counter(map(len, records))  # width -> records past the cap
+    width = len(header)
+    if set(map(len, rows)).union(over_cap) - {width}:
+        raise ParseError(_ragged_record(path, manifest.delimiter, width))
     if manifest.target_column not in header:
         raise MissingTargetColumn(manifest.target_column)
     columns = [
-        Column(name, None, [row[i] for row in rows]) for i, name in enumerate(header)
+        Column(name, None, [_LOADED(cell, cell) for cell in map(itemgetter(i), rows)])
+        for i, name in enumerate(header)
     ]
-    meta = {"rows_over_cap": over_cap, "csv_sha256": csv_sha256}
+    meta = {"rows_over_cap": sum(over_cap.values()), "csv_sha256": csv_sha256}
     return Table(manifest.name, columns, manifest.target_column, manifest.task, meta)
+
+
+def _ragged_record(path: Path, delimiter: str, width: int) -> str:
+    """The message for the first record of the file whose width is not
+    `width`, naming the physical line it ends on."""
+    with path.open(encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        for rec in reader:
+            if rec and len(rec) != width:
+                return f"line {reader.line_num}: expected {width} fields, got {len(rec)}"
+    return f"a record does not have {width} fields"
 
 
 @dataclass
@@ -189,7 +199,13 @@ class PreprocessReport:
 
 
 def _clean(cell: str) -> str:
-    return cell.strip().translate(_FORMATTING_CHARS)
+    """The cell without surrounding whitespace, commas, currency symbols and
+    percent signs, as parsed for a number (str.replace runs in C per call;
+    str.translate looks each character up in a Python mapping)."""
+    return (
+        cell.strip()
+        .replace(",", "").replace("$", "").replace("€", "").replace("£", "").replace("%", "")
+    )
 
 
 def _direct_number(cell: str) -> float | None:
@@ -241,17 +257,20 @@ def _read_column(col: Column, n_rows: int, stop_early: bool = True) -> _ColumnRe
     numbers: dict[str, float | None] = {}
     for s, k in counts.items():
         cleaned = _clean(s)
+        # a timestamp is no number, and digits flank every number in it, so
+        # it has no affix either; the cheap shape test spares float() raising
+        stripped = s.strip()
+        if stripped[4:5] == "-" and _TIMESTAMP_RE.fullmatch(stripped):
+            stamps += k
+            numbers[s] = None
+            continue
         try:
             num = float(cleaned)
         except ValueError:
             num = None
-        # digits flank every number in a timestamp, so it has no affix
-        if num is None and _TIMESTAMP_RE.fullmatch(s.strip()):
-            stamps += k
-            numbers[s] = None
-            continue
         pair = None
-        m = _AFFIX_RE.fullmatch(cleaned)
+        # a run of digits wears the empty affix, which counts for nothing
+        m = None if num is not None and cleaned.isdecimal() else _AFFIX_RE.fullmatch(cleaned)
         if m is not None:
             prefix, digits, suffix = m.groups()
             if not any(ch.isdigit() for ch in prefix + suffix):
@@ -282,15 +301,30 @@ def _read_column(col: Column, n_rows: int, stop_early: bool = True) -> _ColumnRe
     return _ColumnRead(ColumnRole.TEXTUAL, numbers, False)
 
 
+_EPOCH = datetime(1970, 1, 1)
+_UTC_EPOCH = _EPOCH.replace(tzinfo=timezone.utc)
+_SECOND = timedelta(seconds=1)
+
+
 def _parse_timestamp(cell: str) -> float | None:
-    s = cell.strip()
+    """Seconds since the epoch, a naive time read as UTC; the arithmetic
+    of datetime.timestamp()."""
     try:
-        dt = datetime.fromisoformat(s)
+        dt = datetime.fromisoformat(cell.strip())
     except ValueError:
         return None
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.timestamp()
+    return (dt - (_EPOCH if dt.tzinfo is None else _UTC_EPOCH)) / _SECOND
+
+
+def _numbers_of(values: list, numbers: dict) -> list:
+    """Each cell as a number: MISSING stays, a number cell becomes a float,
+    a string cell gets its entry in `numbers`."""
+    if set(map(type, values)) <= {str, type(MISSING)}:
+        return list(map(numbers.get, values, repeat(MISSING)))
+    return [
+        v if v is MISSING else float(v) if isinstance(v, (int, float)) else numbers[str(v)]
+        for v in values
+    ]
 
 
 def _coerced(col: Column, read: _ColumnRead) -> Column:
@@ -301,10 +335,7 @@ def _coerced(col: Column, read: _ColumnRead) -> Column:
     numbers = read.numbers
     if read.timestamps:
         numbers = {s: _parse_timestamp(s) for s in numbers}
-    out = [
-        v if v is MISSING else float(v) if isinstance(v, (int, float)) else numbers[str(v)]
-        for v in col.values
-    ]
+    out = _numbers_of(col.values, numbers)
     failures = out.count(None)
     if failures:
         n = len(col.non_missing())
@@ -350,6 +381,20 @@ def _drop_columns(cols, target, report, reason, drops) -> list[Column]:
     return kept
 
 
+def _is_constant(col: Column) -> bool:
+    """Whether the column holds one distinct non-missing value."""
+    distinct = set(col.values)
+    return len(distinct) - (MISSING in distinct) == 1
+
+
+def _first_rows(cols: list[Column]) -> list[int]:
+    """The index of each distinct row's first occurrence, in order; the row
+    keys are dropped on return, before the columns are typed."""
+    first: dict = {}  # row -> its first index, via one setdefault per row
+    deque(map(first.setdefault, zip(*(c.values for c in cols)), count()), maxlen=0)
+    return list(first.values())
+
+
 def general_preprocess(
     table: Table, role_overrides: dict[str, ColumnRole] | None = None
 ) -> tuple[Table, PreprocessReport]:
@@ -369,30 +414,20 @@ def general_preprocess(
         table.columns, target, report, "missing>50%",
         lambda c: c.name not in overrides and c.missing_fraction() > 0.5,
     )
-    cols = _drop_columns(cols, target, report, "constant", lambda c: len(set(c.non_missing())) == 1)
+    cols = _drop_columns(cols, target, report, "constant", _is_constant)
 
-    seen = set()
-    unique = []
-    for i, key in enumerate(zip(*(c.values for c in cols))):
-        if key not in seen:
-            seen.add(key)
-            unique.append(i)
+    unique = _first_rows(cols)
     report.dropped_rows["duplicate"] = table.n_rows - len(unique)
 
     tvals = next(c for c in cols if c.name == target).values
     if table.task is TaskKind.REGRESSION:
+        distinct = dict.fromkeys(tvals)  # in order of first occurrence
+        distinct.pop(MISSING, None)
         numbers = {}  # each distinct target string is parsed once
-        parsed = []
-        for v in tvals:
-            if v is MISSING or isinstance(v, (int, float)):
-                parsed.append(float(v) if v is not MISSING else MISSING)
-                continue
-            s = str(v)
-            if s not in numbers:
-                num = _direct_number(s)
-                numbers[s] = num if num is not None else MISSING
-            parsed.append(numbers[s])
-        tvals = parsed
+        for s in map(str, distinct):
+            num = _direct_number(s)
+            numbers[s] = num if num is not None else MISSING
+        tvals = _numbers_of(tvals, numbers)
     keep = [i for i in unique if tvals[i] is not MISSING]
     report.dropped_rows["missing-target"] = len(unique) - len(keep)
 
@@ -406,7 +441,9 @@ def general_preprocess(
     out_cols = []
     for c in cols:
         values = tvals if c.name == target else c.values
-        c = Column(c.name, c.role, [values[i] for i in keep])
+        if n_rows < table.n_rows:
+            values = [values[i] for i in keep]
+        c = Column(c.name, c.role, values)
         if c.name != target:
             role = overrides.get(c.name)
             if role is None:
@@ -431,10 +468,8 @@ def ingest_dataset(manifest: DatasetManifest) -> tuple[Table, PreprocessReport]:
 def write_table_cache(table: Table, csv_path: str | Path) -> None:
     """Delimited snapshot of a cleaned table (its target and roles are in
     the ingest report)."""
+    blank = {MISSING: ""}.get  # get(cell, cell): MISSING writes as an empty cell
     with Path(csv_path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(table.column_names)
-        for i in range(table.n_rows):
-            writer.writerow(
-                ["" if c.values[i] is MISSING else c.values[i] for c in table.columns]
-            )
+        writer.writerows(zip(*(map(blank, c.values, c.values) for c in table.columns)))

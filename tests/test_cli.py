@@ -69,7 +69,9 @@ class TestIngestCommand:
         [("task", 1, "manifest 'task' must be a string, got 1"),
          ("row_cap", None, "manifest 'row_cap' must be a JSON integer, got None"),
          ("role_overrides", ["a"],
-          "manifest 'role_overrides' must map columns to roles, got ['a']")],
+          "manifest 'role_overrides' must map columns to roles, got ['a']"),
+         ("row_cap", 2.5, "manifest 'row_cap' must be a JSON integer, got 2.5"),
+         ("row_cap", True, "manifest 'row_cap' must be a JSON integer, got True")],
     )
     def test_wrong_type_manifest_value_exits_two(self, key, value, reason, dataset, capsys):
         dataset.write_text(json.dumps({**json.loads(dataset.read_text()), key: value}))
@@ -345,7 +347,8 @@ def test_config_out_naming_a_file_is_refused_before_ingest(dataset, tmp_path, mo
     "key, value",
     [("manifests", "taps.json"), ("embedders", 5), ("models", {"kind": "gbdt"}),
      ("selectors", None), ("with_text", True), ("selectors", [{"kind": "variance"}]),
-     ("with_text", ["false"]), ("k_folds", None), ("seed", None)],
+     ("with_text", ["false"]), ("k_folds", None), ("seed", None), ("k_folds", 2.9),
+     ("k_folds", True)],
 )
 def test_wrong_shape_config_is_refused_without_a_traceback(command, code, key, value, tmp_path,
                                                            capsys):
@@ -354,6 +357,17 @@ def test_wrong_shape_config_is_refused_without_a_traceback(command, code, key, v
     assert main([command, str(config)]) == code
     err = capsys.readouterr().err
     assert err.startswith(f"{command} failed: config {key!r} must be a ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("size", [0, -1])
+def test_topic_ngram_size_below_one_is_refused_before_ingest(size, dataset, tmp_path,
+                                                            monkeypatch, capsys):
+    config = eval_config(tmp_path, dataset)
+    config.write_text(json.dumps({**json.loads(config.read_text()),
+                                  "embedders": [{"kind": "topic", "ngram_size": size}]}))
+    monkeypatch.setattr(cli, "ingest_dataset", _refuse_to_run)
+    assert main(["eval", str(config)]) == 3
+    assert capsys.readouterr().err == "eval failed: ngram_size must be at least 1\n"
 
 
 def test_eval_config_out_that_is_not_a_path_is_refused(dataset, tmp_path, capsys):

@@ -184,6 +184,11 @@ class TestTopicFactorization:
     def test_default_components_is_thirty(self):
         assert TopicFactorization().n_components == 30
 
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_refuses_ngram_size_below_one(self, size):
+        with pytest.raises(ValueError, match="ngram_size must be at least 1"):
+            TopicFactorization(ngram_size=size)
+
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
             TopicFactorization().fit([])

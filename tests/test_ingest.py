@@ -1,6 +1,10 @@
+import csv
 import hashlib
+import io
 import json
 import re
+import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -157,6 +161,37 @@ class TestLoadCsv:
         p.write_text("a,y\n1,2\n3\n")
         with pytest.raises(ParseError):
             load_csv(manifest_for(p, target="y", name="t"))
+
+    def test_parse_error_names_the_physical_line(self, tmp_path):
+        # the quoted cell spans lines 2 and 3, so the short row is record 4
+        # but line 5
+        p = tmp_path / "t.csv"
+        p.write_text('a,y\n"two\nlines",1\nb,2\n3\n')
+        with pytest.raises(ParseError, match=r"^line 5: expected 2 fields, got 1$"):
+            load_csv(manifest_for(p, target="y", name="t"))
+
+    def test_ragged_row_past_the_cap_is_parse_error(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,y\n1,2\n3,4\n\n5,6,7\n")
+        with pytest.raises(ParseError, match=r"^line 5: expected 2 fields, got 3$"):
+            load_csv(manifest_for(p, target="y", name="t", row_cap=1))
+
+    def test_rows_past_the_cap_are_not_held(self, tmp_path):
+        cap = 2000
+
+        def peak(n_rows):
+            p = tmp_path / f"{n_rows}.csv"
+            p.write_text("x,y\n" + "".join(f"{i},row {i}\n" for i in range(n_rows)))
+            tracemalloc.start()
+            try:
+                table = load_csv(manifest_for(p, target="y", name="t", row_cap=cap))
+                traced = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert table.n_rows == cap and table.meta["rows_over_cap"] == n_rows - cap
+            return traced
+
+        assert peak(10 * cap) < 2 * peak(cap)
 
     def test_header_only_then_empty_table(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -615,3 +650,96 @@ class TestParseFixes:
         cells = [c for i in range(5) for c in (f"{i}.", f"ABV {i}")]
         assert classify_column(Column("c", None, cells), 10) is ColumnRole.CATEGORICAL
         assert classify_column(Column("c", None, cells[::-1]), 10) is ColumnRole.NUMERICAL
+
+
+def _reference_load_csv(manifest):
+    """The row-at-a-time load that the column passes replaced: each record
+    is mapped into a row list as it is read, and the rows are transposed at
+    the end. It names a ragged record by its record count, not its line. The
+    oracle for the property below."""
+    path = Path(manifest.csv_path)
+    rows = []
+    over_cap = 0
+    with path.open("rb") as raw:
+        csv_sha256 = hashlib.sha256(raw.read()).hexdigest()
+        raw.seek(0)
+        fh = io.TextIOWrapper(raw, encoding="utf-8-sig", newline="")
+        reader = csv.reader(fh, delimiter=manifest.delimiter)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError("file has no header row") from None
+        width = len(header)
+        for lineno, rec in enumerate(reader, start=2):
+            if not rec:
+                continue
+            if len(rec) != width:
+                raise ParseError(f"line {lineno}: expected {width} fields, got {len(rec)}")
+            if len(rows) >= manifest.row_cap:
+                over_cap += 1
+                continue
+            rows.append([MISSING if cell in {"", "NaN", "nan"} else cell for cell in rec])
+    if manifest.target_column not in header:
+        raise MissingTargetColumn(manifest.target_column)
+    columns = [Column(name, None, [row[i] for row in rows]) for i, name in enumerate(header)]
+    meta = {"rows_over_cap": over_cap, "csv_sha256": csv_sha256}
+    return Table(manifest.name, columns, manifest.target_column, manifest.task, meta)
+
+
+# markers, a quoted comma, quote and line break, and short strings over the
+# characters the csv module quotes
+_CSV_CELL = st.one_of(
+    st.sampled_from(["", "NaN", "nan", "a,b", 'say "hi"', "two\nlines", "1.5", "x"]),
+    st.text(st.sampled_from(list('ab ,"\n\r')), max_size=4),
+)
+
+
+@st.composite
+def _csv_files(draw):
+    """CSV text with a header of 1-4 columns, a few distinct records repeated
+    (duplicates), blank lines, in one file of three a ragged record, and
+    maybe a BOM; the target is a header name or "zz"."""
+    width = draw(st.integers(1, 4))
+    header = draw(st.lists(st.sampled_from(["y", "a", "b", "c", "Unnamed: 0"]),
+                           min_size=width, max_size=width))
+    pool = draw(st.lists(st.lists(_CSV_CELL, min_size=width, max_size=width),
+                         min_size=1, max_size=4))
+    blank = st.just([])
+    records = draw(st.lists(st.one_of(st.sampled_from(pool), blank), max_size=12))
+    if draw(st.integers(0, 2)) == 0:
+        ragged = st.lists(_CSV_CELL, min_size=1, max_size=5).filter(lambda r: len(r) != width)
+        records.insert(draw(st.integers(0, len(records))), draw(ragged))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerow(header)
+    for rec in records:
+        if rec:
+            writer.writerow(rec)
+        else:
+            buf.write("\n")
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    target = draw(st.sampled_from([*header, "zz"]))
+    return bom + buf.getvalue(), target, draw(st.integers(-1, len(records) + 1))
+
+
+def _loaded_by(load, manifest):
+    """The loaded table's names, roles, values by repr and meta, or the
+    type of the error it raised."""
+    try:
+        table = load(manifest)
+    except (ParseError, MissingTargetColumn) as exc:
+        return type(exc)
+    columns = [(c.name, c.role, [repr(v) for v in c.values]) for c in table.columns]
+    return table.name, table.target, table.task, columns, table.meta
+
+
+class TestColumnLoad:
+    @settings(max_examples=300, deadline=None)
+    @given(_csv_files())
+    def test_load_csv_matches_row_reference(self, file):
+        text, target, row_cap = file
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            path.write_bytes(text.encode("utf-8"))
+            manifest = manifest_for(path, target=target, name="t", row_cap=row_cap)
+            assert _loaded_by(load_csv, manifest) == _loaded_by(_reference_load_csv, manifest)
