@@ -24,6 +24,7 @@ from .ingest import (
     ingest_dataset,
     load_manifest,
     manifest_from_dict,
+    write_snapshot,
     write_table_cache,
 )
 from .models import Gbdt, make_model
@@ -86,6 +87,12 @@ def cmd_ingest(args) -> None:
         json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"
     )
     print(f"cached cleaned table: {cache}")
+    # the snapshot only spares later commands a clean: failing to write it
+    # fails nothing
+    try:
+        write_snapshot(manifest, table, report)
+    except OSError as exc:
+        print(f"note: no snapshot of {manifest.name!r} written: {exc}", file=sys.stderr)
 
 
 def _build_grid(config: dict, manifests: list[DatasetManifest], seed: int) -> list[ExperimentSpec]:

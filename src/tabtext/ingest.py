@@ -6,7 +6,9 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import tempfile
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -106,7 +108,8 @@ def load_csv(manifest: DatasetManifest) -> Table:
     Empty cells and the NaN markers become MISSING; blank lines are skipped.
     The first `row_cap` records are kept; the records past it are checked
     for width and counted but never held. A record whose width is not the
-    header's is a ParseError naming its physical line. A leading UTF-8
+    header's is a ParseError naming its physical line, and so is a record
+    the csv module refuses (a field over its size limit). A leading UTF-8
     byte-order mark is dropped from the text. The sha256 of the file's bytes,
     BOM included, read through the same open handle, goes into the table's
     meta as "csv_sha256".
@@ -115,20 +118,19 @@ def load_csv(manifest: DatasetManifest) -> Table:
     if not path.exists():
         raise FileNotFoundError(str(path))
     with path.open("rb") as raw:
-        digest = hashlib.sha256()
-        for chunk in iter(lambda: raw.read(1 << 20), b""):
-            digest.update(chunk)
-        csv_sha256 = digest.hexdigest()
+        csv_sha256 = _sha256_of(raw)
         raw.seek(0)
         fh = io.TextIOWrapper(raw, encoding="utf-8-sig", newline="")
         reader = csv.reader(fh, delimiter=manifest.delimiter)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("file has no header row") from None
-        records = filter(None, reader)  # a blank line reads as an empty record
-        rows = list(islice(records, max(manifest.row_cap, 0)))
-        over_cap = Counter(map(len, records))  # width -> records past the cap
+            header = next(reader, None)
+            records = filter(None, reader)  # a blank line reads as an empty record
+            rows = list(islice(records, max(manifest.row_cap, 0)))
+            over_cap = Counter(map(len, records))  # width -> records past the cap
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise ParseError(f"line {reader.line_num}: {exc}") from None
+    if header is None:
+        raise ParseError("file has no header row")
     width = len(header)
     if set(map(len, rows)).union(over_cap) - {width}:
         raise ParseError(_ragged_record(path, manifest.delimiter, width))
@@ -140,6 +142,14 @@ def load_csv(manifest: DatasetManifest) -> Table:
     ]
     meta = {"rows_over_cap": sum(over_cap.values()), "csv_sha256": csv_sha256}
     return Table(manifest.name, columns, manifest.target_column, manifest.task, meta)
+
+
+def _sha256_of(fh) -> str:
+    """The sha256 hex digest of a binary file's remaining bytes."""
+    digest = hashlib.sha256()
+    for chunk in iter(lambda: fh.read(1 << 20), b""):
+        digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _ragged_record(path: Path, delimiter: str, width: int) -> str:
@@ -230,8 +240,9 @@ class _ColumnRead(NamedTuple):
 
 def _read_column(col: Column, n_rows: int, stop_early: bool = True) -> _ColumnRead:
     """Classify a column in one pass over its distinct non-missing strings,
-    in order of first occurrence. Each string is cleaned and parsed once:
-    as a direct number, as a number wearing a short affix, as a timestamp.
+    in order of first occurrence. Each string is tested once for a
+    timestamp's shape; any other is cleaned and parsed once, as a direct
+    number or as a number wearing a short affix.
 
     Cell-weighted hits decide the role: numerical when at least 90% of the
     cells are direct numbers, or direct or the dominant affix, or
@@ -256,14 +267,15 @@ def _read_column(col: Column, n_rows: int, stop_early: bool = True) -> _ColumnRe
     affix_only: Counter = Counter()
     numbers: dict[str, float | None] = {}
     for s, k in counts.items():
-        cleaned = _clean(s)
         # a timestamp is no number, and digits flank every number in it, so
-        # it has no affix either; the cheap shape test spares float() raising
+        # it has no affix either; the cheap shape test spares cleaning it and
+        # float() raising
         stripped = s.strip()
         if stripped[4:5] == "-" and _TIMESTAMP_RE.fullmatch(stripped):
             stamps += k
             numbers[s] = None
             continue
+        cleaned = _clean(s)
         try:
             num = float(cleaned)
         except ValueError:
@@ -461,8 +473,115 @@ def general_preprocess(
 
 
 def ingest_dataset(manifest: DatasetManifest) -> tuple[Table, PreprocessReport]:
+    """The cleaned table and its report: read from the snapshot `tabtext
+    ingest` left for this manifest when its key still matches (see
+    read_snapshot), else loaded and cleaned afresh."""
+    snapshot = read_snapshot(manifest)
+    if snapshot is not None:
+        return snapshot
     table = load_csv(manifest)
     return general_preprocess(table, manifest.role_overrides)
+
+
+# where `tabtext ingest` leaves its snapshots, relative to the working
+# directory, as pytest leaves .pytest_cache
+SNAPSHOT_DIR = Path(".tabtext-cache")
+# the code that turns a CSV into a cleaned table: its bytes are part of
+# every snapshot key, so a change to it makes every snapshot stale
+_KEYED_SOURCES = (Path(__file__), Path(__file__).with_name("core.py"))
+_NULL_OF = {MISSING: None}.get  # get(cell, cell): MISSING is stored as null
+_MISSING_OF = {None: MISSING}.get
+_CELL_TYPES = {str, float, type(None)}  # a cleaned cell, as JSON reads it
+
+
+def _snapshot_key(manifest: DatasetManifest, csv_sha256: str) -> str:
+    """The sha256 over all a cleaned table depends on: the CSV's bytes, the
+    manifest's fields except the CSV's path, and the cleaning code."""
+    sources = []
+    for path in _KEYED_SOURCES:
+        with path.open("rb") as fh:
+            sources.append(_sha256_of(fh))
+    overrides = sorted((col, role.value) for col, role in manifest.role_overrides.items())
+    parts = [csv_sha256, manifest.name, manifest.target_column, manifest.task.value,
+             overrides, manifest.row_cap, manifest.delimiter, sources]
+    return hashlib.sha256(json.dumps(parts).encode()).hexdigest()
+
+
+def _snapshot_path(name: str, key: str) -> Path:
+    """The snapshot file of a dataset name and key; the name is kept to
+    file-safe characters and the key shortened, as the file holds it whole."""
+    return SNAPSHOT_DIR / f"{re.sub(r'[^A-Za-z0-9_.-]', '_', name)[:64]}-{key[:16]}.json"
+
+
+def write_snapshot(manifest: DatasetManifest, table: Table, report: PreprocessReport) -> None:
+    """Store the table `manifest` was cleaned into, and its report, under
+    SNAPSHOT_DIR, keyed by the CSV bytes it was parsed from. MISSING is
+    stored as null and a float by its repr, so both read back exactly. The
+    file is written aside and renamed into place, so a reader sees it whole
+    or not at all."""
+    key = _snapshot_key(manifest, table.meta["csv_sha256"])
+    doc = {
+        "key": key,
+        "meta": table.meta,
+        "columns": [
+            [c.name, c.role.value if c.role else None, list(map(_NULL_OF, c.values, c.values))]
+            for c in table.columns
+        ],
+        "report": report.to_dict(),
+    }
+    text = json.dumps(doc, separators=(",", ":"))
+    SNAPSHOT_DIR.mkdir(exist_ok=True)
+    path = _snapshot_path(manifest.name, key)
+    fd, tmp = tempfile.mkstemp(dir=SNAPSHOT_DIR, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def read_snapshot(manifest: DatasetManifest) -> tuple[Table, PreprocessReport] | None:
+    """The cleaned table and report of the snapshot for `manifest` whose key
+    matches the CSV's bytes as they are now, the manifest and this code.
+    None when there is no such file, or it does not parse as a snapshot
+    with that key: the caller then ingests afresh, so a stale or damaged
+    snapshot is never read."""
+    if not SNAPSHOT_DIR.is_dir():
+        return None
+    try:
+        with open(manifest.csv_path, "rb") as fh:
+            key = _snapshot_key(manifest, _sha256_of(fh))
+        doc = json.loads(_snapshot_path(manifest.name, key).read_bytes())
+        if doc["key"] != key:
+            return None
+        return _from_snapshot(manifest, doc)
+    except (OSError, ValueError, LookupError, TypeError, AttributeError):
+        return None
+
+
+def _from_snapshot(manifest: DatasetManifest, doc: dict) -> tuple[Table, PreprocessReport]:
+    """The table and report a snapshot document holds; a document of another
+    shape raises ValueError, LookupError, TypeError or AttributeError."""
+    columns = []
+    for name, role, values in doc["columns"]:
+        if type(values) is not list or not set(map(type, values)) <= _CELL_TYPES:
+            raise ValueError(f"column {name!r} is not a list of cleaned cells")
+        role = None if role is None else ColumnRole(role)
+        columns.append(Column(name, role, list(map(_MISSING_OF, values, values))))
+    meta = dict(doc["meta"])
+    table = Table(manifest.name, columns, manifest.target_column, manifest.task, meta)
+    raw = doc["report"]
+    report = PreprocessReport(
+        dataset=raw["dataset"],
+        dropped_columns=[(d["name"], d["reason"]) for d in raw["dropped_columns"]],
+        dropped_rows=dict(raw["dropped_rows"]),
+        role_assignments={c: ColumnRole(r) for c, r in raw["role_assignments"].items()},
+        n_rows=raw["n_rows"],
+        target=raw["target"],
+    )
+    return table.validate(), report
 
 
 def write_table_cache(table: Table, csv_path: str | Path) -> None:

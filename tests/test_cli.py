@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tabtext import breaklab, cli
+from tabtext import breaklab, cli, ingest
 from tabtext.cli import main
 from tabtext.core import TaskKind
 from tabtext.embed import TfIdf
@@ -51,13 +51,37 @@ def dataset(tmp_path):
 
 
 class TestIngestCommand:
-    def test_success(self, dataset, tmp_path, capsys):
+    def test_success(self, dataset, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         code = main(["--out", str(tmp_path / "cache"), "ingest", str(dataset)])
         assert code == 0
         out = capsys.readouterr().out
         assert "Cat" in out and "Num" in out and "Text" in out
         written = sorted(p.name for p in (tmp_path / "cache").iterdir())
         assert written == ["taps.clean.csv", "taps.report.json"]
+        assert [p.name[:5] for p in (tmp_path / ".tabtext-cache").iterdir()] == ["taps-"]
+
+    def test_eval_and_vet_read_the_snapshot(self, dataset, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = eval_config(tmp_path, dataset)
+        assert main(["--out", str(tmp_path / "fresh"), "eval", str(config)]) == 0
+        assert main(["--out", str(tmp_path / "vet-fresh"), "vet", str(dataset)]) == 0
+        assert main(["--out", str(tmp_path / "ingest"), "ingest", str(dataset)]) == 0
+        monkeypatch.setattr(ingest, "load_csv", _not_loaded)
+        assert main(["--out", str(tmp_path / "cached"), "eval", str(config)]) == 0
+        assert main(["--out", str(tmp_path / "vet-cached"), "vet", str(dataset)]) == 0
+        for fresh, cached in [("fresh", "cached"), ("vet-fresh", "vet-cached")]:
+            for p in (tmp_path / fresh).iterdir():
+                assert p.read_bytes() == (tmp_path / cached / p.name).read_bytes()
+
+    def test_unwritable_snapshot_directory_fails_nothing(self, dataset, tmp_path, capsys,
+                                                        monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / ".tabtext-cache").write_text("not a directory\n")
+        assert main(["--out", str(tmp_path / "cache"), "ingest", str(dataset)]) == 0
+        written = sorted(p.name for p in (tmp_path / "cache").iterdir())
+        assert written == ["taps.clean.csv", "taps.report.json"]
+        assert "no snapshot of 'taps' written" in capsys.readouterr().err
 
     def test_missing_file_exits_two(self, tmp_path):
         manifest = tmp_path / "m.json"
@@ -77,6 +101,10 @@ class TestIngestCommand:
         dataset.write_text(json.dumps({**json.loads(dataset.read_text()), key: value}))
         assert main(["ingest", str(dataset)]) == 2
         assert capsys.readouterr().err == f"ingest failed: {reason}\n"
+
+
+def _not_loaded(manifest):
+    raise AssertionError("the CSV was loaded, not the snapshot read")
 
 
 def eval_config(tmp_path, dataset, selectors=None, **extra):
@@ -316,6 +344,18 @@ def test_out_naming_a_file_fails_with_the_commands_code(command, code, dataset, 
     err = capsys.readouterr().err
     assert err.startswith(f"{command} failed: ") and "Traceback" not in err
     assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command, code", [("ingest", 2), ("eval", 3), ("vet", 5)])
+def test_oversized_field_fails_with_the_commands_code(command, code, dataset, tmp_path,
+                                                      capsys):
+    csv_path = tmp_path / "taps.csv"
+    csv_path.write_text(csv_path.read_text() + "x" * 200_000 + ",0.5,good\n")
+    argv = command_argv(command, dataset, tmp_path)
+    assert main(["--out", str(tmp_path / "out"), *argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"{command} failed: line 62: field larger than field limit")
+    assert "Traceback" not in err
 
 
 def _refuse_to_run(*args, **kwargs):

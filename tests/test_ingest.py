@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -168,6 +169,13 @@ class TestLoadCsv:
         p = tmp_path / "t.csv"
         p.write_text('a,y\n"two\nlines",1\nb,2\n3\n')
         with pytest.raises(ParseError, match=r"^line 5: expected 2 fields, got 1$"):
+            load_csv(manifest_for(p, target="y", name="t"))
+
+    def test_oversized_field_is_parse_error_naming_its_line(self, tmp_path):
+        # over the csv module's 131 072-character field limit
+        p = tmp_path / "t.csv"
+        p.write_text("a,y\nshort,1\n" + "x" * 200_000 + ",2\n")
+        with pytest.raises(ParseError, match=r"^line 3: field larger than field limit"):
             load_csv(manifest_for(p, target="y", name="t"))
 
     def test_ragged_row_past_the_cap_is_parse_error(self, tmp_path):
@@ -582,10 +590,12 @@ class TestOnePass:
         monkeypatch.setattr(ingest, "_clean", counting_clean)
         _, report = general_preprocess(Table("t", cols, "y", TaskKind.BINARY))
         assert list(report.role_counts().values()) == [1, 3, 1]
-        # the columns share no string, so each distinct string is cleaned once
+        # the columns share no string, so each distinct string is cleaned at
+        # most once; a timestamp passes its shape test and is never cleaned
         assert max(calls.values()) == 1
-        for c in cols[:3]:
+        for c in cols[:2]:
             assert set(calls) >= set(c.values)
+        assert not calls.keys() & set(cols[2].values)
         # a categorical walk stops at its first string: 333 misses of 1000
         assert calls.keys() & {"ale", "stout", "porter"} == {"ale"}
         # the free-text walk stops at its 101st miss, when 1000 - 101 < 900
@@ -743,3 +753,154 @@ class TestColumnLoad:
             path.write_bytes(text.encode("utf-8"))
             manifest = manifest_for(path, target=target, name="t", row_cap=row_cap)
             assert _loaded_by(load_csv, manifest) == _loaded_by(_reference_load_csv, manifest)
+
+
+# cells whose values only survive a snapshot by repr: NaN, the infinities
+# and negative zero (" nan" is no missing marker), with numbers, affix
+# numbers, timestamps, markers and text with quotes, commas and line breaks
+_SPECIAL_FLOAT = st.sampled_from([" nan", "NAN", "inf", "-inf", "-0", "-0.0", "1e308"])
+_SNAPSHOT_KINDS = [
+    st.one_of(_NUMBER, _SPECIAL_FLOAT),
+    _AFFIX,
+    _STAMP,
+    st.text('ab é,"\n', max_size=8),
+    st.sampled_from(["", "NaN", "ale", "stout"]),
+]
+
+
+@st.composite
+def _snapshot_inputs(draw):
+    """CSV text of a regression target and 1-3 feature columns of one kind
+    each, up to 1 cell in 6 of any kind; and maybe a role override."""
+    n = draw(st.integers(1, 30))
+    header = ["y", "a", "b", "c"][: draw(st.integers(2, 4))]
+    columns = [draw(st.lists(_SNAPSHOT_KINDS[0], min_size=n, max_size=n))]
+    for _ in header[1:]:
+        cells = draw(st.lists(draw(st.sampled_from(_SNAPSHOT_KINDS)), min_size=n, max_size=n))
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=n // 6)):
+            cells[i] = draw(st.one_of(*_SNAPSHOT_KINDS))
+        columns.append(cells)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(zip(*columns))
+    role = draw(st.sampled_from([None, *ColumnRole]))
+    return buf.getvalue(), {} if role is None else {"a": role}
+
+
+def _ingested(table, report):
+    """All of an ingest's output, cell values by repr."""
+    columns = [(c.name, c.role, [repr(v) for v in c.values]) for c in table.columns]
+    return (table.name, table.target, table.task, table.meta, columns,
+            report, report.to_dict(), report.to_text())
+
+
+def _not_loaded(manifest):
+    raise AssertionError("the CSV was loaded, not the snapshot read")
+
+
+class TestSnapshot:
+    @pytest.fixture()
+    def snapshot(self, tmp_path, monkeypatch):
+        """A manifest whose snapshot sits in the working directory."""
+        monkeypatch.chdir(tmp_path)
+        p = tmp_path / "brews.csv"
+        p.write_text("grade,abv,note,style\n" + "".join(
+            f"{('good', 'bad')[i % 2]},{i % 7}.5%,batch {i} tastes of {i % 5},"
+            f"{('ale', 'stout', 'porter')[i % 3]}\n"
+            for i in range(40)
+        ))
+        manifest = manifest_for(p)
+        ingest.write_snapshot(manifest, *ingest_dataset(manifest))
+        return manifest
+
+    @settings(max_examples=150, deadline=None)
+    @given(_snapshot_inputs())
+    def test_hit_equals_a_fresh_ingest(self, inputs):
+        text, overrides = inputs
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            manifest = manifest_for(path, target="y", task="regression", name="t",
+                                    role_overrides=overrides)
+            with mock.patch.object(ingest, "SNAPSHOT_DIR", Path(tmp) / "cache"):
+                try:
+                    fresh = ingest_dataset(manifest)
+                except (EmptyTable, CoercionFailure):
+                    return
+                ingest.write_snapshot(manifest, *fresh)
+                with mock.patch.object(ingest, "load_csv", _not_loaded):
+                    hit = ingest_dataset(manifest)
+        assert _ingested(*hit) == _ingested(*fresh)
+
+    def test_written_under_the_working_directory_and_read_from_any_path(
+        self, snapshot, tmp_path, monkeypatch
+    ):
+        (written,) = (tmp_path / ".tabtext-cache").iterdir()
+        assert re.fullmatch(r"brews-[0-9a-f]{16}\.json", written.name)
+        moved = tmp_path / "moved.csv"
+        moved.write_bytes(Path(snapshot.csv_path).read_bytes())
+        monkeypatch.setattr(ingest, "load_csv", _not_loaded)
+        assert ingest_dataset(snapshot) == ingest_dataset(
+            manifest_for(moved, name=snapshot.name)
+        )
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"name": "other"}, {"target_column": "style"}, {"task": TaskKind.MULTICLASS},
+         {"role_overrides": {"abv": ColumnRole.CATEGORICAL}}, {"row_cap": 39},
+         {"delimiter": ";"}],
+    )
+    def test_each_manifest_field_is_in_the_key(self, snapshot, change):
+        assert ingest.read_snapshot(snapshot) is not None
+        assert ingest.read_snapshot(dataclasses.replace(snapshot, **change)) is None
+
+    def test_one_csv_byte_is_in_the_key(self, snapshot):
+        path = Path(snapshot.csv_path)
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b"batch 39", b"batch 38"))
+        assert ingest.read_snapshot(snapshot) is None
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["ingest.py", "core.py"])
+    def test_the_cleaning_code_is_in_the_key(self, snapshot, which, tmp_path, monkeypatch):
+        sources = list(ingest._KEYED_SOURCES)
+        edited = tmp_path / sources[which].name
+        edited.write_bytes(sources[which].read_bytes() + b"\n")
+        sources[which] = edited
+        monkeypatch.setattr(ingest, "_KEYED_SOURCES", tuple(sources))
+        assert ingest.read_snapshot(snapshot) is None
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda data: data[: len(data) // 2],
+            lambda data: b"\xff\xfe" + data[2:],
+            lambda data: re.sub(rb'"key":"[0-9a-f]{4}', b'"key":"0000', data),
+            lambda data: data.replace(b'"batch 0 ', b"0,0.5]]]]"),
+            lambda data: data.replace(b'"batch 0 tastes of 0"', b"7"),
+            lambda data: data.replace(b'"role_assignments":{', b'"role_assignments":[{')[:-3]
+                         + b"}]}}",
+            lambda data: b"[" + data + b"]",
+        ],
+        ids=["truncated", "not-utf8", "wrong-key", "not-json", "int-cell", "report-shape",
+             "not-an-object"],
+    )
+    def test_a_damaged_snapshot_falls_back_to_a_fresh_ingest(self, snapshot, damage,
+                                                             monkeypatch):
+        (path,) = Path(".tabtext-cache").iterdir()
+        data = path.read_bytes()
+        path.write_bytes(damage(data))
+        assert path.read_bytes() != data
+        assert ingest.read_snapshot(snapshot) is None
+        loads = []
+        monkeypatch.setattr(ingest, "load_csv", lambda m: loads.append(m) or load_csv(m))
+        fresh = ingest_dataset(snapshot)
+        assert loads == [snapshot]
+        assert _ingested(*fresh) == _ingested(*general_preprocess(load_csv(snapshot)))
+
+    def test_library_calls_write_no_snapshot(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        p = tmp_path / "t.csv"
+        p.write_text("a,y\nx,1\ny,2\n")
+        ingest_dataset(manifest_for(p, target="y", task="regression", name="t"))
+        assert sorted(tmp_path.iterdir()) == [p]
