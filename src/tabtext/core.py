@@ -204,7 +204,8 @@ class Table:
     def subset(self, rows: list[int] | np.ndarray) -> "Table":
         """New table containing the given rows, in the given order. A
         subsample's meta "row_source" follows them to its source's rows."""
-        cols = [Column(c.name, c.role, [c.values[i] for i in rows]) for c in self.columns]
+        index = rows.tolist() if isinstance(rows, np.ndarray) else rows
+        cols = [Column(c.name, c.role, [c.values[i] for i in index]) for c in self.columns]
         meta = dict(self.meta)
         if "row_source" in meta:
             source, kept = meta["row_source"]
@@ -214,13 +215,31 @@ class Table:
 
 @dataclass
 class FoldAssignment:
+    """Each row's fold. The rows of a fold are found in an array copy of
+    `fold_of_row` made at construction, so the list is not to be changed."""
+
     fold_of_row: list[int]
+    _folds: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def fold_rows(self, fold: int) -> list[int]:
-        return [i for i, f in enumerate(self.fold_of_row) if f == fold]
+    def __post_init__(self):
+        self._folds = np.asarray(self.fold_of_row)
 
-    def train_rows(self, test_fold: int) -> list[int]:
-        return [i for i, f in enumerate(self.fold_of_row) if f != test_fold]
+    def fold_rows(self, fold: int) -> np.ndarray:
+        """The rows of `fold`, ascending."""
+        return np.flatnonzero(self._folds == fold)
+
+    def train_rows(self, test_fold: int) -> np.ndarray:
+        """The rows outside `test_fold`, ascending."""
+        return np.flatnonzero(self._folds != test_fold)
+
+
+def _rows_by_label(y: list) -> list[tuple[object, np.ndarray]]:
+    """Each distinct label of y, in str order, with its rows, ascending."""
+    labels = sorted(set(y), key=str)
+    index = {label: i for i, label in enumerate(labels)}
+    codes = np.fromiter(map(index.__getitem__, y), np.intp, len(y))
+    ends = np.cumsum(np.bincount(codes, minlength=len(labels)))
+    return list(zip(labels, np.split(np.argsort(codes, kind="stable"), ends[:-1])))
 
 
 def k_fold_split(table: Table, k: int, seed: int) -> FoldAssignment:
@@ -232,24 +251,18 @@ def k_fold_split(table: Table, k: int, seed: int) -> FoldAssignment:
         raise ValueError("k must be at least 2")
     if n < k:
         raise TooFewRows(f"{n} rows cannot fill {k} folds")
-    fold_of_row = [0] * n
+    fold_of_row = np.empty(n, dtype=np.intp)
     rng = np.random.default_rng([seed, k, 0xF0])
     if table.task.is_classification:
-        y = table.target_column.values
-        for ci, label in enumerate(sorted(set(y), key=str)):
-            rows = [i for i, v in enumerate(y) if v == label]
-            if len(rows) < k:
-                raise ClassTooSmall(f"class {label!r} has {len(rows)} rows, needs >= {k}")
-            rows = list(rng.permutation(rows))
+        for ci, (label, rows) in enumerate(_rows_by_label(table.target_column.values)):
+            if rows.size < k:
+                raise ClassTooSmall(f"class {label!r} has {rows.size} rows, needs >= {k}")
             # rotate the starting fold per class so small classes don't all pile
             # their remainder into fold 0
-            for j, r in enumerate(rows):
-                fold_of_row[r] = (j + ci) % k
+            fold_of_row[rng.permutation(rows)] = (np.arange(rows.size) + ci) % k
     else:
-        order = rng.permutation(n)
-        for j, r in enumerate(order):
-            fold_of_row[int(r)] = j % k
-    return FoldAssignment(fold_of_row)
+        fold_of_row[rng.permutation(n)] = np.arange(n) % k
+    return FoldAssignment(fold_of_row.tolist())
 
 
 def subsample_rows(table: Table, cap: int, seed: int) -> Table:
@@ -263,24 +276,25 @@ def subsample_rows(table: Table, cap: int, seed: int) -> Table:
         return table
     rng = np.random.default_rng([seed, cap, 0x5B])
     if table.task.is_classification:
-        y = table.target_column.values
-        labels = sorted(set(y), key=str)
-        rows_of = {lab: [i for i, v in enumerate(y) if v == lab] for lab in labels}
+        by_label = _rows_by_label(table.target_column.values)
         # largest-remainder allocation keeps kept-class ratios within 1/cap
-        exact = {lab: len(rows_of[lab]) * cap / n for lab in labels}
-        take = {lab: int(exact[lab]) for lab in labels}
-        short = cap - sum(take.values())
-        for lab in sorted(labels, key=lambda l: (-(exact[l] - take[l]), str(l)))[:short]:
-            take[lab] += 1
-        keep: list[int] = []
-        for lab in labels:
-            chosen = rng.choice(len(rows_of[lab]), size=take[lab], replace=False)
-            keep.extend(rows_of[lab][i] for i in chosen)
+        exact = [rows.size * cap / n for _, rows in by_label]
+        take = [int(e) for e in exact]
+        short = cap - sum(take)
+        ranked = sorted(
+            range(len(by_label)), key=lambda j: (-(exact[j] - take[j]), str(by_label[j][0]))
+        )
+        for j in ranked[:short]:
+            take[j] += 1
+        keep = np.concatenate([
+            rows[rng.choice(rows.size, size=t, replace=False)]
+            for (_, rows), t in zip(by_label, take)
+        ])
     else:
-        keep = list(rng.choice(n, size=cap, replace=False))
-    rows = sorted(int(i) for i in keep)
+        keep = rng.choice(n, size=cap, replace=False)
+    rows = np.sort(keep)
     sub = table.subset(rows)
     # the table the rows came from and their rows there, for files aligned
     # with it (see embed.load_external_embeddings)
-    sub.meta.setdefault("row_source", (table, np.array(rows)))
+    sub.meta.setdefault("row_source", (table, rows))
     return sub

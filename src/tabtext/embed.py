@@ -6,6 +6,7 @@ import re
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -152,8 +153,10 @@ def _vocab_counts(docs: CorpusRows, vocab: dict[str, int], grams, *params) -> Cs
     _, index, counts = docs.corpus.ngram_counts(grams, *params)
     # vocabulary and corpus terms are both sorted, so the corpus columns
     # of the vocabulary terms it holds are increasing
-    found = [(index[term], i) for term, i in vocab.items() if term in index]
-    corpus_cols, vocab_cols = np.array(found, dtype=np.intp).reshape(-1, 2).T
+    corpus_cols = np.fromiter(map(index.get, vocab, repeat(-1)), np.intp, len(vocab))
+    found = corpus_cols >= 0
+    corpus_cols = corpus_cols[found]
+    vocab_cols = np.fromiter(vocab.values(), np.intp, len(vocab))[found]
     picked = counts.take_rows(docs.rows).take_columns(corpus_cols)
     return CsrMatrix(
         picked.data, vocab_cols[picked.indices], picked.indptr, (len(docs), len(vocab))
@@ -565,24 +568,88 @@ def _texts_of(col_values: list) -> list[str]:
     return ["" if v is MISSING else str(v) for v in col_values]
 
 
+class TableEncoding:
+    """A table's columns as the arrays fold assembly gathers from, encoded
+    once per experiment and shared by its folds: each text column's corpus
+    (`corpora`, from `text_corpora`), each numeric column as float64 with NaN
+    for MISSING, each categorical column as integer codes into its levels
+    sorted by str (-1 for MISSING), and the target, as float64 for a
+    regression. Each array is built when a fold first reads it, so a cell
+    that does not convert fails in that fold's assembly, as it would row by
+    row."""
+
+    def __init__(self, table: Table, corpora: dict[str, TextCorpus]):
+        self.table = table
+        self.corpora = corpora
+        self._arrays: dict = {}
+
+    def _memo(self, key, build):
+        if key not in self._arrays:
+            self._arrays[key] = build()
+        return self._arrays[key]
+
+    def numbers(self, name: str) -> np.ndarray:
+        def build():
+            values = self.table.column(name).values
+            return np.array([np.nan if v is MISSING else float(v) for v in values])
+
+        return self._memo(("num", name), build)
+
+    def codes(self, name: str) -> tuple[np.ndarray, int]:
+        """The column's level codes and its number of levels."""
+
+        def build():
+            values = self.table.column(name).values
+            levels = sorted(set(values) - {MISSING}, key=str)
+            index = {v: i for i, v in enumerate(levels)}
+            codes = np.fromiter(map(index.get, values, repeat(-1)), np.intp, len(values))
+            return codes, len(levels)
+
+        return self._memo(("cat", name), build)
+
+    def target(self) -> np.ndarray:
+        """The target as float64 for a regression, else an object array of
+        its labels."""
+
+        def build():
+            values = self.table.target_column.values
+            if self.table.task is TaskKind.REGRESSION:
+                return np.array([float(v) for v in values])
+            return np.fromiter(values, object, len(values))
+
+        return self._memo("target", build)
+
+
+def _median(known: np.ndarray) -> float:
+    """np.median(known) for a non-empty float64 array without NaN, computed
+    as numpy's own `_median` computes it (partition at the middle and the
+    last index, then the mean of the middle slice) but without its NaN
+    check, whose first use imports numpy.ma."""
+    half = known.size // 2
+    odd = known.size % 2
+    part = np.partition(known, [half, -1] if odd else [half - 1, half, -1])
+    return float(np.mean(part[half - 1 + odd : half + 1], axis=0))
+
+
 def assemble_features(
     table: Table,
     embedder: EmbedderKind,
     with_text: bool,
     fold: FoldAssignment,
     test_fold: int,
-    corpora: dict[str, TextCorpus] | None = None,
+    encoding: TableEncoding | None = None,
 ) -> tuple[FeatureMatrix, FeatureMatrix]:
     """Build train/test feature matrices for one fold.
 
     Numeric columns are median-imputed and standardized with train-fold
     statistics, categoricals get train-learned ordinal codes (unseen -> -1),
     text columns are embedded (embedder fitted on the train fold only) or
-    dropped when with_text is false. `corpora` (from `text_corpora(table)`)
-    lets the folds of one experiment share each column's tokenization.
+    dropped when with_text is false. `encoding` (a TableEncoding of `table`)
+    lets the folds of one experiment share each column's encoding and
+    tokenization; without it, one is built for this call.
     """
-    if corpora is None:
-        corpora = text_corpora(table)
+    if encoding is None:
+        encoding = TableEncoding(table, text_corpora(table))
     train_rows = fold.train_rows(test_fold)
     test_rows = fold.fold_rows(test_fold)
     tr_blocks: list[np.ndarray | CsrMatrix] = []
@@ -593,17 +660,14 @@ def assemble_features(
 
     for col in table.feature_columns:
         if col.role is ColumnRole.NUMERICAL:
-            tr = np.array(
-                [np.nan if col.values[i] is MISSING else float(col.values[i]) for i in train_rows]
-            )
-            te = np.array(
-                [np.nan if col.values[i] is MISSING else float(col.values[i]) for i in test_rows]
-            )
-            known = tr[~np.isnan(tr)]
+            values = encoding.numbers(col.name)
+            tr, te = values[train_rows], values[test_rows]
+            missing = np.isnan(tr)
+            known = tr[~missing]
             if known.size == 0:
                 continue
-            median = float(np.median(known))
-            tr = np.where(np.isnan(tr), median, tr)
+            median = _median(known)
+            tr = np.where(missing, median, tr)
             te = np.where(np.isnan(te), median, te)
             mean, std = tr.mean(), tr.std()
             if std == 0.0:
@@ -612,25 +676,29 @@ def assemble_features(
             te_blocks.append(((te - mean) / std)[:, None])
             provenance.append((col.name, "num", 0))
         elif col.role is ColumnRole.CATEGORICAL:
-            seen = sorted(
-                {col.values[i] for i in train_rows if col.values[i] is not MISSING}, key=str
-            )
-            codes = {v: float(i) for i, v in enumerate(seen)}
-            tr = np.array([codes.get(col.values[i], -1.0) for i in train_rows])
-            te = np.array([codes.get(col.values[i], -1.0) for i in test_rows])
-            tr_blocks.append(tr[:, None])
-            te_blocks.append(te[:, None])
+            codes, n_levels = encoding.codes(col.name)
+            tr_codes = codes[train_rows]
+            # a level's code is its rank among the levels the train rows
+            # hold; the extra last slot, indexed by MISSING's -1, is never held
+            held = np.zeros(n_levels + 1, dtype=bool)
+            held[tr_codes] = True
+            held[-1] = False
+            rank = np.cumsum(held) - 1.0
+            rank[~held] = -1.0
+            tr_blocks.append(rank[tr_codes][:, None])
+            te_blocks.append(rank[codes[test_rows]][:, None])
             provenance.append((col.name, "cat", 0))
         elif col.role is ColumnRole.TEXTUAL and with_text and not external:
-            train_docs = corpora[col.name].rows(train_rows)
+            corpus = encoding.corpora[col.name]
+            train_docs = corpus.rows(train_rows)
             model = embedder.fit(train_docs)
             tr = EmbeddingBlock(col.name, model.transform(train_docs)).validate(len(train_rows))
-            te = EmbeddingBlock(
-                col.name, model.transform(corpora[col.name].rows(test_rows))
-            ).validate(len(test_rows))
+            te = EmbeddingBlock(col.name, model.transform(corpus.rows(test_rows))).validate(
+                len(test_rows)
+            )
             tr_blocks.append(tr.matrix)
             te_blocks.append(te.matrix)
-            provenance.extend((col.name, model.tag, j) for j in range(tr.dim))
+            provenance.extend(zip(repeat(col.name), repeat(model.tag), range(tr.dim)))
 
     if external and with_text:
         full = load_external_embeddings(embedder.embedding_file, table)
@@ -638,20 +706,17 @@ def assemble_features(
         block = EmbeddingBlock(stem, full).validate(table.n_rows)
         tr_blocks.append(block.matrix[train_rows])
         te_blocks.append(block.matrix[test_rows])
-        provenance.extend((stem, "external", j) for j in range(block.dim))
+        provenance.extend(zip(repeat(stem), repeat("external"), range(block.dim)))
 
     if not tr_blocks:
         raise TabTextError("no features survived assembly")
 
     X_tr = hstack(tr_blocks)
     X_te = hstack(te_blocks)
-    y_all = table.target_column.values
-    if table.task is TaskKind.REGRESSION:
-        y_tr: np.ndarray | list = np.array([float(y_all[i]) for i in train_rows])
-        y_te: np.ndarray | list = np.array([float(y_all[i]) for i in test_rows])
-    else:
-        y_tr = [y_all[i] for i in train_rows]
-        y_te = [y_all[i] for i in test_rows]
+    y = encoding.target()
+    y_tr, y_te = y[train_rows], y[test_rows]
+    if table.task.is_classification:
+        y_tr, y_te = y_tr.tolist(), y_te.tolist()
     return (
         FeatureMatrix(X_tr, list(provenance), y_tr),
         FeatureMatrix(X_te, list(provenance), y_te),

@@ -16,6 +16,7 @@ from .core import ColumnRole, TabTextError, Table, TaskKind, k_fold_split, subsa
 from .embed import (
     EmbedderKind,
     FeatureMatrix,
+    TableEncoding,
     assemble_features,
     embedder_key,
     text_corpora,
@@ -132,7 +133,7 @@ class EvalResult:
     csv_sha256: str | None = None
 
 
-def _fold_inputs(spec: ExperimentSpec, table: Table, fold, test_fold: int, corpora):
+def _fold_inputs(spec: ExperimentSpec, table: Table, fold, test_fold: int, encoding):
     """One fold's train and test inputs for the specs that share `spec`'s
     feature key: the assembled features, or for a raw-table External model
     the fold's rows of the table, without its text columns when the spec
@@ -143,7 +144,7 @@ def _fold_inputs(spec: ExperimentSpec, table: Table, fold, test_fold: int, corpo
             table = replace(table, columns=kept)
         return table.subset(fold.train_rows(test_fold)), table.subset(fold.fold_rows(test_fold))
     return assemble_features(
-        table, spec.embedder, spec.with_text, fold, test_fold, corpora=corpora
+        table, spec.embedder, spec.with_text, fold, test_fold, encoding=encoding
     )
 
 
@@ -198,10 +199,11 @@ def _run_specs(
     stopped it, in spec order.
 
     Specs that share a split key (dataset, row cap, folds, seed) share one
-    ingest, subsample, split and set of text corpora. Those that also share
-    a feature key share each fold's assembled features, then select, fit
-    and score on them one by one. A failure in a fold stops the spec there
-    with an ExperimentError; a failed assembly stops every spec of its key.
+    ingest, subsample, split and encoding of every column (a TableEncoding,
+    text corpora included). Those that also share a feature key share each
+    fold's assembled features, then select, fit and score on them one by
+    one. A failure in a fold stops the spec there with an ExperimentError;
+    a failed assembly stops every spec of its key.
     """
     tables = dict(tables or {})
     manifests: dict[str, DatasetManifest] = {}
@@ -226,7 +228,8 @@ def _run_specs(
                 tables[name], _ = ingest_dataset(manifests[name])
             table = subsample_rows(tables[name], row_cap, seed)
             fold = k_fold_split(table, k_folds, seed)
-            corpora = text_corpora(table)  # tokenized once, shared by the folds
+            # encoded and tokenized once, shared by the folds
+            encoding = TableEncoding(table, text_corpora(table))
         except Exception as exc:  # noqa: BLE001 - recorded per spec
             for i in members:
                 outcomes[i] = exc
@@ -242,7 +245,7 @@ def _run_specs(
                 if not live:
                     continue
                 try:
-                    train, test = _fold_inputs(specs[live[0]], table, fold, test_fold, corpora)
+                    train, test = _fold_inputs(specs[live[0]], table, fold, test_fold, encoding)
                 except Exception as exc:  # noqa: BLE001 - recorded per spec
                     for i in live:
                         outcomes[i] = _fold_error(exc, test_fold)

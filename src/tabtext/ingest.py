@@ -10,6 +10,7 @@ import os
 import re
 import tempfile
 from collections import Counter, deque
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from itertools import count, islice, repeat
@@ -102,6 +103,11 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     return manifest_from_dict(json.loads(Path(path).read_text(encoding="utf-8-sig")))
 
 
+# the CSV that ingest_dataset has open and hashed, as (manifest, binary
+# handle, sha256), for the load_csv call it makes on a snapshot miss
+_OPENED_CSV: ContextVar[tuple | None] = ContextVar("_OPENED_CSV", default=None)
+
+
 def load_csv(manifest: DatasetManifest) -> Table:
     """Load a header-full delimited file into an all-string table.
 
@@ -112,23 +118,18 @@ def load_csv(manifest: DatasetManifest) -> Table:
     the csv module refuses (a field over its size limit). A leading UTF-8
     byte-order mark is dropped from the text. The sha256 of the file's bytes,
     BOM included, read through the same open handle, goes into the table's
-    meta as "csv_sha256".
+    meta as "csv_sha256". Called by `ingest_dataset` on a snapshot miss, it
+    parses the handle that call opened and hashed.
     """
     path = Path(manifest.csv_path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
-    with path.open("rb") as raw:
-        csv_sha256 = _sha256_of(raw)
-        raw.seek(0)
-        fh = io.TextIOWrapper(raw, encoding="utf-8-sig", newline="")
-        reader = csv.reader(fh, delimiter=manifest.delimiter)
-        try:
-            header = next(reader, None)
-            records = filter(None, reader)  # a blank line reads as an empty record
-            rows = list(islice(records, max(manifest.row_cap, 0)))
-            over_cap = Counter(map(len, records))  # width -> records past the cap
-        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-            raise ParseError(f"line {reader.line_num}: {exc}") from None
+    opened = _OPENED_CSV.get()
+    if opened is not None and opened[0] is manifest:
+        _, raw, csv_sha256 = opened
+        header, rows, over_cap = _read_records(raw, manifest)
+    else:
+        with _csv_file(manifest).open("rb") as raw:
+            csv_sha256 = _sha256_of(raw)
+            header, rows, over_cap = _read_records(raw, manifest)
     if header is None:
         raise ParseError("file has no header row")
     width = len(header)
@@ -142,6 +143,32 @@ def load_csv(manifest: DatasetManifest) -> Table:
     ]
     meta = {"rows_over_cap": sum(over_cap.values()), "csv_sha256": csv_sha256}
     return Table(manifest.name, columns, manifest.target_column, manifest.task, meta)
+
+
+def _csv_file(manifest: DatasetManifest) -> Path:
+    path = Path(manifest.csv_path)
+    if not path.exists():
+        raise FileNotFoundError(str(path))
+    return path
+
+
+def _read_records(raw, manifest: DatasetManifest) -> tuple[list | None, list, Counter]:
+    """The header (None for an empty file), the first row_cap records and
+    the widths of the records past them, read from the start of the binary
+    handle `raw`, which stays open."""
+    raw.seek(0)
+    fh = io.TextIOWrapper(raw, encoding="utf-8-sig", newline="")
+    reader = csv.reader(fh, delimiter=manifest.delimiter)
+    try:
+        header = next(reader, None)
+        records = filter(None, reader)  # a blank line reads as an empty record
+        rows = list(islice(records, max(manifest.row_cap, 0)))
+        over_cap = Counter(map(len, records))  # width -> records past the cap
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
+    finally:
+        fh.detach()
+    return header, rows, over_cap
 
 
 def _sha256_of(fh) -> str:
@@ -475,11 +502,20 @@ def general_preprocess(
 def ingest_dataset(manifest: DatasetManifest) -> tuple[Table, PreprocessReport]:
     """The cleaned table and its report: read from the snapshot `tabtext
     ingest` left for this manifest when its key still matches (see
-    read_snapshot), else loaded and cleaned afresh."""
-    snapshot = read_snapshot(manifest)
-    if snapshot is not None:
-        return snapshot
-    table = load_csv(manifest)
+    read_snapshot), else loaded and cleaned afresh. The CSV is opened and
+    hashed once: the digest keys the snapshot and, on a miss, `load_csv`
+    parses the same handle, so the table's "csv_sha256" is the digest of
+    the bytes it was parsed from."""
+    with _csv_file(manifest).open("rb") as raw:
+        csv_sha256 = _sha256_of(raw)
+        snapshot = read_snapshot(manifest, csv_sha256)
+        if snapshot is not None:
+            return snapshot
+        handed = _OPENED_CSV.set((manifest, raw, csv_sha256))
+        try:
+            table = load_csv(manifest)
+        finally:
+            _OPENED_CSV.reset(handed)
     return general_preprocess(table, manifest.role_overrides)
 
 
@@ -542,17 +578,21 @@ def write_snapshot(manifest: DatasetManifest, table: Table, report: PreprocessRe
         raise
 
 
-def read_snapshot(manifest: DatasetManifest) -> tuple[Table, PreprocessReport] | None:
+def read_snapshot(
+    manifest: DatasetManifest, csv_sha256: str | None = None
+) -> tuple[Table, PreprocessReport] | None:
     """The cleaned table and report of the snapshot for `manifest` whose key
-    matches the CSV's bytes as they are now, the manifest and this code.
-    None when there is no such file, or it does not parse as a snapshot
-    with that key: the caller then ingests afresh, so a stale or damaged
-    snapshot is never read."""
+    matches the CSV's bytes as they are now (`csv_sha256`, when the caller
+    has hashed them), the manifest and this code. None when there is no
+    such file, or it does not parse as a snapshot with that key: the caller
+    then ingests afresh, so a stale or damaged snapshot is never read."""
     if not SNAPSHOT_DIR.is_dir():
         return None
     try:
-        with open(manifest.csv_path, "rb") as fh:
-            key = _snapshot_key(manifest, _sha256_of(fh))
+        if csv_sha256 is None:
+            with open(manifest.csv_path, "rb") as fh:
+                csv_sha256 = _sha256_of(fh)
+        key = _snapshot_key(manifest, csv_sha256)
         doc = json.loads(_snapshot_path(manifest.name, key).read_bytes())
         if doc["key"] != key:
             return None

@@ -492,7 +492,8 @@ def _fit_gbdt(cfg: Gbdt, X: np.ndarray, Y: np.ndarray, task: TaskKind) -> _GbdtF
     # order, ties by row id, skipping the columns constant on the training
     # rows (they never split); column 0 stays, as its order gives the totals
     varies = X.max(axis=0, initial=-np.inf) > X.min(axis=0, initial=np.inf)  # none if no rows
-    live = np.union1d(0, np.flatnonzero(varies))
+    # np.union1d(0, ...) would do, but its np.unique imports numpy.ma
+    live = np.flatnonzero(np.concatenate(([True], varies[1:])))
     require_memory(16 * n * live.size, f"the booster's {n}×{live.size} presort")
     V = X.T[live]
     S = np.argsort(V, axis=1, kind="stable")

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -353,6 +352,10 @@ class HttpChatLlmClient:
         self.model = model
 
     def complete(self, prompt: str, key: str | None = None) -> str:
+        # imported on first use: with http.client and email it would be a
+        # large share of `import tabtext.cli`, which every command pays
+        import urllib.request
+
         api_key = os.environ.get(LLM_API_KEY_ENV, "")
         payload = json.dumps(
             {"model": self.model, "messages": [{"role": "user", "content": prompt}]}

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,6 +150,106 @@ class TestSplitProperties:
         kept = out.target_column.values
         for c, count in enumerate(counts):
             assert abs(kept.count(f"c{c}") / cap - count / n) <= 1 / cap
+
+
+def reference_k_fold_split(table, k, seed):
+    """The per-row fold assignment loop that k_fold_split replaced."""
+    n = table.n_rows
+    if n < k:
+        raise TooFewRows(f"{n} rows cannot fill {k} folds")
+    fold_of_row = [0] * n
+    rng = np.random.default_rng([seed, k, 0xF0])
+    if table.task.is_classification:
+        y = table.target_column.values
+        for ci, label in enumerate(sorted(set(y), key=str)):
+            rows = [i for i, v in enumerate(y) if v == label]
+            if len(rows) < k:
+                raise ClassTooSmall(f"class {label!r} has {len(rows)} rows, needs >= {k}")
+            rows = list(rng.permutation(rows))
+            for j, r in enumerate(rows):
+                fold_of_row[r] = (j + ci) % k
+    else:
+        order = rng.permutation(n)
+        for j, r in enumerate(order):
+            fold_of_row[int(r)] = j % k
+    return fold_of_row
+
+
+def reference_subsample_rows(table, cap, seed):
+    """The kept rows of the per-row subsample loop that subsample_rows
+    replaced (None when the table is under the cap)."""
+    n = table.n_rows
+    if n <= cap:
+        return None
+    rng = np.random.default_rng([seed, cap, 0x5B])
+    if table.task.is_classification:
+        y = table.target_column.values
+        labels = sorted(set(y), key=str)
+        rows_of = {lab: [i for i, v in enumerate(y) if v == lab] for lab in labels}
+        exact = {lab: len(rows_of[lab]) * cap / n for lab in labels}
+        take = {lab: int(exact[lab]) for lab in labels}
+        short = cap - sum(take.values())
+        for lab in sorted(labels, key=lambda l: (-(exact[l] - take[l]), str(l)))[:short]:
+            take[lab] += 1
+        keep = []
+        for lab in labels:
+            chosen = rng.choice(len(rows_of[lab]), size=take[lab], replace=False)
+            keep.extend(rows_of[lab][i] for i in chosen)
+    else:
+        keep = list(rng.choice(n, size=cap, replace=False))
+    return sorted(int(i) for i in keep)
+
+
+def mixed_label_table(labels, regression=False):
+    return Table(
+        "mix",
+        [Column("i", ColumnRole.NUMERICAL, [float(i) for i in range(len(labels))]),
+         Column("y", None, [0.5 * i for i in range(len(labels))] if regression else labels)],
+        "y",
+        TaskKind.REGRESSION if regression else TaskKind.MULTICLASS,
+    )
+
+
+# labels whose str order is not their value order ("10" < "9"), ints among them
+_LABELS = st.lists(st.sampled_from(["9", "10", "a", "B", 3, 12]), min_size=1, max_size=80)
+
+
+class TestSplitMatchesRowLoops:
+    @settings(max_examples=200, deadline=None)
+    @given(labels=_LABELS, k=st.integers(2, 6), seed=st.integers(0, 2**16),
+           regression=st.booleans())
+    def test_k_fold_split(self, labels, k, seed, regression):
+        table = mixed_label_table(labels, regression)
+        try:
+            want = reference_k_fold_split(table, k, seed)
+        except (TooFewRows, ClassTooSmall) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                k_fold_split(table, k, seed)
+            return
+        fold = k_fold_split(table, k, seed)
+        assert fold.fold_of_row == want
+        assert all(type(f) is int for f in fold.fold_of_row)
+        for f in range(k):
+            rows = fold.fold_rows(f)
+            assert rows.tolist() == [i for i, g in enumerate(want) if g == f]
+            assert fold.train_rows(f).tolist() == [i for i, g in enumerate(want) if g != f]
+
+    @settings(max_examples=200, deadline=None)
+    @given(labels=_LABELS, cap=st.integers(1, 80), seed=st.integers(0, 2**16),
+           regression=st.booleans())
+    def test_subsample_rows(self, labels, cap, seed, regression):
+        table = mixed_label_table(labels, regression)
+        want = reference_subsample_rows(table, cap, seed)
+        out = subsample_rows(table, cap, seed)
+        if want is None:
+            assert out is table
+            return
+        source, rows = out.meta["row_source"]
+        assert source is table
+        assert rows.dtype == np.array(want).dtype and rows.tolist() == want
+        for col, sub in zip(table.columns, out.columns):
+            assert sub.values == [col.values[i] for i in want]
+            assert [type(v) for v in sub.values] == [type(col.values[i]) for i in want]
 
 
 class TestSubsampleRows:

@@ -2,12 +2,18 @@
 break averages, and the HTTP chat client against a local stub server."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import tabtext
 from tabtext.breaklab import NoiseDilution, make_break_table, run_break_suite, toy_vector_file
 from tabtext.cli import _read_config, main
 from tabtext.core import Column, Table, TaskKind, k_fold_split
@@ -175,6 +181,50 @@ class TestHttpChatClient:
         finally:
             server.shutdown()
             thread.join(timeout=5)
+
+    def test_posts_the_prompt_with_the_bearer_key_and_reads_the_content(self, monkeypatch):
+        class FakeResponse:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def read(self):
+                return json.dumps(_ChatStub.canned).encode("utf-8")
+
+        monkeypatch.setenv("LLM_API_KEY", "sk-test")
+        client = HttpChatLlmClient("https://llm.invalid/v1/chat", "some-model")
+        with mock.patch("urllib.request.urlopen", return_value=FakeResponse()) as urlopen:
+            content = client.complete("rate this dataset")
+        assert content == "Final Rating: GREEN - looks usable."
+        (request,), kwargs = urlopen.call_args
+        assert request.full_url == "https://llm.invalid/v1/chat"
+        assert request.get_method() == "POST"
+        assert json.loads(request.data) == {
+            "model": "some-model",
+            "messages": [{"role": "user", "content": "rate this dataset"}],
+        }
+        assert request.get_header("Authorization") == "Bearer sk-test"
+        assert request.get_header("Content-type") == "application/json"
+        assert kwargs == {"timeout": 120.0}
+
+    def test_importing_the_cli_loads_no_http_client(self):
+        # urllib.request is imported by the one method that posts
+        code = (
+            "import sys, tabtext.cli; "
+            "print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))"
+        )
+        assert run_python(code) == "[]"
+
+
+def run_python(code: str) -> str:
+    """The stripped stdout of `python -c code`, importing the tabtext these
+    tests import."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tabtext.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    return out.stdout.strip()
 
 
 class TestCliSeedOverride:

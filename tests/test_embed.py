@@ -1,5 +1,7 @@
 import math
+import tempfile
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,36 +9,46 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tabtext import core
+from tabtext import core, embed
+from tabtext.breaklab import toy_vector_file
 from tabtext.core import (
     MISSING,
     Column,
     ColumnRole,
     FoldAssignment,
     MemoryBudgetExceeded,
+    TabTextError,
     Table,
     TaskKind,
     subsample_rows,
 )
 from tabtext.embed import (
     ChecksumMismatch,
+    EmbeddingBlock,
     EmptyCorpus,
+    ExternalEmbedding,
+    FeatureMatrix,
     HashedNgram,
     MalformedVectorFile,
     RowCountMismatch,
+    TableEncoding,
     TextCorpus,
     TfIdf,
     TopicFactorization,
+    WordVecAvg,
     WordVecModel,
     _bucket_of,
+    _median,
     assemble_features,
     factorize_counts,
     load_external_embeddings,
     load_word_vectors,
+    text_corpora,
     tokenize,
     word_ngrams,
     write_external_embeddings,
 )
+from tabtext.sparse import CsrMatrix, hstack
 
 
 class TestTokenize:
@@ -513,3 +525,229 @@ class TestTextCorpus:
         view = corpus.rows([2, 0, 2])
         assert len(view) == 3 and list(view) == ["c", "a b", "c"]
         assert list(corpus.rows()) == ["a b", "", "c"]
+
+
+def _reference_vocab_counts(docs, vocab, grams, *params):
+    """The vocabulary counts as a list of (corpus column, vocabulary column)
+    pairs formed them before np.fromiter did."""
+    _, index, counts = docs.corpus.ngram_counts(grams, *params)
+    found = [(index[term], i) for term, i in vocab.items() if term in index]
+    corpus_cols, vocab_cols = np.array(found, dtype=np.intp).reshape(-1, 2).T
+    picked = counts.take_rows(docs.rows).take_columns(corpus_cols)
+    return CsrMatrix(
+        picked.data, vocab_cols[picked.indices], picked.indptr, (len(docs), len(vocab))
+    )
+
+
+def reference_assemble(table, embedder, with_text, fold_of_row, test_fold):
+    """The fold assembly that read every cell row by row, with np.median and
+    list row indices, which the per-experiment column encoding replaced."""
+    train_rows = [i for i, f in enumerate(fold_of_row) if f != test_fold]
+    test_rows = [i for i, f in enumerate(fold_of_row) if f == test_fold]
+    corpora = text_corpora(table)
+    tr_blocks, te_blocks, provenance = [], [], []
+    external = isinstance(embedder, ExternalEmbedding)
+    for col in table.feature_columns:
+        if col.role is ColumnRole.NUMERICAL:
+            tr = np.array(
+                [np.nan if col.values[i] is MISSING else float(col.values[i]) for i in train_rows]
+            )
+            te = np.array(
+                [np.nan if col.values[i] is MISSING else float(col.values[i]) for i in test_rows]
+            )
+            known = tr[~np.isnan(tr)]
+            if known.size == 0:
+                continue
+            median = float(np.median(known))
+            tr = np.where(np.isnan(tr), median, tr)
+            te = np.where(np.isnan(te), median, te)
+            mean, std = tr.mean(), tr.std()
+            if std == 0.0:
+                continue
+            tr_blocks.append(((tr - mean) / std)[:, None])
+            te_blocks.append(((te - mean) / std)[:, None])
+            provenance.append((col.name, "num", 0))
+        elif col.role is ColumnRole.CATEGORICAL:
+            seen = sorted(
+                {col.values[i] for i in train_rows if col.values[i] is not MISSING}, key=str
+            )
+            codes = {v: float(i) for i, v in enumerate(seen)}
+            tr = np.array([codes.get(col.values[i], -1.0) for i in train_rows])
+            te = np.array([codes.get(col.values[i], -1.0) for i in test_rows])
+            tr_blocks.append(tr[:, None])
+            te_blocks.append(te[:, None])
+            provenance.append((col.name, "cat", 0))
+        elif col.role is ColumnRole.TEXTUAL and with_text and not external:
+            train_docs = corpora[col.name].rows(train_rows)
+            with mock.patch.object(embed, "_vocab_counts", _reference_vocab_counts):
+                model = embedder.fit(train_docs)
+                tr = model.transform(train_docs)
+                te = model.transform(corpora[col.name].rows(test_rows))
+            EmbeddingBlock(col.name, tr).validate(len(train_rows))
+            EmbeddingBlock(col.name, te).validate(len(test_rows))
+            tr_blocks.append(tr)
+            te_blocks.append(te)
+            provenance.extend((col.name, model.tag, j) for j in range(tr.shape[1]))
+    if external and with_text:
+        full = load_external_embeddings(embedder.embedding_file, table)
+        stem = Path(embedder.embedding_file).stem
+        EmbeddingBlock(stem, full).validate(table.n_rows)
+        tr_blocks.append(full[train_rows])
+        te_blocks.append(full[test_rows])
+        provenance.extend((stem, "external", j) for j in range(full.shape[1]))
+    if not tr_blocks:
+        raise TabTextError("no features survived assembly")
+    y_all = table.target_column.values
+    if table.task is TaskKind.REGRESSION:
+        y_tr = np.array([float(y_all[i]) for i in train_rows])
+        y_te = np.array([float(y_all[i]) for i in test_rows])
+    else:
+        y_tr = [y_all[i] for i in train_rows]
+        y_te = [y_all[i] for i in test_rows]
+    return (
+        FeatureMatrix(hstack(tr_blocks), list(provenance), y_tr),
+        FeatureMatrix(hstack(te_blocks), list(provenance), y_te),
+    )
+
+
+def _bits(fm: FeatureMatrix) -> tuple:
+    """Everything of a fold matrix, floats by their bytes, with types."""
+    X = fm.X
+    if isinstance(X, CsrMatrix):
+        x = ("csr", X.shape) + tuple(
+            (a.dtype.str, a.tobytes()) for a in (X.data, X.indices, X.indptr)
+        )
+    else:
+        x = ("dense", X.shape, X.dtype.str, X.tobytes())
+    if isinstance(fm.y, np.ndarray):
+        y = ("array", fm.y.dtype.str, fm.y.tobytes())
+    else:
+        y = ("list", fm.y, [type(v) for v in fm.y])
+    return x, fm.provenance, [tuple(map(type, p)) for p in fm.provenance], y
+
+
+def _outcome(assemble) -> tuple:
+    try:
+        train, test = assemble()
+    except Exception as exc:  # noqa: BLE001 - both sides must fail alike
+        return "raised", type(exc), str(exc)
+    return _bits(train), _bits(test)
+
+
+_NUM_CELL = st.one_of(
+    st.just(MISSING),
+    st.sampled_from([0.0, -0.0, 1.5, -2.0, 7.0]),
+    st.integers(-3, 3),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+# "10" sorts before "9" and the int 12 between them
+_CAT_CELL = st.one_of(st.just(MISSING), st.sampled_from(["9", "10", 12, "a", "B", "", "x y"]))
+_TEXT_CELL = st.one_of(
+    st.just(MISSING),
+    st.lists(st.sampled_from(["good", "bad", "ale", "x1", "great", "stout"]), max_size=5).map(
+        " ".join
+    ),
+    st.text(max_size=12),
+)
+
+
+@st.composite
+def _fold_cases(draw):
+    """A table of numeric (some cells, all missing or constant),
+    categorical, text and roleless columns in any order, and a fold."""
+    n = draw(st.integers(2, 16))
+    cells = lambda cell: st.lists(cell, min_size=n, max_size=n)  # noqa: E731
+    cols = []
+    for j in range(draw(st.integers(0, 3))):
+        shape = draw(st.sampled_from(["cells", "missing", "constant"]))
+        if shape == "cells":
+            values = draw(cells(_NUM_CELL))
+        else:
+            values = [MISSING if shape == "missing" else draw(_NUM_CELL)] * n
+        cols.append(Column(f"num{j}", ColumnRole.NUMERICAL, values))
+    for j in range(draw(st.integers(0, 2))):
+        cols.append(Column(f"cat{j}", ColumnRole.CATEGORICAL, draw(cells(_CAT_CELL))))
+    for j in range(draw(st.integers(0, 2))):
+        cols.append(Column(f"txt{j}", ColumnRole.TEXTUAL, draw(cells(_TEXT_CELL))))
+    if draw(st.booleans()):
+        cols.append(Column("free", None, draw(cells(_CAT_CELL))))
+    cols = draw(st.permutations(cols))
+    task = draw(st.sampled_from(list(TaskKind)))
+    labels = {
+        TaskKind.REGRESSION: st.one_of(st.floats(-100, 100), st.integers(-5, 5)),
+        TaskKind.BINARY: st.sampled_from(["10", "9"]),
+        TaskKind.MULTICLASS: st.sampled_from(["a", "b", 3]),
+    }[task]
+    table = Table("t", cols + [Column("y", None, draw(cells(labels)))], "y", task)
+    k = draw(st.integers(2, 4))
+    return table, draw(cells(st.integers(0, k - 1))), draw(st.integers(0, k - 1))
+
+
+class TestAssembleMatchesRowLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        inputs=_fold_cases(),
+        embedder=st.one_of(
+            st.tuples(st.integers(1, 2), st.integers(0, 1), st.integers(1, 12)).map(
+                lambda t: TfIdf(t[0], t[0] + t[1], t[2])
+            ),
+            st.builds(HashedNgram, buckets=st.just(16), add_length_features=st.booleans()),
+            st.just(WordVecAvg(str(toy_vector_file()))),
+            st.just("external"),
+        ),
+        with_text=st.booleans(),
+    )
+    def test_bit_for_bit(self, inputs, embedder, with_text):
+        table, fold_of_row, test_fold = inputs
+        with tempfile.TemporaryDirectory() as tmp:
+            if embedder == "external":
+                path = Path(tmp) / "ext.csv"
+                rows = np.arange(table.n_rows * 3, dtype=float).reshape(-1, 3)
+                write_external_embeddings(path, np.sqrt(rows), table)
+                embedder = ExternalEmbedding(str(path))
+            fold = FoldAssignment(fold_of_row)
+            got = _outcome(lambda: assemble_features(table, embedder, with_text, fold, test_fold))
+            want = _outcome(
+                lambda: reference_assemble(table, embedder, with_text, fold_of_row, test_fold)
+            )
+        assert got == want
+
+    def test_folds_of_one_encoding_match_fresh_assemblies(self):
+        table = tiny_table()
+        encoding = TableEncoding(table, text_corpora(table))
+        fold = FoldAssignment([0, 1, 2, 0, 1, 2])
+        for test_fold in range(3):
+            shared = assemble_features(table, TfIdf(), True, fold, test_fold, encoding=encoding)
+            fresh = assemble_features(table, TfIdf(), True, fold, test_fold)
+            assert [_bits(m) for m in shared] == [_bits(m) for m in fresh]
+
+
+# the mean of two middle values can be inf + -inf, or overflow
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestMedian:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf]),
+                st.floats(allow_nan=False),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_equals_np_median_bit_for_bit(self, values):
+        known = np.array(values)
+        assert np.float64(_median(known)).tobytes() == np.float64(np.median(known)).tobytes()
+
+    @pytest.mark.parametrize(
+        "values",
+        [[3.0], [2.0, 1.0], [-0.0, 0.0], [0.0, -0.0], [0.0, -0.0, 0.0], [-0.0, -0.0, 0.0, 0.0],
+         [math.inf, -math.inf], [math.inf, math.inf, 1.0], [-math.inf, 5.0],
+         [1.0, 1.0, 1.0, 2.0], [7.0, 7.0, 7.0]],
+    )
+    def test_ties_signed_zeros_and_infinities(self, values):
+        for order in (values, values[::-1]):
+            known = np.array(order)
+            assert np.float64(_median(known)).tobytes() == np.float64(np.median(known)).tobytes()

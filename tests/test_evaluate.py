@@ -35,6 +35,8 @@ from tabtext.models import External, Gbdt, Logistic, Ridge
 from tabtext.select import SelectorNotApplicable
 from tabtext.sparse import CsrMatrix
 
+from test_edges import run_python
+
 
 class TestMetrics:
     def test_accuracy_examples(self):
@@ -431,6 +433,29 @@ def run_alone(spec, table):
         return run_experiment(spec, table)
     except Exception as exc:  # noqa: BLE001 - compared with the shared run's failure
         return exc
+
+
+class TestImports:
+    def test_imputed_regression_folds_leave_numpy_ma_unimported(self):
+        # np.median and np.unique import numpy.ma on first use
+        code = """
+import sys
+from tabtext import Column, ColumnRole, ExperimentSpec, HashedNgram, Table, TaskKind
+from tabtext import run_grid
+from tabtext.core import MISSING
+from tabtext.ingest import DatasetManifest
+from tabtext.models import Gbdt, Ridge
+
+x = [MISSING if i % 4 == 0 else float(i % 7) for i in range(30)]
+table = Table("t", [Column("x", ColumnRole.NUMERICAL, x),
+                    Column("txt", ColumnRole.TEXTUAL, [f"w{i % 3} note" for i in range(30)]),
+                    Column("y", None, [float(i) for i in range(30)])], "y", TaskKind.REGRESSION)
+manifest = DatasetManifest("t", "unused.csv", "y", TaskKind.REGRESSION)
+specs = [ExperimentSpec(manifest, HashedNgram(16), None, model, True)
+         for model in (Ridge(), Gbdt(2, 0.5, 3))]
+print([len(r.per_fold) for r in run_grid(specs, {"t": table})], "numpy.ma" in sys.modules)
+"""
+        assert run_python(code) == "[5, 5] False"
 
 
 class TestSharedRunner:

@@ -898,6 +898,21 @@ class TestSnapshot:
         assert loads == [snapshot]
         assert _ingested(*fresh) == _ingested(*general_preprocess(load_csv(snapshot)))
 
+    def test_a_miss_hashes_the_csv_once(self, snapshot, monkeypatch):
+        path = Path(snapshot.csv_path)
+        path.write_bytes(path.read_bytes().replace(b"batch 39", b"batch 38"))
+        hashed = []
+        real_sha256_of = ingest._sha256_of
+        monkeypatch.setattr(
+            ingest, "_sha256_of", lambda fh: hashed.append(Path(fh.name)) or real_sha256_of(fh)
+        )
+        loads = []
+        monkeypatch.setattr(ingest, "load_csv", lambda m: loads.append(m) or load_csv(m))
+        table, report = ingest_dataset(snapshot)
+        assert hashed.count(path) == 1 and loads == [snapshot]
+        assert table.meta["csv_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert _ingested(table, report) == _ingested(*general_preprocess(load_csv(snapshot)))
+
     def test_library_calls_write_no_snapshot(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         p = tmp_path / "t.csv"
