@@ -2,11 +2,11 @@
 from __future__ import annotations
 
 import hashlib
-import re
-from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import repeat
+from functools import partial
+from itertools import compress, repeat
+from operator import methodcaller
 from pathlib import Path
 
 import numpy as np
@@ -31,14 +31,28 @@ class ChecksumMismatch(TabTextError):
     pass
 
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
-
 _EPS = 1e-12
+
+# Every byte of the lowercased text's UTF-8 outside [a-z0-9] reads as a space,
+# the bytes of a multi-byte character included. _ROW_END is kept: it is never
+# a byte of UTF-8 (surrogatepass included), so it marks where a text ends in
+# a chunk of joined texts, and as a token it sorts after every word.
+_ROW_END = b"\xff"
+_ROW_GAP = b" " + _ROW_END + b" "
+_TOKEN_BYTES = bytes(
+    b if b in b"abcdefghijklmnopqrstuvwxyz0123456789" + _ROW_END else 0x20 for b in range(256)
+)
+# Texts are tokenized in chunks of about this many characters, so a column's
+# tokens are never all live Python objects at once.
+_CHUNK_CHARS = 1 << 16
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on non-alphanumeric characters."""
-    return _TOKEN_RE.findall(text.lower())
+    """The text's tokens in order: the maximal runs of ASCII a-z and 0-9 in
+    text.lower(), so "Café crème" gives "caf", "cr", "me". The one-text case
+    of the column tokenizer TextCorpus uses."""
+    words, ids, _ = _tokenize_column([text])
+    return [words[i] for i in ids.tolist()]
 
 
 def word_ngrams(tokens: list[str], lo: int, hi: int) -> list[str]:
@@ -49,56 +63,151 @@ def word_ngrams(tokens: list[str], lo: int, hi: int) -> list[str]:
     return grams
 
 
-def word_grams(text: str, lo: int, hi: int) -> list[str]:
-    """The word lo..hi-grams of a text (see word_ngrams)."""
-    return word_ngrams(tokenize(text), lo, hi)
-
-
-def char_grams(text: str, n: int) -> list[str]:
-    """The character n-grams of the lowercased text, in order."""
-    s = text.lower()
-    return [s[i : i + n] for i in range(len(s) - n + 1)]
-
-
 # ---------------------------------------------------------------------------
 # Tokenized corpora
 
 
-def _count_ngrams(texts: list[str], grams) -> tuple[list[str], CsrMatrix]:
-    """The sorted list of the grams of the texts, grams(text) for each, and
-    the texts × terms count matrix."""
-    # a missing gram's id is the number of grams seen before it
-    first_seen: defaultdict[str, int] = defaultdict()
+def _tokenize_column(texts: list[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The texts' tokens (see tokenize) as integer arrays: the sorted
+    distinct words, each token's index into them in text order, and the row
+    pointers (text r holds tokens indptr[r]:indptr[r + 1]). Each chunk of
+    texts is lowercased, encoded, mapped and split in a few C-level passes,
+    and Python objects outlive a chunk only per distinct word."""
+    n = len(texts)
+    # a missing word's id is the number of words seen before it
+    first_seen: defaultdict[bytes, int] = defaultdict()
     first_seen.default_factory = first_seen.__len__
-    ids, sizes = array("q"), array("q")
-    for text in texts:
-        found = grams(text)
-        ids.extend(map(first_seen.__getitem__, found))
-        sizes.append(len(found))
+    end_id = first_seen[_ROW_END]
+    ends = np.cumsum(np.fromiter(map(len, texts), np.intp, n))
+    cuts = np.searchsorted(ends, np.arange(_CHUNK_CHARS, ends[-1] if n else 0, _CHUNK_CHARS))
+    ids, sizes = [], []
+    for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), n]):
+        if lo == hi:
+            continue
+        lowered = map(str.lower, texts[lo:hi])
+        encoded = map(str.encode, lowered, repeat("utf-8"), repeat("surrogatepass"))
+        tokens = (_ROW_GAP.join(encoded) + _ROW_GAP).translate(_TOKEN_BYTES).split()
+        chunk = np.fromiter(map(first_seen.__getitem__, tokens), np.intp, len(tokens))
+        del tokens
+        row_end = chunk == end_id
+        sizes.append(np.diff(np.flatnonzero(row_end), prepend=-1) - 1)
+        ids.append(chunk[~row_end])
     # the factory refers back to the dict; without this the cycle keeps
-    # every gram alive until the garbage collector runs
+    # every word alive until the garbage collector runs
     first_seen.default_factory = None
-    terms = sorted(first_seen)
-    n, d = len(texts), len(terms)
-    rank = np.empty(d, dtype=np.intp)
-    rank[np.fromiter(map(first_seen.__getitem__, terms), np.intp, d)] = np.arange(d)
-    # one row-major key per gram; each run of equal keys is one count
-    keys = np.repeat(np.arange(n, dtype=np.intp) * d, np.frombuffer(sizes, dtype=np.int64))
-    keys += rank[np.frombuffer(ids, dtype=np.int64)]
-    del ids  # before the sort and its run arrays, to lower the peak
+    words = sorted(first_seen)  # _ROW_END last
+    rank = np.empty(len(words), dtype=np.intp)
+    rank[np.fromiter(map(first_seen.__getitem__, words), np.intp, len(words))] = np.arange(
+        len(words)
+    )
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.concatenate(sizes) if sizes else [], out=indptr[1:])
+    ids = np.concatenate(ids) if ids else np.empty(0, dtype=np.intp)
+    np.take(rank, ids, out=ids)
+    return list(map(bytes.decode, words[:-1])), ids, indptr
+
+
+def _char_column(texts: list[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The lowercased texts' characters in the form _tokenize_column gives
+    tokens: the sorted distinct characters, each character's index into
+    them, and the row pointers. Characters sort by code point, as str does."""
+    lowered = list(map(str.lower, texts))
+    indptr = np.zeros(len(lowered) + 1, dtype=np.intp)
+    np.cumsum(np.fromiter(map(len, lowered), np.intp, len(lowered)), out=indptr[1:])
+    points = np.frombuffer("".join(lowered).encode("utf-32-le", "surrogatepass"), np.uint32)
+    del lowered
+    distinct, ids = np.unique(points, return_inverse=True)
+    return list(map(chr, distinct.tolist())), ids.astype(np.intp, copy=False), indptr
+
+
+def _gram_occurrences(
+    units: tuple[list[str], np.ndarray, np.ndarray], lo: int, hi: int, sep: str
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The lo..hi-grams of each row's units (words or characters, as
+    _tokenize_column gives them). Returns the sorted distinct grams (units
+    joined by sep), and the row and term column of every gram occurrence,
+    the lo-grams first. The rows are a new array; the columns may be a view
+    of the units' ids.
+
+    Units are numbered in string order, and sep sorts below every unit, so
+    grams sort as the tuples of their unit numbers, a gram after its prefix.
+    Each length's grams are numbered from the previous length's: a k-gram's
+    code is its (k-1)-gram prefix's number times the unit count plus its last
+    unit, and one np.unique numbers the distinct codes in order, so no code
+    exceeds (occurrences × units)."""
+    names, ids, indptr = units
+    width = len(names)
+    sizes = np.diff(indptr)
+    row = np.repeat(np.arange(sizes.size), sizes)
+    if hi > 1:
+        # how many units each position's row holds from it on
+        left = np.repeat(indptr[1:], sizes) - np.arange(ids.size)
+    tails = [sep + s for s in names]
+    at = slice(None)  # the positions that start a k-gram
+    number = ids  # each position's k-gram number, for k = 1
+    strings = names  # the distinct k-grams in order
+    spelled = np.arange(width)[:, None]  # their unit tuples, one row each
+    found = []  # per length from lo: (strings, spelled, positions, numbers)
+    for k in range(1, hi + 1):
+        if k > 1:
+            at = np.flatnonzero(left >= k)
+            codes = number[at] * width + ids[at + k - 1]
+            distinct, numbered = np.unique(codes, return_inverse=True)
+            prefix, last = np.divmod(distinct, width)
+            spelled = np.column_stack([spelled[prefix], last])
+            prefix, last = prefix.tolist(), last.tolist()
+            strings = list(
+                map(str.__add__, map(strings.__getitem__, prefix), map(tails.__getitem__, last))
+            )
+            number = np.empty(ids.size, dtype=np.intp)
+            number[at] = numbered
+        if k >= lo:
+            found.append((strings, spelled, at, number[at]))
+    if len(found) == 1:
+        return found[0][0], row[found[0][2]], found[0][3]
+    # merge the lengths: sort every gram by its unit tuple padded with -1,
+    # which sorts below every unit, to the longest length
+    padded = np.full((sum(len(f[0]) for f in found), hi), -1, dtype=np.intp)
+    offsets = np.cumsum([0] + [len(f[0]) for f in found])
+    for (_, spelled, _, _), offset in zip(found, offsets):
+        padded[offset : offset + len(spelled), : spelled.shape[1]] = spelled
+    order = np.lexsort(padded.T[::-1])
+    column = np.empty_like(order)
+    column[order] = np.arange(order.size)
+    every = [s for f in found for s in f[0]]
+    terms = list(map(every.__getitem__, order.tolist()))
+    rows = np.concatenate([row[at] for _, _, at, _ in found])
+    cols = np.concatenate([column[o + number] for (_, _, _, number), o in zip(found, offsets)])
+    return terms, rows, cols
+
+
+def _tally(rows: np.ndarray, cols: np.ndarray, n: int, d: int) -> CsrMatrix:
+    """The n×d count matrix of one (row, column) pair per occurrence. Each
+    run of equal row-major keys is one count. rows is the scratch space: it
+    is overwritten, the distinct keys going to its head."""
+    keys = rows
+    keys *= d
+    keys += cols
     keys.sort()
+    size = keys.size
     first = np.flatnonzero(run_starts(keys))
-    counts = np.diff(first, append=keys.size)
-    keys = keys[first]
+    keys = np.take(keys, first, out=keys[: first.size])  # take buffers its out
+    counts = np.empty(first.size)
+    np.subtract(first[1:], first[:-1], out=counts[:-1])
+    counts[-1:] = size - first[-1:]
+    del first
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.intp) * d)
-    return terms, CsrMatrix(counts, keys % max(d, 1), indptr, (n, d))
+    return CsrMatrix(counts, keys % max(d, 1), indptr, (n, d))
 
 
 class TextCorpus:
     """One text column's documents. What depends on the text alone (the
-    word or character n-gram counts, a hashed block) is computed once, on
-    first use, and kept; the n-gram embedders fit and transform on row views
-    (`rows`) of it."""
+    word or character n-gram counts, a hashed or word-vector block) is
+    computed once, on first use, and kept; the embedders fit and transform
+    on row views (`rows`) of it. The tokens are not kept: each of those is
+    built from one tokenizing pass, and holding a column's token ids for the
+    corpus's life left more of the heap resident (at glibc malloc's peak in
+    `tabtext vet` of a 20 000-line CSV, 5.8 MiB more)."""
 
     def __init__(self, texts: list[str]):
         self.texts = list(texts)
@@ -115,15 +224,25 @@ class TextCorpus:
             self._memo[key] = build()
         return self._memo[key]
 
-    def ngram_counts(self, grams, *params) -> tuple[list[str], dict[str, int], CsrMatrix]:
-        """The sorted list of the documents' grams(text, *params), their
-        column index, and the documents × terms count matrix."""
+    def grams(self, kind: str, lo: int, hi: int) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """The word ("word") or lowercased character ("char") lo..hi-grams
+        of the documents, as _gram_occurrences gives them."""
+        if kind == "word":
+            return _gram_occurrences(_tokenize_column(self.texts), lo, hi, " ")
+        return _gram_occurrences(_char_column(self.texts), lo, hi, "")
+
+    def ngram_counts(
+        self, kind: str, lo: int, hi: int
+    ) -> tuple[list[str], dict[str, int], CsrMatrix]:
+        """The sorted list of the documents' grams (see grams), their column
+        index, and the documents × terms count matrix."""
 
         def build():
-            terms, counts = _count_ngrams(self.texts, lambda text: grams(text, *params))
+            terms, rows, cols = self.grams(kind, lo, hi)
+            counts = _tally(rows, cols, len(self.texts), len(terms))
             return terms, {t: i for i, t in enumerate(terms)}, counts
 
-        return self.memo((grams, *params), build)
+        return self.memo((kind, lo, hi), build)
 
 
 class CorpusRows:
@@ -147,10 +266,13 @@ def corpus_rows(texts) -> CorpusRows:
     return texts if isinstance(texts, CorpusRows) else TextCorpus(texts).rows()
 
 
-def _vocab_counts(docs: CorpusRows, vocab: dict[str, int], grams, *params) -> CsrMatrix:
-    """The documents × vocabulary counts of grams(text, *params), for a
-    vocabulary whose terms are sorted and numbered in order."""
-    _, index, counts = docs.corpus.ngram_counts(grams, *params)
+def _vocab_counts(
+    docs: CorpusRows, vocab: dict[str, int], kind: str, lo: int, hi: int
+) -> CsrMatrix:
+    """The documents × vocabulary counts of their grams (see
+    TextCorpus.grams), for a vocabulary whose terms are sorted and numbered
+    in order."""
+    _, index, counts = docs.corpus.ngram_counts(kind, lo, hi)
     # vocabulary and corpus terms are both sorted, so the corpus columns
     # of the vocabulary terms it holds are increasing
     corpus_cols = np.fromiter(map(index.get, vocab, repeat(-1)), np.intp, len(vocab))
@@ -196,7 +318,7 @@ class TfIdf:
         docs = corpus_rows(train_texts)
         if not len(docs):
             raise EmptyCorpus("tf-idf fit needs at least one document")
-        terms, _, counts = docs.corpus.ngram_counts(word_grams, self.ngram_lo, self.ngram_hi)
+        terms, _, counts = docs.corpus.ngram_counts("word", self.ngram_lo, self.ngram_hi)
         # a row stores each of its terms once, so column counts are df
         df = np.bincount(counts.take_rows(docs.rows).indices, minlength=len(terms))
         seen = np.flatnonzero(df)
@@ -224,7 +346,7 @@ class TfIdfModel:
 
     def transform(self, texts: list[str] | CorpusRows) -> CsrMatrix:
         cfg = self.config
-        out = _vocab_counts(corpus_rows(texts), self.vocab, word_grams, cfg.ngram_lo, cfg.ngram_hi)
+        out = _vocab_counts(corpus_rows(texts), self.vocab, "word", cfg.ngram_lo, cfg.ngram_hi)
         out.data *= self.idf[out.indices]
         norms = out.row_norms()
         out.data /= np.repeat(np.where(norms > 0, norms, 1.0), np.diff(out.indptr))
@@ -248,15 +370,26 @@ class WordVecModel:
     def transform(self, texts: list[str] | CorpusRows) -> np.ndarray:
         docs = corpus_rows(texts)
         # each row depends on its text alone: embed the corpus once
-        block = docs.corpus.memo(self, lambda: self._block(docs.corpus.texts))
+        block = docs.corpus.memo(self, lambda: self._block(docs.corpus))
         return block[docs.rows]
 
-    def _block(self, texts: list[str]) -> np.ndarray:
-        out = np.zeros((len(texts), self.dim))
-        for r, text in enumerate(texts):
-            hits = [self.vectors[t] for t in tokenize(text) if t in self.vectors]
-            if hits:
-                out[r] = np.mean(hits, axis=0)
+    def _block(self, corpus: TextCorpus) -> np.ndarray:
+        words, ids, indptr = _tokenize_column(corpus.texts)
+        n = len(indptr) - 1
+        known = np.fromiter(map(self.vectors.__contains__, words), bool, len(words))
+        table = np.array([self.vectors[w] for w in compress(words, known)], dtype=float)
+        table = table.reshape(np.count_nonzero(known), self.dim)
+        # each row's hits, as rows of table, in text order
+        hit = known[ids]
+        hits = (np.cumsum(known) - 1)[ids[hit]]
+        per_row = np.bincount(np.repeat(np.arange(n), np.diff(indptr))[hit], minlength=n)
+        starts = np.cumsum(per_row) - per_row
+        out = np.zeros((n, self.dim))
+        # np.mean over axis 1 of the rows with k hits each adds them as
+        # np.mean(hits, axis=0) does for one row, pairwise when dim is 1
+        for k in np.unique(per_row[per_row > 0]).tolist():
+            group = np.flatnonzero(per_row == k)
+            out[group] = table[hits[starts[group, None] + np.arange(k)]].mean(axis=1)
         return out
 
 
@@ -311,9 +444,19 @@ class WordVecAvg:
 # Hashed n-grams
 
 
+_BLAKE2B_8 = partial(hashlib.blake2b, digest_size=8)
+_DIGEST = methodcaller("digest")
+
+
+def _buckets(terms: list[str], buckets: int) -> np.ndarray:
+    """Each term's bucket: its 8-byte blake2b digest, read big-endian, mod
+    buckets."""
+    digests = b"".join(map(_DIGEST, map(_BLAKE2B_8, map(str.encode, terms))))
+    return (np.frombuffer(digests, ">u8") % np.uint64(buckets)).astype(np.intp)
+
+
 def _bucket_of(term: str, buckets: int) -> int:
-    digest = hashlib.blake2b(term.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big") % buckets
+    return int(_buckets([term], buckets)[0])
 
 
 @dataclass(frozen=True)
@@ -340,29 +483,28 @@ class HashedNgram:
     def transform(self, texts: list[str] | CorpusRows) -> CsrMatrix:
         docs = corpus_rows(texts)
         # each row's block depends on its text alone: build it once per corpus
-        block = docs.corpus.memo(self, lambda: self._block(docs.corpus.texts))
+        block = docs.corpus.memo(self, lambda: self._block(docs.corpus))
         return block.take_rows(docs.rows)
 
-    def _block(self, texts: list[str]) -> CsrMatrix:
+    def _block(self, corpus: TextCorpus) -> CsrMatrix:
         # the counts are not kept: once bucketed, nothing reads them again
-        terms, counts = _count_ngrams(texts, lambda text: word_grams(text, 1, 3))
-        bucket = np.array([_bucket_of(term, self.buckets) for term in terms], dtype=np.intp)
-        n = len(texts)
-        rows = [np.repeat(np.arange(n), np.diff(counts.indptr))]
-        cols, vals = [bucket[counts.indices]], [counts.data]
-        if self.add_length_features:
-            rows.append(np.repeat(np.arange(n), 3))
-            cols.append(np.tile(self.buckets + np.arange(3), n))
-            lengths = []
-            for text in texts:
-                n_chars = len(text)
-                upper = sum(1 for ch in text if ch.isupper())
-                lengths += [n_chars, len(text.split()), upper / n_chars if n_chars else 0.0]
-            vals.append(np.asarray(lengths, dtype=float))
-        # from_coo sums the counts of the terms sharing a bucket
-        return CsrMatrix.from_coo(
-            np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), (n, self.dim)
+        terms, rows, cols = corpus.grams("word", 1, 3)
+        texts, n = corpus.texts, len(corpus.texts)
+        grams = _tally(rows, _buckets(terms, self.buckets)[cols], n, self.buckets)
+        if not self.add_length_features:
+            return grams
+        n_chars = np.fromiter(map(len, texts), float, n)
+        n_words = np.fromiter(map(len, map(str.split, texts)), float, n)
+        upper = np.fromiter(map(sum, map(map, repeat(str.isupper), texts)), float, n)
+        ratio = np.divide(upper, n_chars, out=np.zeros(n), where=n_chars > 0)
+        # every row stores its three length features, zeros included
+        lengths = CsrMatrix(
+            np.column_stack([n_chars, n_words, ratio]).ravel(),
+            np.tile(np.arange(3), n),
+            np.arange(0, 3 * n + 1, 3),
+            (n, 3),
         )
+        return hstack([grams, lengths])
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +530,7 @@ class TopicFactorization:
         docs = corpus_rows(train_texts)
         if not len(docs):
             raise EmptyCorpus("topic fit needs at least one document")
-        terms, _, counts = docs.corpus.ngram_counts(char_grams, self.ngram_size)
+        terms, _, counts = docs.corpus.ngram_counts("char", self.ngram_size, self.ngram_size)
         counts = counts.take_rows(docs.rows)
         seen = np.flatnonzero(np.bincount(counts.indices, minlength=len(terms)))
         if not seen.size:
@@ -416,7 +558,9 @@ class TopicModel:
 
     def transform(self, texts: list[str] | CorpusRows) -> np.ndarray:
         cfg = self.config
-        V = _vocab_counts(corpus_rows(texts), self.vocab, char_grams, cfg.ngram_size).toarray()
+        V = _vocab_counts(
+            corpus_rows(texts), self.vocab, "char", cfg.ngram_size, cfg.ngram_size
+        ).toarray()
         H = self.components
         rng = np.random.default_rng(cfg.seed + 1)
         W = rng.random((V.shape[0], self.dim)) + 0.01

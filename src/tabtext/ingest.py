@@ -155,14 +155,16 @@ def _csv_file(manifest: DatasetManifest) -> Path:
 def _read_records(raw, manifest: DatasetManifest) -> tuple[list | None, list, Counter]:
     """The header (None for an empty file), the first row_cap records and
     the widths of the records past them, read from the start of the binary
-    handle `raw`, which stays open."""
+    handle `raw`, which stays open. The records are kept as tuples of str,
+    which the cyclic garbage collector stops tracking on its first pass, so
+    no later full pass walks them while the columns are built."""
     raw.seek(0)
     fh = io.TextIOWrapper(raw, encoding="utf-8-sig", newline="")
     reader = csv.reader(fh, delimiter=manifest.delimiter)
     try:
         header = next(reader, None)
         records = filter(None, reader)  # a blank line reads as an empty record
-        rows = list(islice(records, max(manifest.row_cap, 0)))
+        rows = list(map(tuple, islice(records, max(manifest.row_cap, 0))))
         over_cap = Counter(map(len, records))  # width -> records past the cap
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise ParseError(f"line {reader.line_num}: {exc}") from None

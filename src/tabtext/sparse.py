@@ -39,6 +39,7 @@ class CsrMatrix:
         self.indices = np.asarray(indices, dtype=np.intp)
         self.indptr = np.asarray(indptr, dtype=np.intp)
         self.shape = (int(shape[0]), int(shape[1]))
+        self._rows = None  # see _row_ids
         if (
             len(self.indptr) != self.shape[0] + 1
             or len(self.indices) != len(self.data)
@@ -82,7 +83,11 @@ class CsrMatrix:
         return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
 
     def _row_ids(self) -> np.ndarray:
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        """Each stored entry's row. Built on first use and kept: no method
+        changes indptr, and a solve makes dozens of products with one matrix."""
+        if self._rows is None:
+            self._rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        return self._rows
 
     # -- conversion and columns -------------------------------------------
 

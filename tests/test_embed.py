@@ -1,5 +1,9 @@
+import importlib.util
 import math
+import re
+import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -59,6 +63,108 @@ class TestTokenize:
         assert word_ngrams(["a", "b", "c"], 1, 2) == ["a", "b", "c", "a b", "b c"]
         assert word_ngrams(["a", "b", "c"], 2, 3) == ["a b", "b c", "a b c"]
         assert word_ngrams(["a", "b"], 3, 3) == []
+
+
+def reference_tokens(text):
+    return re.findall(r"[a-z0-9]+", text.lower())
+
+
+_SPECIAL_TEXTS = [
+    "",
+    "... !!! ,",
+    "İstanbul İ",  # lowercases to "i" and a combining dot
+    "Kelvin",  # the Kelvin sign lowercases to "k"
+    "Straße",
+    "a\x00b",
+    "ΟΔΟΣ σ ΑΣ.",  # final sigma
+    "x\ud800y\udfff",
+    "Café crème",
+    "😀a1😀",
+]
+
+
+class TestColumnTokenizer:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        texts=st.lists(
+            st.one_of(
+                st.text(st.characters(exclude_categories=()), max_size=40),
+                st.sampled_from(_SPECIAL_TEXTS),
+            ),
+            max_size=12,
+        ),
+        chunk=st.sampled_from([1, 3, 1 << 16]),
+    )
+    def test_matches_the_regex_over_unicode(self, texts, chunk):
+        with mock.patch.object(embed, "_CHUNK_CHARS", chunk):
+            words, ids, indptr = embed._tokenize_column(texts)
+        assert words == sorted(set(words))
+        got = [[words[i] for i in ids[a:b]] for a, b in zip(indptr[:-1], indptr[1:])]
+        assert got == [reference_tokens(t) for t in texts]
+        assert [tokenize(t) for t in texts] == got
+
+    def test_special_texts(self):
+        assert [tokenize(t) for t in _SPECIAL_TEXTS] == [
+            [],
+            [],
+            ["i", "stanbul", "i"],
+            ["kelvin"],
+            ["stra", "e"],
+            ["a", "b"],
+            [],
+            ["x", "y"],
+            ["caf", "cr", "me"],
+            ["a1"],
+        ]
+
+    def test_counting_a_column_holds_no_token_lists(self, monkeypatch):
+        # the review column of the benchmark's 20 000-line CSV (seed 0):
+        # holding every text's token list would take 12.3 MiB for the lists
+        # alone; counting its unigrams one text at a time peaked at 7.1 MiB
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads",
+            Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py",
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+        spec.loader.exec_module(workloads)
+        texts = [row[5] for row in workloads.ingest_rows(0).rows]
+        assert len(texts) == 20_000
+        tracemalloc.start()
+        try:
+            terms, _, counts = TextCorpus(texts).ngram_counts("word", 1, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts.shape == (20_000, len(terms))
+        assert peak < 7 * 2**20
+
+
+class TestWordVecBlock:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2, 8]),
+        data=st.data(),
+    )
+    def test_rows_equal_the_per_text_mean(self, dim, data):
+        # long texts put more than eight hits in a row, where numpy's
+        # pairwise sum of a one-wide vector differs from a sequential one
+        vocab = ["a", "b", "c", "dd"]
+        values = st.one_of(
+            st.floats(-1e6, 1e6, allow_nan=False), st.sampled_from([-0.0, 0.0, 1e-300])
+        )
+        vectors = {
+            w: np.array(data.draw(st.lists(values, min_size=dim, max_size=dim))) for w in vocab
+        }
+        words = st.sampled_from(vocab + ["zz", "A", "d-d", "é"])
+        texts = data.draw(st.lists(st.lists(words, max_size=20).map(" ".join), max_size=8))
+        got = WordVecModel(vectors, dim).transform(texts)
+        want = np.zeros((len(texts), dim))
+        for r, text in enumerate(texts):
+            hits = [vectors[t] for t in reference_tokens(text) if t in vectors]
+            if hits:
+                want[r] = np.mean(hits, axis=0)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestTfIdfConfig:
@@ -527,10 +633,10 @@ class TestTextCorpus:
         assert list(corpus.rows()) == ["a b", "", "c"]
 
 
-def _reference_vocab_counts(docs, vocab, grams, *params):
+def _reference_vocab_counts(docs, vocab, kind, lo, hi):
     """The vocabulary counts as a list of (corpus column, vocabulary column)
     pairs formed them before np.fromiter did."""
-    _, index, counts = docs.corpus.ngram_counts(grams, *params)
+    _, index, counts = docs.corpus.ngram_counts(kind, lo, hi)
     found = [(index[term], i) for term, i in vocab.items() if term in index]
     corpus_cols, vocab_cols = np.array(found, dtype=np.intp).reshape(-1, 2).T
     picked = counts.take_rows(docs.rows).take_columns(corpus_cols)

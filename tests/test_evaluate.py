@@ -178,10 +178,10 @@ class TestRunExperiment:
                       TaskKind.REGRESSION)
         spec = ExperimentSpec(manifest=reg_manifest(), embedder=embedder, selector=None,
                               model=Ridge(), with_text=True)
-        with mock.patch.object(embed, "tokenize", wraps=embed.tokenize) as spy:
+        with mock.patch.object(embed, "_tokenize_column", wraps=embed._tokenize_column) as spy:
             run_experiment(spec, table)
         # once per row of each text column, across all five folds
-        assert spy.call_count == 2 * table.n_rows
+        assert sum(len(call.args[0]) for call in spy.call_args_list) == 2 * table.n_rows
 
     def test_mean_and_std_relation(self):
         spec = ExperimentSpec(

@@ -150,6 +150,18 @@ class TestRidge:
             w_ref, b_ref = self._primal_reference(X, y, alpha)
             assert np.array_equal(w, w_ref) and b == b_ref
 
+    def test_sparse_dual_builds_row_ids_once(self):
+        # a wide CSR design goes to conjugate gradients, whose X @ u and
+        # Xᵀ v products all read one row id per stored entry
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((40, 200)) * (rng.random((40, 200)) < 0.1)
+        y = rng.standard_normal(40)
+        S = CsrMatrix.from_dense(X)
+        with mock.patch.object(np, "repeat", wraps=np.repeat) as spy:
+            w, b = ridge_solve(S, y, alpha=1.0)
+        assert spy.call_count == 1
+        self._assert_agrees(X, y, 1.0, w, b)
+
     def test_narrow_sparse_primal_memory_stays_near_input_size(self, monkeypatch):
         # shaped like a single-column TF-IDF check's fold: 40 000 rows, 300
         # text columns, ~9 nonzeros a row; its dense copy would be 96 MB,

@@ -1,3 +1,5 @@
+import hashlib
+import re
 from collections import Counter
 from unittest import mock
 
@@ -7,17 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tabtext import core, sparse
+from tabtext import core, embed, sparse
 from tabtext.core import MemoryBudgetExceeded
-from tabtext.embed import (
-    HashedNgram,
-    TfIdf,
-    _bucket_of,
-    _count_ngrams,
-    tokenize,
-    word_grams,
-    word_ngrams,
-)
+from tabtext.embed import HashedNgram, TextCorpus, TfIdf, word_ngrams
 from tabtext.sparse import CsrMatrix, hstack
 
 
@@ -40,6 +34,13 @@ def matrices(draw, n=None, max_d=12):
         j = draw(st.integers(0, d - 1))
         X[:, j] = np.where(X[:, j] == 0.0, 1.5, X[:, j])
     return X
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def same_bits(a, b) -> bool:
@@ -157,16 +158,44 @@ class TestRowNorms:
         assert same_bits(got, np.sqrt((X * X).sum(axis=1)))
 
 
+def reference_tokens(text):
+    return re.findall(r"[a-z0-9]+", text.lower())
+
+
+def reference_bucket(term, buckets):
+    return int.from_bytes(hashlib.blake2b(term.encode(), digest_size=8).digest(), "big") % buckets
+
+
 def _reference_count_ngrams(texts, lo, hi):
     """The counting the stored-order build replaced: first-seen ids from a
     generator per gram, and from_coo's unique and bincount."""
+
+    def grams(text):
+        tokens = reference_tokens(text)
+        return [
+            " ".join(tokens[i : i + n])
+            for n in range(lo, hi + 1)
+            for i in range(len(tokens) - n + 1)
+        ]
+
+    return _reference_counts(texts, grams)
+
+
+def _reference_count_chars(texts, n):
+    def grams(text):
+        s = text.lower()
+        return [s[i : i + n] for i in range(len(s) - n + 1)]
+
+    return _reference_counts(texts, grams)
+
+
+def _reference_counts(texts, grams_of):
+    """The sorted grams of the texts, grams_of(text) for each, and the
+    texts × grams count matrix."""
     first_seen: dict[str, int] = {}
     cols, sizes = [], []
     for text in texts:
-        tokens = tokenize(text)
-        grams = []
-        for n in range(lo, hi + 1):
-            grams.extend(" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+        grams = grams_of(text)
         cols.extend(first_seen.setdefault(g, len(first_seen)) for g in grams)
         sizes.append(len(grams))
     terms = sorted(first_seen)
@@ -190,12 +219,67 @@ class TestStoredOrderBuilds:
         ngrams=st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 3)]),
     )
     def test_count_ngrams_matches_reference(self, texts, ngrams):
-        terms, got = _count_ngrams(texts, lambda text: word_grams(text, *ngrams))
+        terms, _, got = TextCorpus(texts).ngram_counts("word", *ngrams)
         want_terms, want = _reference_count_ngrams(texts, *ngrams)
         assert terms == want_terms
         assert got.shape == want.shape
         for name in ("data", "indices", "indptr"):
             assert same_bits(getattr(got, name), getattr(want, name))
+
+    # text: full Unicode with lone surrogates, or a small alphabet whose
+    # grams repeat, holding upper case, "İ" (lowercases to "i" and a
+    # combining dot), the Kelvin sign (to "k"), "ß", NUL and sigmas
+    _TEXTS = st.lists(
+        st.one_of(
+            st.text(st.characters(exclude_categories=()), max_size=30),
+            st.text(alphabet="aAbB1 .,!-İ\u212aßΣς\x00é", max_size=30),
+        ),
+        max_size=10,
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        texts=_TEXTS,
+        ngrams=st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 3), (1, 5)]),
+        chunk=st.sampled_from([1, 7, 1 << 16]),
+    )
+    def test_word_counts_match_reference(self, texts, ngrams, chunk):
+        with mock.patch.object(embed, "_CHUNK_CHARS", chunk):
+            terms, index, got = TextCorpus(texts).ngram_counts("word", *ngrams)
+        want_terms, want = _reference_count_ngrams(texts, *ngrams)
+        assert terms == want_terms
+        assert index == {t: i for i, t in enumerate(want_terms)}
+        assert_same_csr(got, want)
+
+    def test_word_counts_past_int64_codes(self):
+        # 7 000 words: base-V codes of the 5-grams would need V⁵ > 2⁶³
+        rng = np.random.default_rng(4)
+        words = [f"w{j}" for j in rng.permutation(7000)]
+        texts = [" ".join(words[i : i + 7]) for i in range(0, 7000, 7)]
+        texts += [" ".join(rng.choice(words[:40], size=9)) for _ in range(300)]
+        assert len(set(words)) ** 5 > 2**63
+        for ngrams in [(1, 5), (5, 5)]:
+            terms, _, got = TextCorpus(texts).ngram_counts("word", *ngrams)
+            want_terms, want = _reference_count_ngrams(texts, *ngrams)
+            assert terms == want_terms
+            assert_same_csr(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(texts=_TEXTS, n=st.integers(1, 5))
+    def test_char_counts_match_reference(self, texts, n):
+        terms, _, got = TextCorpus(texts).ngram_counts("char", n, n)
+        want_terms, want = _reference_count_chars(texts, n)
+        assert terms == want_terms
+        assert_same_csr(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts=_TEXTS, buckets=st.integers(16, 40), length=st.booleans())
+    def test_hashed_block_matches_dense(self, texts, buckets, length):
+        emb = HashedNgram(buckets, length)
+        got = emb.transform(texts)
+        assert same_bits(got.toarray(), dense_hashed(emb, texts))
+        # every row stores its three length features, zeros included
+        assert got.nnz == np.count_nonzero(got.toarray()[:, :buckets]) + 3 * length * len(texts)
 
     def test_hstack_edges(self):
         X = np.array([[0.0, 1.5, 0.0], [0.0, 0.0, 0.0], [2.0, 0.0, -3.0]])
@@ -220,7 +304,7 @@ def dense_tfidf(model, texts):
     out = np.zeros((len(texts), model.dim))
     lo, hi = model.config.ngram_lo, model.config.ngram_hi
     for r, text in enumerate(texts):
-        for term, count in Counter(word_ngrams(tokenize(text), lo, hi)).items():
+        for term, count in Counter(word_ngrams(reference_tokens(text), lo, hi)).items():
             col = model.vocab.get(term)
             if col is not None:
                 out[r, col] = count * model.idf[col]
@@ -232,8 +316,8 @@ def dense_tfidf(model, texts):
 def dense_hashed(emb, texts):
     out = np.zeros((len(texts), emb.dim))
     for r, text in enumerate(texts):
-        for gram in word_ngrams(tokenize(text), 1, 3):
-            out[r, _bucket_of(gram, emb.buckets)] += 1.0
+        for gram in word_ngrams(reference_tokens(text), 1, 3):
+            out[r, reference_bucket(gram, emb.buckets)] += 1.0
         if emb.add_length_features:
             n_chars = len(text)
             upper = sum(1 for ch in text if ch.isupper())
