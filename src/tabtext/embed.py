@@ -231,16 +231,13 @@ class TextCorpus:
             return _gram_occurrences(_tokenize_column(self.texts), lo, hi, " ")
         return _gram_occurrences(_char_column(self.texts), lo, hi, "")
 
-    def ngram_counts(
-        self, kind: str, lo: int, hi: int
-    ) -> tuple[list[str], dict[str, int], CsrMatrix]:
-        """The sorted list of the documents' grams (see grams), their column
-        index, and the documents × terms count matrix."""
+    def ngram_counts(self, kind: str, lo: int, hi: int) -> tuple[list[str], CsrMatrix]:
+        """The sorted list of the documents' grams (see grams) and the
+        documents × terms count matrix."""
 
         def build():
             terms, rows, cols = self.grams(kind, lo, hi)
-            counts = _tally(rows, cols, len(self.texts), len(terms))
-            return terms, {t: i for i, t in enumerate(terms)}, counts
+            return terms, _tally(rows, cols, len(self.texts), len(terms))
 
         return self.memo((kind, lo, hi), build)
 
@@ -267,21 +264,25 @@ def corpus_rows(texts) -> CorpusRows:
 
 
 def _vocab_counts(
-    docs: CorpusRows, vocab: dict[str, int], kind: str, lo: int, hi: int
+    docs: CorpusRows, vocab: dict[str, int], columns: np.ndarray, kind: str, lo: int, hi: int
 ) -> CsrMatrix:
     """The documents × vocabulary counts of their grams (see
     TextCorpus.grams), for a vocabulary whose terms are sorted and numbered
-    in order."""
-    _, index, counts = docs.corpus.ngram_counts(kind, lo, hi)
-    # vocabulary and corpus terms are both sorted, so the corpus columns
-    # of the vocabulary terms it holds are increasing
-    corpus_cols = np.fromiter(map(index.get, vocab, repeat(-1)), np.intp, len(vocab))
-    found = corpus_cols >= 0
-    corpus_cols = corpus_cols[found]
-    vocab_cols = np.fromiter(vocab.values(), np.intp, len(vocab))[found]
-    picked = counts.take_rows(docs.rows).take_columns(corpus_cols)
+    in order. `columns` holds each vocabulary term's column among the terms
+    of the corpus it was picked from: rows of a corpus whose terms sit at
+    those columns (the folds of one experiment) need no term lookup."""
+    terms, counts = docs.corpus.ngram_counts(kind, lo, hi)
+    counts = counts.take_rows(docs.rows)
+    if columns[-1] < len(terms) and list(map(terms.__getitem__, columns.tolist())) == list(vocab):
+        # counts is this call's own copy: a vocabulary of every term keeps it
+        return counts if columns.size == len(terms) else counts.take_columns(columns)
+    # another corpus: the vocabulary column of each of its terms (-1 for
+    # none); both term lists are sorted, so the found ones are increasing
+    vocab_col = np.fromiter(map(vocab.get, terms, repeat(-1)), np.intp, len(terms))
+    found = np.flatnonzero(vocab_col >= 0)
+    picked = counts.take_columns(found)
     return CsrMatrix(
-        picked.data, vocab_cols[picked.indices], picked.indptr, (len(docs), len(vocab))
+        picked.data, vocab_col[found][picked.indices], picked.indptr, (len(docs), len(vocab))
     )
 
 
@@ -318,7 +319,7 @@ class TfIdf:
         docs = corpus_rows(train_texts)
         if not len(docs):
             raise EmptyCorpus("tf-idf fit needs at least one document")
-        terms, _, counts = docs.corpus.ngram_counts("word", self.ngram_lo, self.ngram_hi)
+        terms, counts = docs.corpus.ngram_counts("word", self.ngram_lo, self.ngram_hi)
         # a row stores each of its terms once, so column counts are df
         df = np.bincount(counts.take_rows(docs.rows).indices, minlength=len(terms))
         seen = np.flatnonzero(df)
@@ -329,7 +330,7 @@ class TfIdf:
         capped = np.sort(seen[np.argsort(-df[seen], kind="stable")[: self.max_vocab]])
         vocab = {terms[c]: i for i, c in enumerate(capped)}
         idf = np.log((1.0 + len(docs)) / (1.0 + df[capped])) + 1.0
-        return TfIdfModel(self, vocab, idf)
+        return TfIdfModel(self, vocab, idf, capped)
 
 
 @dataclass(frozen=True)
@@ -337,6 +338,7 @@ class TfIdfModel:
     config: TfIdf
     vocab: dict[str, int]
     idf: np.ndarray
+    columns: np.ndarray  # each term's column in the fitted corpus's ngram_counts
 
     tag = "tfidf"
 
@@ -346,7 +348,9 @@ class TfIdfModel:
 
     def transform(self, texts: list[str] | CorpusRows) -> CsrMatrix:
         cfg = self.config
-        out = _vocab_counts(corpus_rows(texts), self.vocab, "word", cfg.ngram_lo, cfg.ngram_hi)
+        out = _vocab_counts(
+            corpus_rows(texts), self.vocab, self.columns, "word", cfg.ngram_lo, cfg.ngram_hi
+        )
         out.data *= self.idf[out.indices]
         norms = out.row_norms()
         out.data /= np.repeat(np.where(norms > 0, norms, 1.0), np.diff(out.indptr))
@@ -530,7 +534,7 @@ class TopicFactorization:
         docs = corpus_rows(train_texts)
         if not len(docs):
             raise EmptyCorpus("topic fit needs at least one document")
-        terms, _, counts = docs.corpus.ngram_counts("char", self.ngram_size, self.ngram_size)
+        terms, counts = docs.corpus.ngram_counts("char", self.ngram_size, self.ngram_size)
         counts = counts.take_rows(docs.rows)
         seen = np.flatnonzero(np.bincount(counts.indices, minlength=len(terms)))
         if not seen.size:
@@ -541,7 +545,8 @@ class TopicFactorization:
         # rows keep the output activations at count scale
         norms = np.linalg.norm(H, axis=1, keepdims=True)
         norms = np.where(norms > 0, norms, 1.0)
-        return TopicModel(self, {terms[c]: i for i, c in enumerate(seen)}, H / norms)
+        vocab = {terms[c]: i for i, c in enumerate(seen)}
+        return TopicModel(self, vocab, H / norms, seen)
 
 
 @dataclass(frozen=True)
@@ -549,6 +554,7 @@ class TopicModel:
     config: TopicFactorization
     vocab: dict[str, int]
     components: np.ndarray  # k x n_grams, frozen at fit time
+    columns: np.ndarray  # each n-gram's column in the fitted corpus's ngram_counts
 
     tag = "topic"
 
@@ -559,7 +565,7 @@ class TopicModel:
     def transform(self, texts: list[str] | CorpusRows) -> np.ndarray:
         cfg = self.config
         V = _vocab_counts(
-            corpus_rows(texts), self.vocab, "char", cfg.ngram_size, cfg.ngram_size
+            corpus_rows(texts), self.vocab, self.columns, "char", cfg.ngram_size, cfg.ngram_size
         ).toarray()
         H = self.components
         rng = np.random.default_rng(cfg.seed + 1)

@@ -1,6 +1,8 @@
 """Feature-downsampling strategies: score every feature, keep the top k."""
 from __future__ import annotations
 
+import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -60,11 +62,16 @@ class SelectorResult:
     selected: list[int]
 
 
-def _top_k(scores: np.ndarray, k: int) -> SelectorResult:
+def _take(k: int, d: int) -> int:
+    """How many of d features a top-k selection keeps."""
     if k < 1:
         raise ValueError("k must be at least 1")
+    return min(k, d)
+
+
+def _top_k(scores: np.ndarray, k: int) -> SelectorResult:
     d = len(scores)
-    take = min(k, d)
+    take = _take(k, d)
     # higher score wins; ties go to the lower original index
     order = np.lexsort((np.arange(d), -scores))
     return SelectorResult(scores, sorted(int(j) for j in order[:take]))
@@ -121,8 +128,75 @@ def select_anova(X: np.ndarray, y, k: int) -> SelectorResult:
 # Unsupervised filters
 
 
+# Slack per row in variance_bounds: relative, for the roundings of the
+# variance and of the mean square, and absolute, for squares that underflow.
+_BOUND_REL = 8 * sys.float_info.epsilon
+_BOUND_ABS = 8 * math.ulp(0.0)  # the smallest subnormal
+
+
+def variance_bounds(X: CsrMatrix) -> np.ndarray:
+    """An upper bound on each column's CsrMatrix.col_var (NaN for a column
+    holding NaN, whose variance is NaN): its mean square E[x²], inflated
+    by a rounding margin. In exact arithmetic var = E[x²] − mean² ≤ E[x²].
+    The computed variance adds n rounded squared deviations row after row,
+    so it exceeds (1/n)·Σ(x − x̄)² by at most about n roundings, and using
+    the rounded mean x̄ adds only a second-order term; the computed mean
+    square falls short of E[x²] by at most about nnz + 1 roundings. A
+    margin of 8·n·eps (eps = 2u) covers both, and 8·n subnormal steps
+    cover the absolute error of squares that underflow."""
+    n, d = X.shape
+    sq = np.bincount(X.indices, weights=X.data * X.data, minlength=d)
+    return sq / n * (1.0 + _BOUND_REL * n) + _BOUND_ABS * n
+
+
+def _variance_from_nonzeros(X: CsrMatrix) -> np.ndarray:
+    """(Σ(x − x̄)² + (n − nnz)·x̄²)/n per column, the sum over its stored
+    entries: the variance, but not summed in numpy's order."""
+    n, d = X.shape
+    mean = X.col_mean()
+    dev = X.data - mean[X.indices]
+    dev *= dev
+    stored = np.bincount(X.indices, minlength=d)
+    return (np.bincount(X.indices, weights=dev, minlength=d) + (n - stored) * mean * mean) / n
+
+
 def select_variance(X: np.ndarray | CsrMatrix, k: int) -> SelectorResult:
-    return _top_k(X.col_var() if isinstance(X, CsrMatrix) else X.var(axis=0), k)
+    """Each column's population variance; the k largest are kept, ties
+    going to the lower index.
+
+    A CSR design whose k is under half its width gets the exact variance
+    (col_var, bit-equal to numpy's) only for the columns that can reach
+    the top k. Each column's variance is at most its variance_bounds
+    value. The columns are evaluated in order of bound, 2·k of them first
+    and twice as many each round, until the k-th largest exact variance
+    among them is strictly above the largest bound outside them. Every
+    outside column then has a smaller variance, or a NaN one, which ranks
+    last, so the top k of the evaluated columns under _top_k's (−score,
+    index) rule is the top k of all columns: the same selection as
+    ranking every exact variance. The evaluated columns' scores are their
+    exact variances; the others' come from _variance_from_nonzeros."""
+    d = X.shape[1]
+    take = _take(k, d)
+    if not isinstance(X, CsrMatrix):
+        return _top_k(X.var(axis=0), k)
+    if 2 * take < d:
+        bound = variance_bounds(X)
+        # a column holding NaN has a NaN variance, which ranks below every
+        # other: it needs no evaluation to be outranked
+        bound[np.isnan(bound)] = -np.inf
+        order = np.argsort(-bound)
+        # at least two columns, so col_var never takes its one-column branch
+        m = 2 * take
+        while m < d:
+            cols = np.sort(order[:m])
+            var = X.take_columns(cols).col_var()
+            top = _top_k(var, take).selected
+            if var[top].min() > bound[order[m]]:
+                scores = _variance_from_nonzeros(X)
+                scores[cols] = var
+                return SelectorResult(scores, cols[top].tolist())
+            m *= 2
+    return _top_k(X.col_var(), k)
 
 
 def select_pca(X: np.ndarray, k: int) -> SelectorResult:

@@ -3,7 +3,17 @@
 Only the operations the feature pipeline needs are here, so n-gram text
 blocks reach the ridge solve without ever becoming dense n×d arrays. The
 column reductions reproduce numpy's dense results bit for bit, because a
-variance top-k selection can flip on a 1-ulp difference.
+variance top-k selection can flip on a 1-ulp difference. Each column's
+variance is summed row after row whatever the other columns are, so
+`take_columns(cols).col_var()` gives the same bits for those columns as
+the full `col_var()` (for two columns or more; one column is summed
+pairwise, as numpy does). That lets `select.select_variance` reduce only
+the columns that can reach its top k: a column's variance is at most its
+mean square E[x²] (one bincount of the squared values), which, inflated
+by 8·n·eps to cover the roundings of both, bounds the computed variance,
+and once the k-th largest exact variance among the evaluated columns is
+strictly above every other column's bound, no other column can enter
+the top k.
 
 Blocks are built in the order they are stored: `hstack` places each
 part's rows side by side, row after row, from the parts' `indptr`s, with
@@ -326,7 +336,9 @@ def all_finite(X) -> bool:
 def hstack(blocks: list) -> "np.ndarray | CsrMatrix":
     """Column-wise concatenation: a CSR matrix when any block is CSR, else
     the dense np.hstack. Each output row is its parts' rows side by side,
-    in part order."""
+    in part order. A single block is returned as it is, not copied."""
+    if len(blocks) == 1:
+        return blocks[0]
     if not any(isinstance(b, CsrMatrix) for b in blocks):
         return np.hstack(blocks)
     parts = [b if isinstance(b, CsrMatrix) else CsrMatrix.from_dense(b) for b in blocks]

@@ -195,6 +195,28 @@ class TestRunBreakSuite:
         csv = matrix.to_csv()
         assert csv.splitlines()[0] == "scenario,table,tfidf,wordvec,hashed"
 
+    def test_no_text_cell_fitted_once_per_table(self, monkeypatch):
+        # without a text column every embedder assembles the same features,
+        # so the no-text cell is fitted once (13 fits, not 15) and scores as
+        # each embedder alone does; a base table's own text column is still
+        # embedded by each embedder
+        plain = make_break_table(200, seed=0)
+        words = ["amber", "stout", "crisp", "flat", "hoppy"]
+        notes = [f"{words[i % 5]} {words[(i * 3) % 5]}" for i in range(plain.n_rows)]
+        texty = Table("texty", plain.columns + [Column("notes", ColumnRole.TEXTUAL, notes)],
+                      plain.target, plain.task)
+        real_fit = breaklab.fit
+        for table, fits in [(plain, 13), (texty, 15)]:
+            calls = []
+            monkeypatch.setattr(breaklab, "fit", lambda *a: calls.append(a) or real_fit(*a))
+            mat = run_break_suite([table], suite_embedders(), suite_model(), seed=0)
+            assert len(calls) == fits
+            for emb in suite_embedders():
+                alone = run_break_suite([table], [emb], suite_model(), seed=0,
+                                        scenarios=[NoText()])
+                key = ("no_text", table.name, emb.tag)
+                assert mat.values[key] == alone.values[key]
+
     def test_noise_ordering_sweep(self):
         # tf-idf holds at 100 while word-vec degrades as noise words pile up
         table = make_break_table(200, seed=0)

@@ -132,7 +132,7 @@ class TestColumnTokenizer:
         assert len(texts) == 20_000
         tracemalloc.start()
         try:
-            terms, _, counts = TextCorpus(texts).ngram_counts("word", 1, 1)
+            terms, counts = TextCorpus(texts).ngram_counts("word", 1, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -633,10 +633,11 @@ class TestTextCorpus:
         assert list(corpus.rows()) == ["a b", "", "c"]
 
 
-def _reference_vocab_counts(docs, vocab, kind, lo, hi):
-    """The vocabulary counts as a list of (corpus column, vocabulary column)
-    pairs formed them before np.fromiter did."""
-    _, index, counts = docs.corpus.ngram_counts(kind, lo, hi)
+def _reference_vocab_counts(docs, vocab, columns, kind, lo, hi):
+    """The vocabulary counts from (corpus column, vocabulary column) pairs
+    looked up in a term index, whatever corpus the vocabulary came from."""
+    terms, counts = docs.corpus.ngram_counts(kind, lo, hi)
+    index = {t: i for i, t in enumerate(terms)}
     found = [(index[term], i) for term, i in vocab.items() if term in index]
     corpus_cols, vocab_cols = np.array(found, dtype=np.intp).reshape(-1, 2).T
     picked = counts.take_rows(docs.rows).take_columns(corpus_cols)

@@ -1,9 +1,12 @@
 import itertools
+from contextlib import contextmanager
 from math import factorial
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabtext import core
 from tabtext.core import MemoryBudgetExceeded, TaskKind
@@ -14,6 +17,7 @@ from tabtext.select import (
     IndexOutOfRange,
     NotBinary,
     SelectorNotApplicable,
+    _top_k,
     applicable,
     apply_selection,
     lasso_cd,
@@ -27,7 +31,9 @@ from tabtext.select import (
     select_ttest,
     select_variance,
     soft_threshold,
+    variance_bounds,
 )
+from tabtext.sparse import CsrMatrix
 
 R, B, M = TaskKind.REGRESSION, TaskKind.BINARY, TaskKind.MULTICLASS
 
@@ -142,6 +148,156 @@ class TestVariance:
         X = rng.standard_normal((30, 4))
         perm = rng.permutation(30)
         assert np.allclose(select_variance(X, 2).scores, select_variance(X[perm], 2).scores)
+
+
+# values that repeat (exact variance ties), signs, large magnitudes and
+# subnormal squares
+_PALETTE = [1.0, -1.0, 2.5, 0.5, 3.0, -7.25, 1e3, 1e150, -1e200, 1e-170]
+
+
+@st.composite
+def wide_designs(draw):
+    """Dense designs for CSR: each column random, all zero, one nonzero, a
+    copy of the first column, a large mean with small spread, or holding
+    NaN or ±inf. + 0.0 turns any -0.0 into 0.0, which CSR cannot store."""
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(2, 16))
+    X = np.zeros((n, d))
+    for j in range(d):
+        kind = draw(st.sampled_from(["random", "zero", "single", "copy", "mean", "nan", "inf"]))
+        col = np.array(draw(st.lists(st.sampled_from(_PALETTE + [0.0] * 4), min_size=n,
+                                     max_size=n)))
+        row = draw(st.integers(0, n - 1))
+        if kind == "zero":
+            col[:] = 0.0
+        elif kind == "single":
+            col[:] = 0.0
+            col[row] = draw(st.sampled_from(_PALETTE))
+        elif kind == "copy":
+            col = X[:, 0].copy()
+        elif kind == "mean":
+            col = 1e6 + col / 1e3
+        elif kind in ("nan", "inf"):
+            col[row] = np.nan if kind == "nan" else draw(st.sampled_from([np.inf, -np.inf]))
+        X[:, j] = col
+    return X + 0.0
+
+
+@contextmanager
+def recorded_col_var():
+    """CsrMatrix.col_var and take_columns, patched to record their calls."""
+    with mock.patch.object(
+        CsrMatrix, "col_var", autospec=True, side_effect=CsrMatrix.col_var
+    ) as col_var, mock.patch.object(
+        CsrMatrix, "take_columns", autospec=True, side_effect=CsrMatrix.take_columns
+    ) as take:
+        yield col_var, take
+
+
+def reduced_widths(col_var) -> list[int]:
+    return [c.args[0].shape[1] for c in col_var.call_args_list]
+
+
+def compared_columns(X, col_var, take) -> np.ndarray:
+    """All of X's columns when X itself was reduced, else the last taken."""
+    if col_var.call_args.args[0] is X:
+        return np.arange(X.shape[1])
+    return np.asarray(take.call_args.args[1])
+
+
+class TestVarianceOnCsr:
+    @settings(max_examples=400, deadline=None)
+    @given(X=wide_designs(), data=st.data())
+    def test_pruned_selection_is_the_dense_selection(self, X, data):
+        d = X.shape[1]
+        k = data.draw(st.sampled_from([1, 2, d // 2, d - 1, d, d + 3]))
+        k = max(k, 1)
+        S = CsrMatrix.from_dense(X)
+        with np.errstate(all="ignore"):
+            dense = X.var(axis=0)
+            with recorded_col_var() as (col_var, take):
+                got = select_variance(S, k)
+            bound = variance_bounds(S)
+        assert got.selected == _top_k(dense, k).selected
+        cols = compared_columns(S, col_var, take)
+        assert got.scores[cols].tobytes() == dense[cols].tobytes()
+        known = ~np.isnan(dense)
+        assert np.all(dense[known] <= bound[known])
+        # the other columns' scores come from their stored entries
+        rest = np.setdiff1d(np.arange(d), cols)
+        finite = rest[np.isfinite(dense[rest])]
+        assert np.allclose(got.scores[finite], dense[finite], rtol=1e-9, atol=0.0)
+
+    def test_ties_settled_by_the_evaluated_columns(self):
+        # two columns of equal variance, one smaller and seven all-zero ones:
+        # every k is settled without reducing all ten columns
+        X = np.zeros((6, 10))
+        X[0, 3] = X[1, 7] = 2.0  # tied: equal variance
+        X[2, 5] = 1.0
+        S = CsrMatrix.from_dense(X)
+        for k, want in [(1, [3]), (2, [3, 7]), (3, [3, 5, 7])]:
+            with recorded_col_var() as (col_var, _):
+                got = select_variance(S, k)
+            assert got.selected == want == _top_k(X.var(axis=0), k).selected
+            assert reduced_widths(col_var)[-1] < 10
+
+    def test_loose_bounds_take_a_second_round(self):
+        # the large-mean columns 0 and 1 have the largest bounds and almost
+        # no variance, so the first round's second-best variance (column 0)
+        # does not beat column 3's bound: the second round finds [3, 4]
+        X = np.zeros((8, 8))
+        X[:, 0] = 1000.0 + np.arange(8) / 100.0
+        X[:, 1] = 1000.0 - np.arange(8) / 100.0
+        X[:, 2] = 10.0
+        X[0, 3] = 10.0
+        X[:4, 4] = [8.0, -8.0, 8.0, -8.0]
+        S = CsrMatrix.from_dense(X)
+        with recorded_col_var() as (col_var, _):
+            got = select_variance(S, 2)
+        assert got.selected == [3, 4] == _top_k(X.var(axis=0), 2).selected
+        assert reduced_widths(col_var) == [4, 8]
+
+    def test_bound_covers_rounding_above_the_mean_square(self):
+        # a zero-mean column's computed variance can exceed its computed
+        # mean square by an ulp; the margin keeps it under the bound
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((300, 400)) * (rng.random((300, 400)) < 0.5)
+        X -= X.mean(axis=0)
+        S = CsrMatrix.from_dense(X)
+        sq = np.bincount(S.indices, weights=S.data * S.data, minlength=400) / 300
+        assert np.any(X.var(axis=0) > sq)
+        assert np.all(X.var(axis=0) <= variance_bounds(S))
+
+    def test_tfidf_like_design_evaluates_few_columns(self):
+        # 3000 rows of 5–30 terms from 5000 columns with Zipf frequencies,
+        # tf-idf weighted and L2-normalized
+        rng = np.random.default_rng(23)
+        n, d, k = 3000, 5000, 300
+        p = 1.0 / np.arange(1, d + 1) ** 1.1
+        rows = []
+        for _ in range(n):
+            terms = np.unique(rng.choice(d, size=rng.integers(5, 31), p=p / p.sum()))
+            rows.append(terms)
+        indptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
+        indices = np.concatenate(rows)
+        df = np.bincount(indices, minlength=d)
+        data = rng.integers(1, 4, size=indices.size) * (np.log((1 + n) / (1 + df[indices])) + 1)
+        norms = np.sqrt(np.add.reduceat(data * data, indptr[:-1]))
+        data /= np.repeat(norms, np.diff(indptr))
+        S = CsrMatrix(data, indices, indptr, (n, d))
+        with recorded_col_var() as (col_var, _):
+            got = select_variance(S, k)
+        assert sum(reduced_widths(col_var)) <= 4 * k
+        assert got.selected == _top_k(S.col_var(), k).selected
+
+    def test_k_below_one_refused_before_any_work(self):
+        S = CsrMatrix.from_dense(np.eye(4))
+        with mock.patch.object(CsrMatrix, "col_var", side_effect=AssertionError), \
+                mock.patch.object(CsrMatrix, "take_columns", side_effect=AssertionError), \
+                mock.patch("tabtext.select.variance_bounds", side_effect=AssertionError):
+            for k in (0, -3):
+                with pytest.raises(ValueError, match="at least 1"):
+                    select_variance(S, k)
 
 
 def pca_oracle_scores(X):

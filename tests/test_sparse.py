@@ -219,7 +219,7 @@ class TestStoredOrderBuilds:
         ngrams=st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 3)]),
     )
     def test_count_ngrams_matches_reference(self, texts, ngrams):
-        terms, _, got = TextCorpus(texts).ngram_counts("word", *ngrams)
+        terms, got = TextCorpus(texts).ngram_counts("word", *ngrams)
         want_terms, want = _reference_count_ngrams(texts, *ngrams)
         assert terms == want_terms
         assert got.shape == want.shape
@@ -245,10 +245,9 @@ class TestStoredOrderBuilds:
     )
     def test_word_counts_match_reference(self, texts, ngrams, chunk):
         with mock.patch.object(embed, "_CHUNK_CHARS", chunk):
-            terms, index, got = TextCorpus(texts).ngram_counts("word", *ngrams)
+            terms, got = TextCorpus(texts).ngram_counts("word", *ngrams)
         want_terms, want = _reference_count_ngrams(texts, *ngrams)
         assert terms == want_terms
-        assert index == {t: i for i, t in enumerate(want_terms)}
         assert_same_csr(got, want)
 
     def test_word_counts_past_int64_codes(self):
@@ -259,7 +258,7 @@ class TestStoredOrderBuilds:
         texts += [" ".join(rng.choice(words[:40], size=9)) for _ in range(300)]
         assert len(set(words)) ** 5 > 2**63
         for ngrams in [(1, 5), (5, 5)]:
-            terms, _, got = TextCorpus(texts).ngram_counts("word", *ngrams)
+            terms, got = TextCorpus(texts).ngram_counts("word", *ngrams)
             want_terms, want = _reference_count_ngrams(texts, *ngrams)
             assert terms == want_terms
             assert_same_csr(got, want)
@@ -267,7 +266,7 @@ class TestStoredOrderBuilds:
     @settings(max_examples=300, deadline=None)
     @given(texts=_TEXTS, n=st.integers(1, 5))
     def test_char_counts_match_reference(self, texts, n):
-        terms, _, got = TextCorpus(texts).ngram_counts("char", n, n)
+        terms, got = TextCorpus(texts).ngram_counts("char", n, n)
         want_terms, want = _reference_count_chars(texts, n)
         assert terms == want_terms
         assert_same_csr(got, want)
