@@ -389,9 +389,10 @@ class WordVecModel:
         per_row = np.bincount(np.repeat(np.arange(n), np.diff(indptr))[hit], minlength=n)
         starts = np.cumsum(per_row) - per_row
         out = np.zeros((n, self.dim))
+        # per distinct positive hit count k (np.unique would import numpy.ma):
         # np.mean over axis 1 of the rows with k hits each adds them as
         # np.mean(hits, axis=0) does for one row, pairwise when dim is 1
-        for k in np.unique(per_row[per_row > 0]).tolist():
+        for k in (np.flatnonzero(np.bincount(per_row)[1:]) + 1).tolist():
             group = np.flatnonzero(per_row == k)
             out[group] = table[hits[starts[group, None] + np.arange(k)]].mean(axis=1)
         return out

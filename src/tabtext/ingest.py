@@ -545,10 +545,14 @@ def _snapshot_key(manifest: DatasetManifest, csv_sha256: str) -> str:
     return hashlib.sha256(json.dumps(parts).encode()).hexdigest()
 
 
+def _file_safe(name: str) -> str:
+    return re.sub(r"[^A-Za-z0-9_.-]", "_", name)[:64]
+
+
 def _snapshot_path(name: str, key: str) -> Path:
     """The snapshot file of a dataset name and key; the name is kept to
     file-safe characters and the key shortened, as the file holds it whole."""
-    return SNAPSHOT_DIR / f"{re.sub(r'[^A-Za-z0-9_.-]', '_', name)[:64]}-{key[:16]}.json"
+    return SNAPSHOT_DIR / f"{_file_safe(name)}-{key[:16]}.json"
 
 
 def write_snapshot(manifest: DatasetManifest, table: Table, report: PreprocessReport) -> None:
@@ -556,7 +560,8 @@ def write_snapshot(manifest: DatasetManifest, table: Table, report: PreprocessRe
     SNAPSHOT_DIR, keyed by the CSV bytes it was parsed from. MISSING is
     stored as null and a float by its repr, so both read back exactly. The
     file is written aside and renamed into place, so a reader sees it whole
-    or not at all."""
+    or not at all. Then the other snapshots of the dataset's name are
+    removed, so each name keeps its newest."""
     key = _snapshot_key(manifest, table.meta["csv_sha256"])
     doc = {
         "key": key,
@@ -578,6 +583,15 @@ def write_snapshot(manifest: DatasetManifest, table: Table, report: PreprocessRe
     except BaseException:
         os.unlink(tmp)
         raise
+    # other names' snapshots and a concurrent writer's temporary file do not
+    # match; a removal that fails leaves a stale file, which is never read
+    same_name = re.compile(re.escape(_file_safe(manifest.name)) + r"-[0-9a-f]{16}\.json")
+    for other in SNAPSHOT_DIR.iterdir():
+        if other.name != path.name and same_name.fullmatch(other.name):
+            try:
+                other.unlink()
+            except OSError:
+                pass
 
 
 def read_snapshot(

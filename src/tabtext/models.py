@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import shlex
-import subprocess
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -13,7 +12,7 @@ import numpy as np
 
 from .core import MISSING, TabTextError, Table, TaskKind, from_spec, require_memory
 from .embed import FeatureMatrix
-from .sparse import CsrMatrix, all_finite, dense_row_blocks
+from .sparse import _BLOCK, CsrMatrix, all_finite, dense_row_blocks
 
 
 class SingularSystem(TabTextError):
@@ -373,6 +372,7 @@ def _grow_tree(X, live, S, V, g, h, max_depth):
     n = X.shape[0]
     feature, threshold, left, right, value = [], [], [], [], []
     step = np.empty(n)
+    left_of = np.empty(n, dtype=bool)  # whether a row goes left at its last split
     gh = np.empty(n, dtype=complex)
     gh.real, gh.imag = g, h
 
@@ -425,7 +425,8 @@ def _grow_tree(X, live, S, V, g, h, max_depth):
         right.append(-1)
         value.append(0.0)
         go_left = X[rows, j] < thr
-        in_left = X[S, j] < thr
+        left_of[rows] = go_left
+        in_left = left_of[S]
         d = S.shape[0]
         for side, sel, kept in ((right, ~go_left, ~in_left), (left, go_left, in_left)):
             kept = np.flatnonzero(kept)  # stays in each column's sorted order
@@ -473,6 +474,33 @@ def _loss(P: np.ndarray, Y: np.ndarray, task: TaskKind) -> float:
     return float(-np.mean(np.sum(Y * np.log(P + 1e-15), axis=1)))
 
 
+def _merge_equal_orders(live, S, V, rank_type):
+    """The presort (live, S, V) with one row per distinct order of the
+    training rows: of each group of columns with equal rank vectors, the
+    first (so column 0 stays first). A column's rank vector gives each row
+    the count of value changes before it in the column's sorted order. The
+    vectors are built a block of about _BLOCK entries at a time, as
+    rank_type, and the kept ones are held as dict keys. The kept rows are
+    moved up in place and the arrays returned as views of their first rows,
+    so the merge allocates no second presort."""
+    d, n = S.shape
+    first: dict[bytes, int] = {}
+    kept = 0
+    step = max(1, _BLOCK // max(n, 1))
+    for lo in range(0, d, step):
+        s, v = S[lo : lo + step], V[lo : lo + step]
+        changes = np.zeros(s.shape, dtype=rank_type)
+        np.cumsum(v[:, 1:] != v[:, :-1], axis=1, dtype=rank_type, out=changes[:, 1:])
+        rank = np.empty_like(changes)
+        np.put_along_axis(rank, s, changes, axis=1)
+        new = [c for c, r in enumerate(rank, lo) if first.setdefault(r.tobytes(), c) == c]
+        # row kept + i takes row new[i] ≥ kept + i, not yet overwritten
+        end = kept + len(new)
+        live[kept:end], S[kept:end], V[kept:end] = live[new], S[new], V[new]
+        kept = end
+    return live[:kept], S[:kept], V[:kept]
+
+
 @dataclass
 class _GbdtFit:
     trees: list  # per round, one _Tree per margin column
@@ -486,7 +514,20 @@ def _fit_gbdt(cfg: Gbdt, X: np.ndarray, Y: np.ndarray, task: TaskKind) -> _GbdtF
     the binary second class as one column, or the multiclass one-hot. Each
     round grows one tree per column from the gradient P − Y and the hessian
     H at the round's start, then records the loss. Regression starts from
-    the target's mean, classification from zero margins."""
+    the target's mean, classification from zero margins.
+
+    Every tree searches one column per distinct order of the training rows
+    (`_merge_equal_orders`), which leaves the trees, the loss and the
+    predictions as a search of every column gives them, bit for bit. Two
+    columns with equal rank vectors have, at every node, the same rows in
+    the same sorted order (ties by row id), so the same S rows, candidate
+    positions, cumsums and gains; they differ only in their values, which
+    enter a split only as the threshold of the column that wins it. The
+    search's (position, column) argmax gives every tie to the first such
+    column, which is the one kept, and dropping the later ones changes no
+    other column's candidates. Equal values share a rank by the same `!=`
+    test that marks candidates, which sorts consistently because `fit`
+    refuses non-finite values."""
     n, k = Y.shape
     # presort once: the row ids and values of each column in ascending
     # order, ties by row id, skipping the columns constant on the training
@@ -494,10 +535,14 @@ def _fit_gbdt(cfg: Gbdt, X: np.ndarray, Y: np.ndarray, task: TaskKind) -> _GbdtF
     varies = X.max(axis=0, initial=-np.inf) > X.min(axis=0, initial=np.inf)  # none if no rows
     # np.union1d(0, ...) would do, but its np.unique imports numpy.ma
     live = np.flatnonzero(np.concatenate(([True], varies[1:])))
-    require_memory(16 * n * live.size, f"the booster's {n}×{live.size} presort")
+    rank_type = np.min_scalar_type(max(n - 1, 0))
+    require_memory(
+        (16 + rank_type.itemsize) * n * live.size, f"the booster's {n}×{live.size} presort"
+    )
     V = X.T[live]
     S = np.argsort(V, axis=1, kind="stable")
     V.sort(axis=1, kind="stable")
+    live, S, V = _merge_equal_orders(live, S, V, rank_type)
     base = Y.mean(axis=0) if task is TaskKind.REGRESSION else np.zeros(k)
     fit = _GbdtFit([], base, cfg.learning_rate)
     F = np.tile(base, (n, 1))
@@ -658,6 +703,9 @@ def run_external(
     and returns out.csv's first column, 'prediction'; any further columns
     are ignored.
     """
+    # imported on first use: it is start-up time for every CLI command
+    import subprocess
+
     n_test = test.n_rows
     with tempfile.TemporaryDirectory(prefix="tabtext-ext-") as tmp:
         tmpdir = Path(tmp)

@@ -210,10 +210,11 @@ class TestHttpChatClient:
         assert kwargs == {"timeout": 120.0}
 
     def test_importing_the_cli_loads_no_http_client(self):
-        # urllib.request is imported by the one method that posts
+        # urllib.request is imported by the one method that posts, and
+        # subprocess by the one function that runs a command
         code = (
             "import sys, tabtext.cli; "
-            "print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))"
+            "print(sorted({'urllib.request', 'http.client', 'subprocess'} & set(sys.modules)))"
         )
         assert run_python(code) == "[]"
 

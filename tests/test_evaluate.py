@@ -457,6 +457,24 @@ print([len(r.per_fold) for r in run_grid(specs, {"t": table})], "numpy.ma" in sy
 """
         assert run_python(code) == "[5, 5] False"
 
+    def test_word_vector_folds_through_the_booster_leave_numpy_ma_unimported(self):
+        code = f"""
+import sys
+from tabtext import Column, ColumnRole, ExperimentSpec, Table, TaskKind, WordVecAvg, run_grid
+from tabtext.ingest import DatasetManifest
+from tabtext.models import Gbdt
+
+words = ["great", "river", "one", "zzz", "nice"]  # "zzz" has no vector
+texts = [" ".join(words[(i + j) % 5] for j in range(i % 4)) for i in range(30)]
+table = Table("t", [Column("x", ColumnRole.NUMERICAL, [float(i % 7) for i in range(30)]),
+                    Column("txt", ColumnRole.TEXTUAL, texts),
+                    Column("y", None, [float(i) for i in range(30)])], "y", TaskKind.REGRESSION)
+manifest = DatasetManifest("t", "unused.csv", "y", TaskKind.REGRESSION)
+spec = ExperimentSpec(manifest, WordVecAvg({str(toy_vector_file())!r}), None, Gbdt(2, 0.5, 3), True)
+print(len(run_grid([spec], {{"t": table}})[0].per_fold), "numpy.ma" in sys.modules)
+"""
+        assert run_python(code) == "5 False"
+
 
 class TestSharedRunner:
     @settings(max_examples=12, deadline=None)

@@ -913,6 +913,25 @@ class TestSnapshot:
         assert table.meta["csv_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
         assert _ingested(table, report) == _ingested(*general_preprocess(load_csv(snapshot)))
 
+    def test_a_write_keeps_one_snapshot_per_name(self, snapshot, tmp_path):
+        cache = tmp_path / ".tabtext-cache"
+        (first,) = cache.iterdir()
+        # "brews-x" shares the prefix "brews-"; the .tmp file is a writer's
+        copy = tmp_path / "copy.csv"
+        copy.write_bytes(Path(snapshot.csv_path).read_bytes())
+        other = manifest_for(copy, name="brews-x")
+        ingest.write_snapshot(other, *ingest_dataset(other))
+        writing = cache / f"{first.name}q1w2e3.tmp"
+        writing.write_text("")
+        path = Path(snapshot.csv_path)
+        path.write_bytes(path.read_bytes().replace(b"batch 39", b"batch 38"))
+        ingest.write_snapshot(snapshot, *ingest_dataset(snapshot))
+        kept = sorted(p.name for p in cache.iterdir())
+        assert len(kept) == 3 and first.name not in kept and writing.name in kept
+        assert sum(bool(re.fullmatch(r"brews-[0-9a-f]{16}\.json", k)) for k in kept) == 1
+        assert ingest.read_snapshot(snapshot) is not None
+        assert ingest.read_snapshot(other) is not None
+
     def test_library_calls_write_no_snapshot(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         p = tmp_path / "t.csv"

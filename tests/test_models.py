@@ -536,7 +536,10 @@ def _reference_fit_gbdt(cfg, X, Y, task):
 @st.composite
 def tie_heavy_tables(draw):
     """An n×d table of 2–5 integer levels with any subset of its columns
-    made constant (column 0, or all of them, included), and labels 0–2."""
+    made constant (column 0, or all of them, included), then up to three
+    copies of one column inserted before or after it: its values or 2x + 1,
+    which order the rows as it does, or −x, which reverses them; and labels
+    0–2."""
     n = draw(st.integers(2, 30))
     d = draw(st.integers(1, 5))
     levels = draw(st.integers(2, 5))
@@ -545,8 +548,21 @@ def tie_heavy_tables(draw):
     )), dtype=float)
     constant = draw(st.lists(st.booleans(), min_size=d, max_size=d))
     X[:, constant] = X[0, constant]
+    source = draw(st.integers(0, d - 1))
+    for copy in draw(st.lists(st.sampled_from(["same", "2x+1", "-x"]), max_size=3)):
+        x = X[:, source]
+        at = draw(st.integers(0, X.shape[1]))
+        X = np.insert(X, at, {"same": x, "2x+1": 2 * x + 1, "-x": -x}[copy], axis=1)
+        source += at <= source
     y = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
     return X, y
+
+
+def _distinct_orders(X):
+    """How many distinct orders of the rows the columns the booster searches
+    (column 0 and every column not constant) give, ties as equal."""
+    live = [0] + [j for j in range(1, X.shape[1]) if X[:, j].max() > X[:, j].min()]
+    return len({tuple(np.unique(X[:, j], return_inverse=True)[1]) for j in live})
 
 
 class TestGbdtMatchesWholeTableSearch:
@@ -575,14 +591,38 @@ class TestGbdtMatchesWholeTableSearch:
                     x, z = getattr(a, name), getattr(b, name)
                     assert x.dtype == z.dtype and x.tobytes() == z.tobytes(), name
 
+    @settings(max_examples=100, deadline=None)
+    @given(table=tie_heavy_tables())
+    def test_the_root_searches_one_column_per_distinct_order(self, table):
+        X, y = table
+        with mock.patch.object(models, "_best_split", wraps=models._best_split) as search:
+            models._fit_gbdt(Gbdt(1, 0.3, 1), X, y[:, None].astype(float), R)
+        assert search.call_args_list[0].args[0].shape[0] == _distinct_orders(X)
+
+    @pytest.mark.parametrize("task", [R, B, M], ids=lambda t: t.value)
+    def test_a_doubled_design_grows_the_same_trees(self, task):
+        rng = np.random.default_rng(12)
+        X = np.round(rng.standard_normal((60, 4)), 1)
+        y = rng.integers(0, 3, 60)
+        Y = {R: y[:, None].astype(float), B: (y[:, None] % 2).astype(float), M: np.eye(3)[y]}[task]
+        cfg = Gbdt(max_depth=3, learning_rate=0.3, n_rounds=5)
+        once = models._fit_gbdt(cfg, X, Y, task)
+        twice = models._fit_gbdt(cfg, np.hstack([X, X]), Y, task)
+        assert np.array(once.train_loss).tobytes() == np.array(twice.train_loss).tobytes()
+        for a_round, b_round in zip(once.trees, twice.trees, strict=True):
+            for a, b in zip(a_round, b_round, strict=True):
+                for name in ("feature", "threshold", "left", "right", "value"):
+                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
     def test_presort_is_budgeted_before_anything_runs(self, monkeypatch):
         # columns 0 and 1 are constant: the presort holds column 0, whose
-        # order gives the node totals, and columns 2–4
+        # order gives the node totals, and columns 2–4, with a one-byte rank
+        # per entry (40 rows) to find the columns that order them alike
         rng = np.random.default_rng(11)
         X = rng.standard_normal((40, 5))
         X[:, [0, 1]] = 3.0
         y = (X[:, 2] > 0).tolist()
-        presort = 16 * 40 * 4
+        presort = (16 + 1) * 40 * 4
         monkeypatch.setattr(core, "MEMORY_BUDGET_BYTES", presort - 1)
         with mock.patch.object(models, "_grow_tree") as grow, \
                 mock.patch.object(models.np, "argsort", wraps=np.argsort) as argsort:
