@@ -24,7 +24,6 @@ from .ingest import (
     ingest_dataset,
     load_manifest,
     manifest_from_dict,
-    write_snapshot,
     write_table_cache,
 )
 from .models import Gbdt, make_model
@@ -81,18 +80,17 @@ def cmd_ingest(args) -> None:
     print(report.to_text(), end="")
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
-    cache = out / f"{manifest.name}.clean.csv"
-    write_table_cache(table, cache)
     (out / f"{manifest.name}.report.json").write_text(
         json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"
     )
-    print(f"cached cleaned table: {cache}")
     # the snapshot only spares later commands a clean: failing to write it
     # fails nothing
     try:
-        write_snapshot(manifest, table, report)
+        cache = write_table_cache(manifest, table, report)
     except OSError as exc:
         print(f"note: no snapshot of {manifest.name!r} written: {exc}", file=sys.stderr)
+    else:
+        print(f"cached cleaned table: {cache}")
 
 
 def _build_grid(config: dict, manifests: list[DatasetManifest], seed: int) -> list[ExperimentSpec]:

@@ -460,10 +460,6 @@ def _buckets(terms: list[str], buckets: int) -> np.ndarray:
     return (np.frombuffer(digests, ">u8") % np.uint64(buckets)).astype(np.intp)
 
 
-def _bucket_of(term: str, buckets: int) -> int:
-    return int(_buckets([term], buckets)[0])
-
-
 @dataclass(frozen=True)
 class HashedNgram:
     """Stateless hashed word 1-3 grams, optionally with simple length

@@ -87,6 +87,8 @@ def manifest_from_dict(raw: dict) -> DatasetManifest:
     for key, value in fields.items():
         if not isinstance(value, str):
             raise ValueError(f"manifest {key!r} must be a string, got {value!r}")
+    if len(fields["delimiter"]) != 1:
+        raise ValueError(f"manifest 'delimiter' must be one character, got {fields['delimiter']!r}")
     overrides = raw.get("role_overrides", {})
     if not isinstance(overrides, dict) or not all(isinstance(r, str) for r in overrides.values()):
         raise ValueError(f"manifest 'role_overrides' must map columns to roles, got {overrides!r}")
@@ -396,13 +398,6 @@ def _typed_column(col: Column, n_rows: int) -> Column:
     return Column(col.name, read.role, col.values)
 
 
-def classify_column(col: Column, n_rows: int) -> ColumnRole:
-    """Role heuristic: numeric parse rate, then unique-count categoricity,
-    textual otherwise.
-    """
-    return _read_column(col, n_rows).role
-
-
 def coerce_numeric_column(col: Column) -> Column:
     """Turn every cell of a numerically-classified column into a number or
     MISSING. More than 10% parse failures means the classifier was wrong.
@@ -555,13 +550,13 @@ def _snapshot_path(name: str, key: str) -> Path:
     return SNAPSHOT_DIR / f"{_file_safe(name)}-{key[:16]}.json"
 
 
-def write_snapshot(manifest: DatasetManifest, table: Table, report: PreprocessReport) -> None:
+def write_table_cache(manifest: DatasetManifest, table: Table, report: PreprocessReport) -> Path:
     """Store the table `manifest` was cleaned into, and its report, under
-    SNAPSHOT_DIR, keyed by the CSV bytes it was parsed from. MISSING is
-    stored as null and a float by its repr, so both read back exactly. The
-    file is written aside and renamed into place, so a reader sees it whole
-    or not at all. Then the other snapshots of the dataset's name are
-    removed, so each name keeps its newest."""
+    SNAPSHOT_DIR, keyed by the CSV bytes it was parsed from, and return the
+    file's path. MISSING is stored as null and a float by its repr, so both
+    read back exactly. The file is written aside and renamed into place, so
+    a reader sees it whole or not at all. Then the other snapshots of the
+    dataset's name are removed, so each name keeps its newest."""
     key = _snapshot_key(manifest, table.meta["csv_sha256"])
     doc = {
         "key": key,
@@ -592,6 +587,7 @@ def write_snapshot(manifest: DatasetManifest, table: Table, report: PreprocessRe
                 other.unlink()
             except OSError:
                 pass
+    return path
 
 
 def read_snapshot(
@@ -638,13 +634,3 @@ def _from_snapshot(manifest: DatasetManifest, doc: dict) -> tuple[Table, Preproc
         target=raw["target"],
     )
     return table.validate(), report
-
-
-def write_table_cache(table: Table, csv_path: str | Path) -> None:
-    """Delimited snapshot of a cleaned table (its target and roles are in
-    the ingest report)."""
-    blank = {MISSING: ""}.get  # get(cell, cell): MISSING writes as an empty cell
-    with Path(csv_path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(table.column_names)
-        writer.writerows(zip(*(map(blank, c.values, c.values) for c in table.columns)))

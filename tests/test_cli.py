@@ -58,8 +58,10 @@ class TestIngestCommand:
         out = capsys.readouterr().out
         assert "Cat" in out and "Num" in out and "Text" in out
         written = sorted(p.name for p in (tmp_path / "cache").iterdir())
-        assert written == ["taps.clean.csv", "taps.report.json"]
-        assert [p.name[:5] for p in (tmp_path / ".tabtext-cache").iterdir()] == ["taps-"]
+        assert written == ["taps.report.json"]
+        (snapshot,) = (tmp_path / ".tabtext-cache").iterdir()
+        assert snapshot.name[:5] == "taps-"
+        assert f"cached cleaned table: {snapshot.relative_to(tmp_path)}\n" in out
 
     def test_eval_and_vet_read_the_snapshot(self, dataset, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -80,8 +82,10 @@ class TestIngestCommand:
         (tmp_path / ".tabtext-cache").write_text("not a directory\n")
         assert main(["--out", str(tmp_path / "cache"), "ingest", str(dataset)]) == 0
         written = sorted(p.name for p in (tmp_path / "cache").iterdir())
-        assert written == ["taps.clean.csv", "taps.report.json"]
-        assert "no snapshot of 'taps' written" in capsys.readouterr().err
+        assert written == ["taps.report.json"]
+        captured = capsys.readouterr()
+        assert "no snapshot of 'taps' written" in captured.err
+        assert "cached cleaned table:" not in captured.out
 
     def test_missing_file_exits_two(self, tmp_path):
         manifest = tmp_path / "m.json"
@@ -95,7 +99,9 @@ class TestIngestCommand:
          ("role_overrides", ["a"],
           "manifest 'role_overrides' must map columns to roles, got ['a']"),
          ("row_cap", 2.5, "manifest 'row_cap' must be a JSON integer, got 2.5"),
-         ("row_cap", True, "manifest 'row_cap' must be a JSON integer, got True")],
+         ("row_cap", True, "manifest 'row_cap' must be a JSON integer, got True"),
+         ("delimiter", ";;", "manifest 'delimiter' must be one character, got ';;'"),
+         ("delimiter", "", "manifest 'delimiter' must be one character, got ''")],
     )
     def test_wrong_type_manifest_value_exits_two(self, key, value, reason, dataset, capsys):
         dataset.write_text(json.dumps({**json.loads(dataset.read_text()), key: value}))

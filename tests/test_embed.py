@@ -41,7 +41,7 @@ from tabtext.embed import (
     TopicFactorization,
     WordVecAvg,
     WordVecModel,
-    _bucket_of,
+    _buckets,
     _median,
     assemble_features,
     factorize_counts,
@@ -254,7 +254,7 @@ class TestHashedNgram:
     def test_token_twice_counts_two(self):
         emb = HashedNgram(buckets=64, add_length_features=False)
         out = emb.transform(["apple apple"]).toarray()
-        bucket = _bucket_of("apple", emb.buckets)
+        bucket = _buckets(["apple"], emb.buckets)[0]
         assert out[0, bucket] == 2.0
 
     def test_word_count_feature(self):

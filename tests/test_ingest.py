@@ -22,8 +22,8 @@ from tabtext.ingest import (
     EmptyTable,
     MissingTargetColumn,
     ParseError,
+    _read_column,
     categoricity_threshold,
-    classify_column,
     coerce_numeric_column,
     general_preprocess,
     ingest_dataset,
@@ -47,30 +47,30 @@ def manifest_for(path, target="grade", task="binary", **kw):
 class TestClassifyColumn:
     def test_repeated_affix_numeric(self):
         col = Column("abv", None, ["ABV 12%", "ABV 15%", "ABV 10%"])
-        assert classify_column(col, 3) is ColumnRole.NUMERICAL
+        assert _read_column(col, 3).role is ColumnRole.NUMERICAL
         coerced = coerce_numeric_column(col)
         assert coerced.values == [12.0, 15.0, 10.0]
 
     def test_suffix_numeric(self):
         col = Column("dur", None, ["15s", "20s", "30s"])
-        assert classify_column(col, 3) is ColumnRole.NUMERICAL
+        assert _read_column(col, 3).role is ColumnRole.NUMERICAL
         assert coerce_numeric_column(col).values == [15.0, 20.0, 30.0]
 
     def test_comma_and_currency(self):
         col = Column("price", None, ["1,234", "$5,000", "760"])
-        assert classify_column(col, 3) is ColumnRole.NUMERICAL
+        assert _read_column(col, 3).role is ColumnRole.NUMERICAL
         assert coerce_numeric_column(col).values == [1234.0, 5000.0, 760.0]
 
     def test_placeholder_maps_to_missing(self):
         col = Column("v", None, ["1", "2", "3", "4", "5", "6", "7", "8", "9", "no-data"])
-        assert classify_column(col, 10) is ColumnRole.NUMERICAL
+        assert _read_column(col, 10).role is ColumnRole.NUMERICAL
         assert coerce_numeric_column(col).values[-1] is MISSING
 
     def test_zip_prefix_trimmed_under_override(self):
         # varying suffixes are not a repeated affix, so the heuristic says
         # categorical; a manifest override plus coercion trims the digits out
         col = Column("zip", None, ["1234XXX", "5678YYY", "9012ZZZ"])
-        assert classify_column(col, 3) is ColumnRole.CATEGORICAL
+        assert _read_column(col, 3).role is ColumnRole.CATEGORICAL
         assert coerce_numeric_column(col).values == [1234.0, 5678.0, 9012.0]
 
     def test_categorical_under_threshold(self):
@@ -82,12 +82,12 @@ class TestClassifyColumn:
         ]
         values = [words[i % 30] for i in range(10000)]
         col = Column("c", None, values)
-        assert classify_column(col, 10000) is ColumnRole.CATEGORICAL
+        assert _read_column(col, 10000).role is ColumnRole.CATEGORICAL
 
     def test_textual_over_threshold(self):
         values = [f"free text cell number {i}" for i in range(60)]
         col = Column("t", None, values)
-        assert classify_column(col, 60) is ColumnRole.TEXTUAL
+        assert _read_column(col, 60).role is ColumnRole.TEXTUAL
 
     def test_threshold_formula(self):
         assert categoricity_threshold(10000) == 50
@@ -95,7 +95,7 @@ class TestClassifyColumn:
 
     def test_timestamps_numeric(self):
         col = Column("ts", None, ["2021-03-01", "2021-03-02", "2021-03-03"])
-        assert classify_column(col, 3) is ColumnRole.NUMERICAL
+        assert _read_column(col, 3).role is ColumnRole.NUMERICAL
         vals = coerce_numeric_column(col).values
         assert vals[1] - vals[0] == 86400.0
 
@@ -128,9 +128,9 @@ class TestClassifyColumn:
     def test_role_stable_under_row_permutation(self):
         values = ["15s", "20s", "30s", "junk"] * 5
         col = Column("d", None, values)
-        role = classify_column(col, len(values))
+        role = _read_column(col, len(values)).role
         rev = Column("d", None, values[::-1])
-        assert classify_column(rev, len(values)) is role
+        assert _read_column(rev, len(values)).role is role
 
 
 class TestLoadCsv:
@@ -547,7 +547,7 @@ class TestOnePass:
     @given(data=st.data(), n=st.integers(0, 70))
     def test_column_helpers_match_two_pass_oracle(self, data, n):
         col = Column("c", None, data.draw(_columns(n)))
-        assert classify_column(col, n) is oracle_classify(col, n)
+        assert _read_column(col, n).role is oracle_classify(col, n)
         assert _coerced_by(coerce_numeric_column, col) == _coerced_by(oracle_coerce, col)
 
     @settings(max_examples=100, deadline=None)
@@ -610,7 +610,7 @@ class TestParseFixes:
         head = number.replace("5", "25"), number.replace("5", "75")
         values = [number, *head, number, number, "lemon", "lime", "grape", "kiwi", "plum"]
         col = Column("c", None, values)
-        assert classify_column(col, 10) is ColumnRole.CATEGORICAL
+        assert _read_column(col, 10).role is ColumnRole.CATEGORICAL
         ids = Column("id", None, [f"row {i}" for i in range(10)])
         table = Table("t", [col, ids, Column("y", None, ["a", "b"] * 5)], "y", TaskKind.BINARY)
         cleaned, _ = general_preprocess(table)
@@ -619,7 +619,7 @@ class TestParseFixes:
     def test_leading_dot_affix_number(self):
         values = ["ABV .5%"] + [f"ABV {i}.5%" for i in range(1, 10)]
         col = Column("abv", None, values)
-        assert classify_column(col, 10) is ColumnRole.NUMERICAL
+        assert _read_column(col, 10).role is ColumnRole.NUMERICAL
         assert coerce_numeric_column(col).values == [0.5 + i for i in range(10)]
 
     # (cell, prefix, suffix, number), fixed by hand rather than by a regex
@@ -642,7 +642,7 @@ class TestParseFixes:
     @pytest.mark.parametrize("cell, prefix, suffix, number", AFFIX_CASES)
     def test_affix_column_coerces_to_fixed_number(self, cell, prefix, suffix, number):
         col = Column("c", None, [cell] * 10)
-        assert classify_column(col, 10) is ColumnRole.NUMERICAL
+        assert _read_column(col, 10).role is ColumnRole.NUMERICAL
         assert coerce_numeric_column(col).values == [number] * 10
 
     def test_dot_after_a_word_stays_in_the_prefix(self):
@@ -658,8 +658,8 @@ class TestParseFixes:
         # "5." is a direct number wearing the affix ("", "."); "ABV 5" only an
         # affix number. The two pairs tie 5/5, and the pair met first wins.
         cells = [c for i in range(5) for c in (f"{i}.", f"ABV {i}")]
-        assert classify_column(Column("c", None, cells), 10) is ColumnRole.CATEGORICAL
-        assert classify_column(Column("c", None, cells[::-1]), 10) is ColumnRole.NUMERICAL
+        assert _read_column(Column("c", None, cells), 10).role is ColumnRole.CATEGORICAL
+        assert _read_column(Column("c", None, cells[::-1]), 10).role is ColumnRole.NUMERICAL
 
 
 def _reference_load_csv(manifest):
@@ -811,7 +811,7 @@ class TestSnapshot:
             for i in range(40)
         ))
         manifest = manifest_for(p)
-        ingest.write_snapshot(manifest, *ingest_dataset(manifest))
+        ingest.write_table_cache(manifest, *ingest_dataset(manifest))
         return manifest
 
     @settings(max_examples=150, deadline=None)
@@ -828,7 +828,7 @@ class TestSnapshot:
                     fresh = ingest_dataset(manifest)
                 except (EmptyTable, CoercionFailure):
                     return
-                ingest.write_snapshot(manifest, *fresh)
+                ingest.write_table_cache(manifest, *fresh)
                 with mock.patch.object(ingest, "load_csv", _not_loaded):
                     hit = ingest_dataset(manifest)
         assert _ingested(*hit) == _ingested(*fresh)
@@ -920,12 +920,12 @@ class TestSnapshot:
         copy = tmp_path / "copy.csv"
         copy.write_bytes(Path(snapshot.csv_path).read_bytes())
         other = manifest_for(copy, name="brews-x")
-        ingest.write_snapshot(other, *ingest_dataset(other))
+        ingest.write_table_cache(other, *ingest_dataset(other))
         writing = cache / f"{first.name}q1w2e3.tmp"
         writing.write_text("")
         path = Path(snapshot.csv_path)
         path.write_bytes(path.read_bytes().replace(b"batch 39", b"batch 38"))
-        ingest.write_snapshot(snapshot, *ingest_dataset(snapshot))
+        ingest.write_table_cache(snapshot, *ingest_dataset(snapshot))
         kept = sorted(p.name for p in cache.iterdir())
         assert len(kept) == 3 and first.name not in kept and writing.name in kept
         assert sum(bool(re.fullmatch(r"brews-[0-9a-f]{16}\.json", k)) for k in kept) == 1
