@@ -55,14 +55,6 @@ def tokenize(text: str) -> list[str]:
     return [words[i] for i in ids.tolist()]
 
 
-def word_ngrams(tokens: list[str], lo: int, hi: int) -> list[str]:
-    """The lo-grams in order, then the (lo + 1)-grams, ... up to the hi-grams."""
-    grams = []
-    for n in range(lo, hi + 1):
-        grams.extend(tokens if n == 1 else map(" ".join, zip(*(tokens[i:] for i in range(n)))))
-    return grams
-
-
 # ---------------------------------------------------------------------------
 # Tokenized corpora
 

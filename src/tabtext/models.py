@@ -96,10 +96,11 @@ def make_model(spec: dict) -> ModelKind:
 
 
 # ---------------------------------------------------------------------------
-# Ridge regression (unpenalized intercept via centering; the d×d primal,
-# accumulated over row blocks, when d ≤ n, else the n×n dual, by conjugate
-# gradients for a CSR design and by the dense Gram and LU when they do not
-# converge)
+# Ridge regression (unpenalized intercept via centering; the d×d primal when
+# d ≤ n, its Gram formed from the pairs of a CSR design's stored entries
+# when they are few and accumulated over dense row blocks otherwise, else the
+# n×n dual, by conjugate gradients for a CSR design and by the dense Gram and
+# LU when they do not converge)
 
 # Conjugate gradients on the sparse dual check the true residual r once the
 # updated one falls below _CG_TOL·α·‖a‖, and stop when
@@ -114,6 +115,15 @@ def make_model(spec: dict) -> ModelKind:
 _CG_TOL = 1e-12
 _CG_FLOOR = 8
 
+# The primal of a CSR design forms its Gram from the pairs of stored entries
+# when n·d² > _PAIR_CROSSOVER·(P + |D|·nnz) (_primal), else over dense row
+# blocks. Set from both paths' Gram times on 123 synthetic designs: n 400,
+# 1 600 and 6 400; d 40, 100, 300 and 700; Poisson(m) entries a row, m 2, 6,
+# 15 and 40; 0, 3 or 10 dense columns; a 2-vCPU Xeon VM, numpy 2.4 and
+# OpenBLAS 0.3. Every design with a ratio above 1 000 took the pair path at
+# least 1.33× faster; the blocks were faster on some designs up to 744.
+_PAIR_CROSSOVER = 1000
+
 
 def ridge_solve(X: np.ndarray | CsrMatrix, y: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
     """Minimize ||Xw + b - y||² + alpha·||w||² over (w, b).
@@ -122,9 +132,11 @@ def ridge_solve(X: np.ndarray | CsrMatrix, y: np.ndarray, alpha: float) -> tuple
     (Xc Xcᵀ + αI) a = y − ȳ with w = Xcᵀ a (Saunders, Gammerman & Vovk,
     ICML 1998), so no d×d matrix is formed; otherwise the primal
     (Xcᵀ Xc + αI) w = Xcᵀ (y − ȳ). Both give the same w. The primal and a
-    wide CSR design's dual form no dense or centered copy of X; a wide dense
-    design, or a wide CSR one that conjugate gradients do not solve, is
-    densified and centered. Only what is formed is budgeted.
+    wide CSR design's dual form no dense or centered copy of X (the primal
+    of a CSR design centers only its columns stored in more than half the
+    rows, see _primal); a wide dense design, or a wide CSR one that
+    conjugate gradients do not solve, is densified and centered. Only what
+    is formed is budgeted.
     """
     n, d = X.shape
     if d <= n:
@@ -147,17 +159,43 @@ def ridge_solve(X: np.ndarray | CsrMatrix, y: np.ndarray, alpha: float) -> tuple
 
 
 def _primal(X: np.ndarray | CsrMatrix, y: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
-    """The primal with Xcᵀ Xc and Xcᵀ (y − ȳ) summed over dense row blocks
-    of Xc, each centered in place, so X is never densified or centered as a
-    whole. With one block the sums are Xc.T @ Xc and Xc.T @ (y − ȳ) bit for
-    bit; a CSR design and its dense twin give the same blocks. The means are
-    not subtracted algebraically (XᵀX − n·x̄x̄ᵀ), which cancels badly on a
-    column of large mean."""
+    """The primal, X never densified or centered as a whole. Xcᵀ Xc and
+    Xcᵀ (y − ȳ) come from one of two paths:
+
+    - a CSR design goes through CsrMatrix.centered_gram, built from the
+      pairs of each row's stored entries, when n·d² > _PAIR_CROSSOVER·work,
+      with work = P + |D|·nnz: P is its pair_count, and |D| the columns
+      stored in more than half the rows, each centered densely and crossed
+      with every stored entry;
+    - every other design, each dense ndarray among them, goes through
+      _block_gram, whose sums over dense row blocks fix its bits.
+
+    On either path a rank-deficient system with alpha = 0 is refused."""
     n, d = X.shape
     require_memory(8 * d * d, f"a {d}×{d} ridge system")
     x_mean = X.col_mean() if isinstance(X, CsrMatrix) else X.mean(axis=0)
     y_mean = y.mean()
     yc = y - y_mean
+    dense = X.dense_columns() if isinstance(X, CsrMatrix) else None
+    if dense is not None and n * d * d > _PAIR_CROSSOVER * (
+        X.pair_count(dense) + int(dense.sum()) * X.nnz
+    ):
+        G, r = X.centered_gram(x_mean, yc, dense)
+    else:
+        G, r = _block_gram(X, x_mean, yc)
+    if alpha == 0.0 and np.linalg.matrix_rank(G, hermitian=True) < d:
+        raise SingularSystem("rank-deficient design with alpha=0")
+    w = _solve_shifted(G, r, alpha)
+    b = y_mean - float(x_mean @ w)
+    return w, b
+
+
+def _block_gram(X: np.ndarray | CsrMatrix, x_mean: np.ndarray, yc: np.ndarray):
+    """Xcᵀ Xc and Xcᵀ yc summed over dense row blocks of Xc, each centered
+    in place. With one block the sums are Xc.T @ Xc and Xc.T @ yc bit for
+    bit; a CSR design and its dense twin give the same blocks. The means are
+    not subtracted algebraically (XᵀX − n·x̄x̄ᵀ), which cancels badly on a
+    column of large mean."""
     G = r = None
     for lo, block in dense_row_blocks(X):
         block -= x_mean
@@ -167,11 +205,7 @@ def _primal(X: np.ndarray | CsrMatrix, y: np.ndarray, alpha: float) -> tuple[np.
         else:
             G += block.T @ block
             r += block.T @ part
-    if alpha == 0.0 and np.linalg.matrix_rank(G, hermitian=True) < d:
-        raise SingularSystem("rank-deficient design with alpha=0")
-    w = _solve_shifted(G, r, alpha)
-    b = y_mean - float(x_mean @ w)
-    return w, b
+    return G, r
 
 
 def _sparse_dual(X: CsrMatrix, y: np.ndarray, alpha: float) -> tuple[np.ndarray, float] | None:

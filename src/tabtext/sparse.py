@@ -21,6 +21,15 @@ no sort, and `row_norms` reproduces numpy's pairwise row sum from the
 nonzeros alone (the implicit zeros add exactly nothing), in row blocks of
 at most _NNZ_BLOCK nonzeros, so neither allocates anything as wide as the
 matrix.
+
+The ridge primal's centered Gram Xcᵀ Xc has two builders here, chosen by
+`models._primal`. `centered_gram` works from the stored entries: the
+products of each row's pairs of entries, less n·μμᵀ, for the columns
+stored in at most half the rows, and a dense centered copy of the others;
+its cost goes with the pair count, not with n·d², and its sums agree with
+the dense ones to rounding, not to the bit. `dense_row_blocks` copies rows
+into a dense scratch block of about _BLOCK elements, which the caller
+centers and multiplies; its bits are those of the dense matrix's blocks.
 """
 from __future__ import annotations
 
@@ -32,6 +41,8 @@ from .core import require_memory
 _BLOCK = 1 << 20
 # Nonzeros per block of rows in row_norms (at least one row a block).
 _NNZ_BLOCK = 1 << 14
+# Stored entries per block of rows in centered_gram (at least one row a block).
+_PAIR_BLOCK = 1 << 16
 # numpy's pairwise sum: a run of at most _PW_LEAF elements is one leaf,
 # summed in _PW_UNROLL strided accumulators.
 _PW_LEAF = 128
@@ -64,19 +75,6 @@ class CsrMatrix:
         indptr = np.zeros(X.shape[0] + 1, dtype=np.intp)
         np.cumsum(np.count_nonzero(X, axis=1), out=indptr[1:])
         return cls(X[rows, cols], cols, indptr, X.shape)
-
-    @classmethod
-    def from_coo(cls, rows, cols, vals, shape: tuple[int, int]) -> "CsrMatrix":
-        """Entries given as (row, column, value) triples in any order; the
-        values at a repeated position are summed in the order given."""
-        n, d = shape
-        keys = np.asarray(rows, dtype=np.intp) * d + np.asarray(cols, dtype=np.intp)
-        keys, slot = np.unique(keys, return_inverse=True)
-        data = np.bincount(slot, weights=np.asarray(vals, dtype=float), minlength=len(keys))
-        rows, cols = np.divmod(keys, max(d, 1))
-        indptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        return cls(data, cols, indptr, shape)
 
     # -- size ---------------------------------------------------------------
 
@@ -138,9 +136,8 @@ class CsrMatrix:
         new_of[cols] = np.arange(cols.size)
         mapped = new_of[self.indices]
         keep = mapped >= 0
-        kept_before = np.concatenate(([0], np.cumsum(keep)))
         return CsrMatrix(
-            self.data[keep], mapped[keep], kept_before[self.indptr], (self.shape[0], cols.size)
+            self.data[keep], mapped[keep], self._kept_indptr(keep), (self.shape[0], cols.size)
         )
 
     # -- products -----------------------------------------------------------
@@ -258,6 +255,90 @@ class CsrMatrix:
                 total, rows, node, level = total[keep], rows[keep], node[keep], level[keep]
             sq[rows] = total
         return np.sqrt(sq)
+
+    # -- the centered Gram matrix -----------------------------------------
+
+    def dense_columns(self) -> np.ndarray:
+        """Whether each column is stored in more than half the rows."""
+        n, d = self.shape
+        return 2 * np.bincount(self.indices, minlength=d) > n
+
+    def pair_count(self, dense: np.ndarray) -> int:
+        """The pairs of stored entries centered_gram multiplies, (j, k) and
+        (k, j) counted once: m(m + 1)/2 summed over the rows, m a row's
+        stored entries outside the `dense` columns."""
+        m = np.diff(self._kept_indptr(~dense[self.indices]))
+        return int((m * (m + 1) // 2).sum())
+
+    def centered_gram(
+        self, mean: np.ndarray, y: np.ndarray, dense: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Xcᵀ Xc and Xcᵀ y for Xc = X − mean, X's column means, and a
+        centered y, formed from the stored entries; no dense copy of X.
+
+        The `dense` columns are centered explicitly as a dense copy Dc. For
+        the others G starts at −n·μμᵀ and gains Σᵢ sᵢsᵢᵀ, the products of
+        each pair of a row's stored entries. A column stored in a share p of
+        the rows cancels at most p/(1 − p) of that sum, so no digits are lost
+        when p ≤ 1/2 (dense_columns); a column of large mean stored in most
+        rows would cancel badly, which is why those are centered first. The
+        cross terms and the right-hand side are Xcᵀv = Xᵀv − μ·Σv for v each
+        column of Dc, and y; the Dc block and Dcᵀy are Dc's own products.
+        Rows are taken at most _PAIR_BLOCK stored entries (or one row) at a
+        time, so the pair arrays stay a few MiB whatever the size of X."""
+        n, d = self.shape
+        cols = np.flatnonzero(dense)
+        require_memory(8 * n * cols.size, f"a centered {n}×{cols.size} dense block")
+        in_dense = dense[self.indices]
+        Dc = np.zeros((cols.size, n))
+        Dc[(np.cumsum(dense) - 1)[self.indices[in_dense]], self._row_ids()[in_dense]] = (
+            self.data[in_dense]
+        )
+        Dc -= mean[cols, None]
+
+        root = np.sqrt(n) * mean  # fl(a·b) = fl(b·a), so G stays symmetric
+        G = np.multiply.outer(-root, root)
+        self._add_pairs(G, ~in_dense)
+        cross = np.array([self.rmatvec(v) - mean * v.sum() for v in Dc]).reshape(cols.size, d)
+        cross[:, cols] = Dc @ Dc.T
+        G[cols, :] = cross
+        G[:, cols] = cross.T
+        r = self.rmatvec(y) - mean * y.sum()
+        r[cols] = Dc @ y
+        return G, r
+
+    def _kept_indptr(self, keep: np.ndarray) -> np.ndarray:
+        """The row pointers of the entries where keep is true."""
+        return np.concatenate(([0], np.cumsum(keep)))[self.indptr]
+
+    def _add_pairs(self, G: np.ndarray, keep: np.ndarray) -> None:
+        """Add v_j·v_k to G[j, k] and to G[k, j] (once when j = k) for each
+        pair of kept entries in each row. Pairs are taken offset by offset
+        within the rows: (p, p), then (p, p + 1), and so on; both halves of
+        G gain the same values in the same order."""
+        d = self.shape[1]
+        out = G.reshape(-1)
+        cols, vals = self.indices[keep], self.data[keep]
+        indptr = self._kept_indptr(keep)
+        n, lo = self.shape[0], 0
+        while lo < n:
+            hi = np.searchsorted(indptr, indptr[lo] + _PAIR_BLOCK, side="right") - 1
+            hi = min(max(hi, lo + 1), n)
+            a, b = indptr[lo], indptr[hi]
+            c, v = cols[a:b], vals[a:b]
+            # how many of its row's entries follow each entry
+            after = np.repeat(indptr[lo + 1 : hi + 1], np.diff(indptr[lo : hi + 1]))
+            after -= np.arange(a + 1, b + 1)
+            lo = hi
+            at, k = np.arange(b - a), 0
+            while at.size:
+                j, l = c[at], c[at + k]
+                w = v[at] * v[at + k]
+                np.add.at(out, j * d + l, w)
+                if k:
+                    np.add.at(out, l * d + j, w)
+                k += 1
+                at = at[after[at] >= k]
 
     def _dense_row_blocks(self, extra: int = 0):
         """Consecutive row blocks as dense scratch arrays of about _BLOCK

@@ -49,10 +49,11 @@ from tabtext.embed import (
     load_word_vectors,
     text_corpora,
     tokenize,
-    word_ngrams,
     write_external_embeddings,
 )
 from tabtext.sparse import CsrMatrix, hstack
+
+from references import word_ngrams
 
 
 class TestTokenize:

@@ -32,6 +32,8 @@ from tabtext.models import (
 )
 from tabtext.sparse import CsrMatrix
 
+from references import csr_from_coo
+
 R, B, M = TaskKind.REGRESSION, TaskKind.BINARY, TaskKind.MULTICLASS
 
 
@@ -62,6 +64,14 @@ class TestRidge:
         X[:, 1] = X[:, 0]  # rank 1
         with pytest.raises(SingularSystem):
             ridge_solve(X, np.arange(10.0), alpha=0.0)
+        # a CSR design with a duplicated sparse column, on either primal path
+        S = np.zeros((12, 3))
+        S[:, 0] = np.arange(12.0)
+        S[[1, 4, 9], 1] = [2.0, -1.0, 0.5]
+        S[:, 2] = S[:, 1]
+        for path in self._PATHS.values():
+            with path(), pytest.raises(SingularSystem):
+                ridge_solve(CsrMatrix.from_dense(S), np.arange(12.0), alpha=0.0)
 
     def test_singular_wide_design(self):
         X = np.random.default_rng(2).standard_normal((5, 12))
@@ -82,8 +92,9 @@ class TestRidge:
         alpha=st.floats(1e-6, 10.0),
         seed=st.integers(0, 2**32 - 1),
         as_csr=st.booleans(),
+        path=st.sampled_from(["blocks", "pairs"]),
     )
-    def test_agrees_with_primal_reference(self, n, width, extra, alpha, seed, as_csr):
+    def test_agrees_with_primal_reference(self, n, width, extra, alpha, seed, as_csr, path):
         d = {"narrow": max(1, n - extra), "square": n, "wide": n + extra}[width]
         rng = np.random.default_rng(seed)
         # entries of variance 1/max(n, d) keep ||Xc||² near 4, so the
@@ -93,14 +104,16 @@ class TestRidge:
         if as_csr:  # 80% zeros; column 0 stays dense, as a numeric column does
             X[:, 1:] *= rng.random((n, d - 1)) < 0.2
         y = rng.standard_normal(n) + 5.0
-        w, b = ridge_solve(CsrMatrix.from_dense(X) if as_csr else X, y, alpha)
+        with self._PATHS[path]():
+            w, b = ridge_solve(CsrMatrix.from_dense(X) if as_csr else X, y, alpha)
 
         x_mean, y_mean = X.mean(axis=0), y.mean()
         Xc = X - x_mean
         w_ref = np.linalg.solve(Xc.T @ Xc + alpha * np.eye(d), Xc.T @ (y - y_mean))
         b_ref = y_mean - float(x_mean @ w_ref)
-        if d <= n:
-            # the primal path is the reference's arithmetic, bit for bit
+        if d <= n and not (as_csr and path == "pairs"):
+            # the primal's block path is the reference's arithmetic, bit for
+            # bit; a CSR design's pair path agrees to the tolerances below
             assert np.array_equal(w, w_ref) and b == b_ref
         scale = np.linalg.norm(w_ref)
         assert np.linalg.norm(w - w_ref) <= 1e-8 * scale
@@ -130,8 +143,9 @@ class TestRidge:
         block=st.sampled_from([1, 64, sparse._BLOCK]),
         alpha=st.floats(1e-3, 10.0),
         seed=st.integers(0, 2**32 - 1),
+        path=st.sampled_from(["blocks", "pairs"]),
     )
-    def test_blocked_primal(self, n, extra, block, alpha, seed):
+    def test_blocked_primal(self, n, extra, block, alpha, seed, path):
         d = max(1, n - extra)
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((n, d)) / np.sqrt(n) + rng.standard_normal(d)
@@ -140,11 +154,14 @@ class TestRidge:
         # XᵀX algebraically would cancel on it
         X[:, 0] = rng.standard_normal(n) + 100.0
         y = rng.standard_normal(n) + 5.0
-        with mock.patch.object(sparse, "_BLOCK", block):
+        with mock.patch.object(sparse, "_BLOCK", block), self._PATHS[path]():
             w, b = ridge_solve(X, y, alpha)
             w_csr, b_csr = ridge_solve(CsrMatrix.from_dense(X), y, alpha)
-        assert np.array_equal(w, w_csr) and b == b_csr
+        if path == "blocks":
+            # a CSR design on the block path fills the dense twin's blocks
+            assert np.array_equal(w, w_csr) and b == b_csr
         self._assert_agrees(X, y, alpha, w, b)
+        self._assert_agrees(X, y, alpha, w_csr, b_csr)
         if n * d <= block:
             # one block: the reference's Xc.T @ Xc and Xc.T @ yc, bit for bit
             w_ref, b_ref = self._primal_reference(X, y, alpha)
@@ -168,7 +185,7 @@ class TestRidge:
         # just over the budget set here
         n, d, nnz = 40_000, 300, 9 * 40_000
         rng = np.random.default_rng(8)
-        X = CsrMatrix.from_coo(rng.integers(0, n, nnz), rng.integers(0, d, nnz), rng.random(nnz), (n, d))
+        X = csr_from_coo(rng.integers(0, n, nnz), rng.integers(0, d, nnz), rng.random(nnz), (n, d))
         y = X @ rng.standard_normal(d) + rng.standard_normal(n)
         monkeypatch.setattr(core, "MEMORY_BUDGET_BYTES", 8 * n * d - 1)
         tracemalloc.start()
@@ -201,6 +218,60 @@ class TestRidge:
             models, "_solve_shifted", side_effect=AssertionError("fell back to the direct solve")
         )
 
+    # a CSR primal forced onto one path: a crossover of 0 sends every design
+    # to the pair path, an infinite one every design to the blocks
+    _PATHS = {
+        "blocks": lambda: mock.patch.object(models, "_PAIR_CROSSOVER", np.inf),
+        "pairs": lambda: mock.patch.object(models, "_PAIR_CROSSOVER", 0),
+    }
+
+    @staticmethod
+    def _hashed_fold(rng, n, d, n_dense, share):
+        # n_dense standardized numeric columns, then d − n_dense text
+        # columns each stored in about `share` of the rows
+        X = rng.random((n, d)) * (rng.random((n, d)) < share)
+        X[:, :n_dense] = rng.standard_normal((n, n_dense))
+        X = CsrMatrix.from_dense(X)
+        return X, X @ rng.standard_normal(d) + rng.standard_normal(n)
+
+    @staticmethod
+    def _spy_pairs():
+        return mock.patch.object(
+            CsrMatrix, "centered_gram", autospec=True, side_effect=CsrMatrix.centered_gram
+        )
+
+    def test_primal_path_follows_the_pair_count(self):
+        rng = np.random.default_rng(10)
+        # a hashed text fold of a numeric table: 2400×516, 4 dense columns
+        # and ~6 stored text entries a row (n·d²/work ≈ 4 000)
+        X, y = self._hashed_fold(rng, 2400, 516, 4, 6 / 512)
+        with self._spy_pairs() as pairs:
+            w, b = ridge_solve(X, y, alpha=1.0)
+        pairs.assert_called_once()
+        self._assert_agrees(X.toarray(), y, 1.0, w, b)
+        # a 64-bucket hashed fold, 37% dense with 7 columns stored in most
+        # rows (n·d²/work ≈ 13): the blocks, the dense twin's bits
+        X, y = self._hashed_fold(rng, 1600, 71, 7, 0.3)
+        with self._spy_pairs() as pairs:
+            w, b = ridge_solve(X, y, alpha=1.0)
+        pairs.assert_not_called()
+        w_dense, b_dense = ridge_solve(X.toarray(), y, alpha=1.0)
+        assert np.array_equal(w, w_dense) and b == b_dense
+
+    def test_pair_path_memory_stays_under_the_scratch_block(self):
+        # the hashed fold above; the block path's dense scratch block alone
+        # is 8·_BLOCK bytes
+        X, y = self._hashed_fold(np.random.default_rng(11), 2400, 516, 4, 6 / 512)
+        with self._spy_pairs() as pairs:
+            tracemalloc.start()
+            try:
+                ridge_solve(X, y, alpha=1.0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        pairs.assert_called_once()
+        assert peak < 8 * sparse._BLOCK
+
     @staticmethod
     def _text_fold(rng, n, column_mean=0.0):
         # a TF-IDF-like fold: one standardized numeric column, shifted by
@@ -210,7 +281,7 @@ class TestRidge:
         num = (num - num.mean()) / num.std() + column_mean
         rows = np.concatenate([np.arange(n), rng.integers(0, n, nnz)])
         cols = np.concatenate([np.zeros(n, dtype=int), rng.integers(1, d, nnz)])
-        X = CsrMatrix.from_coo(rows, cols, np.concatenate([num, rng.random(nnz)]), (n, d))
+        X = csr_from_coo(rows, cols, np.concatenate([num, rng.random(nnz)]), (n, d))
         return X, X @ rng.standard_normal(d) + rng.standard_normal(n)
 
     @settings(max_examples=100, deadline=None)
@@ -301,7 +372,7 @@ class TestRidge:
         rows = np.concatenate([np.arange(n), rng.integers(0, n, nnz)])
         cols = np.concatenate([np.zeros(n, dtype=int), rng.integers(1, d, nnz)])
         vals = np.concatenate([rng.standard_normal(n), rng.random(nnz)])
-        X = CsrMatrix.from_coo(rows, cols, vals, (n, d))
+        X = csr_from_coo(rows, cols, vals, (n, d))
         y = X @ rng.standard_normal(d) + rng.standard_normal(n)
         tracemalloc.start()
         try:
@@ -379,6 +450,63 @@ def _reference_logistic_solve(X, Y, l2, max_iter=1000, tol=1e-6):
         b = b - step * gb
         loss = loss_of(W, b)
     return W, b
+
+
+# the column kinds of TestCenteredGram's designs
+GRAM_COLUMNS = ["sparse", "empty", "dense", "half", "mean100", "equal"]
+
+
+class TestCenteredGram:
+    """Both builders of the primal's Xcᵀ Xc and Xcᵀ yc, called directly (the
+    crossover sends the small designs of TestRidge to the blocks)."""
+
+    @staticmethod
+    def _design(rng, n, kinds, empty_row):
+        X = np.zeros((n, len(kinds)))
+        for j, kind in enumerate(kinds):
+            if kind == "sparse":  # stored in about a fifth of the rows
+                X[:, j] = rng.standard_normal(n) * (rng.random(n) < 0.2)
+            elif kind == "dense":  # stored in every row
+                X[:, j] = rng.standard_normal(n)
+            elif kind == "half":  # stored in exactly n/2 rows, mean ~50
+                X[rng.permutation(n)[: n // 2], j] = rng.standard_normal(n // 2) + 100.0
+            elif kind == "mean100":  # a numeric column that is not standardized
+                X[:, j] = rng.standard_normal(n) + 100.0
+            elif kind == "equal":  # every stored value the same
+                X[rng.random(n) < 0.3, j] = 2.5
+        if empty_row:
+            X[0] = 0.0
+        return X
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        half_n=st.integers(1, 30),
+        kinds=st.lists(st.sampled_from(GRAM_COLUMNS), min_size=1, max_size=12),
+        empty_row=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(half_n=10, kinds=GRAM_COLUMNS, empty_row=True, seed=0)
+    def test_both_paths_agree_with_the_dense_products(self, half_n, kinds, empty_row, seed):
+        n = 2 * half_n
+        rng = np.random.default_rng(seed)
+        X = self._design(rng, n, kinds, empty_row)
+        y = rng.standard_normal(n) + 5.0
+        S = CsrMatrix.from_dense(X)
+        mean, yc = S.col_mean(), y - y.mean()
+        Xc = X - mean
+        G_ref, r_ref = Xc.T @ Xc, Xc.T @ yc
+        # n-term sums of products round within a few n·eps of the centered
+        # columns' norms; subtracting n·μ² from a column's sum of squares
+        # would miss that by ~μ²/n on the mean-100 columns
+        norm = np.sqrt((Xc * Xc).sum(axis=0))
+        tol = 8 * (n + 2) * np.finfo(float).eps
+        pairs = S.centered_gram(mean, yc, S.dense_columns())
+        for G, r in (models._block_gram(S, mean, yc), pairs):
+            assert np.array_equal(G, G.T)
+            assert np.all(np.abs(G - G_ref) <= tol * np.outer(norm, norm))
+            assert np.all(np.abs(r - r_ref) <= tol * norm * np.linalg.norm(yc))
+        again = S.centered_gram(mean, yc, S.dense_columns())
+        assert all(same.tobytes() == first.tobytes() for same, first in zip(again, pairs))
 
 
 class TestLogistic:

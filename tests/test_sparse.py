@@ -11,8 +11,10 @@ from hypothesis.extra.numpy import arrays
 
 from tabtext import core, embed, sparse
 from tabtext.core import MemoryBudgetExceeded
-from tabtext.embed import HashedNgram, TextCorpus, TfIdf, word_ngrams
+from tabtext.embed import HashedNgram, TextCorpus, TfIdf
 from tabtext.sparse import CsrMatrix, hstack
+
+from references import csr_from_coo, word_ngrams
 
 
 @st.composite
@@ -168,7 +170,7 @@ def reference_bucket(term, buckets):
 
 def _reference_count_ngrams(texts, lo, hi):
     """The counting the stored-order build replaced: first-seen ids from a
-    generator per gram, and from_coo's unique and bincount."""
+    generator per gram, and csr_from_coo's unique and bincount."""
 
     def grams(text):
         tokens = reference_tokens(text)
@@ -201,7 +203,7 @@ def _reference_counts(texts, grams_of):
     terms = sorted(first_seen)
     rank = np.empty(len(terms), dtype=np.intp)
     rank[[first_seen[t] for t in terms]] = np.arange(len(terms))
-    counts = CsrMatrix.from_coo(
+    counts = csr_from_coo(
         np.repeat(np.arange(len(texts)), sizes),
         rank[np.asarray(cols, dtype=np.intp)],
         np.ones(len(cols)),
