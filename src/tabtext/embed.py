@@ -4,7 +4,7 @@ from __future__ import annotations
 import hashlib
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import compress, repeat
 from operator import methodcaller
 from pathlib import Path
@@ -255,27 +255,33 @@ def corpus_rows(texts) -> CorpusRows:
     return texts if isinstance(texts, CorpusRows) else TextCorpus(texts).rows()
 
 
-def _vocab_counts(
-    docs: CorpusRows, vocab: dict[str, int], columns: np.ndarray, kind: str, lo: int, hi: int
-) -> CsrMatrix:
+def _vocab_counts(docs: CorpusRows, model, kind: str, lo: int, hi: int) -> CsrMatrix:
     """The documents × vocabulary counts of their grams (see
-    TextCorpus.grams), for a vocabulary whose terms are sorted and numbered
-    in order. `columns` holds each vocabulary term's column among the terms
-    of the corpus it was picked from: rows of a corpus whose terms sit at
-    those columns (the folds of one experiment) need no term lookup."""
+    TextCorpus.grams) for a fitted model's vocabulary: the terms
+    model.terms[c] for c in model.columns, numbered in that (sorted) order.
+    Rows of the corpus the model was fitted on (the folds of one
+    experiment) share that term list, the very object, so their counts are
+    its columns, with no term lookup."""
     terms, counts = docs.corpus.ngram_counts(kind, lo, hi)
     counts = counts.take_rows(docs.rows)
-    if columns[-1] < len(terms) and list(map(terms.__getitem__, columns.tolist())) == list(vocab):
+    columns = model.columns
+    if terms is model.terms:
         # counts is this call's own copy: a vocabulary of every term keeps it
         return counts if columns.size == len(terms) else counts.take_columns(columns)
     # another corpus: the vocabulary column of each of its terms (-1 for
     # none); both term lists are sorted, so the found ones are increasing
+    vocab = model.vocab
     vocab_col = np.fromiter(map(vocab.get, terms, repeat(-1)), np.intp, len(terms))
     found = np.flatnonzero(vocab_col >= 0)
     picked = counts.take_columns(found)
     return CsrMatrix(
-        picked.data, vocab_col[found][picked.indices], picked.indptr, (len(docs), len(vocab))
+        picked.data, vocab_col[found][picked.indices], picked.indptr, (len(docs), columns.size)
     )
+
+
+def _vocab_of(terms: list[str], columns: np.ndarray) -> dict[str, int]:
+    """{terms[c]: i} for the i-th column c: a fitted vocabulary as a dict."""
+    return dict(zip(map(terms.__getitem__, columns.tolist()), range(columns.size)))
 
 
 def text_corpora(table: Table) -> dict[str, TextCorpus]:
@@ -306,6 +312,10 @@ class TfIdf:
             raise ValueError("ngram_lo must be at least 1")
         if self.ngram_lo > self.ngram_hi:
             raise ValueError("ngram_lo must not exceed ngram_hi")
+        if isinstance(self.max_vocab, bool) or not isinstance(self.max_vocab, int):
+            raise ValueError(f"max_vocab must be an integer, got {self.max_vocab!r}")
+        if self.max_vocab < 1:
+            raise ValueError("max_vocab must be at least 1")
 
     def fit(self, train_texts: list[str] | CorpusRows) -> "TfIdfModel":
         docs = corpus_rows(train_texts)
@@ -320,29 +330,36 @@ class TfIdf:
         # cap by document frequency, ties broken lexicographically (terms
         # are sorted, and the stable sort keeps their order within a df)
         capped = np.sort(seen[np.argsort(-df[seen], kind="stable")[: self.max_vocab]])
-        vocab = {terms[c]: i for i, c in enumerate(capped)}
         idf = np.log((1.0 + len(docs)) / (1.0 + df[capped])) + 1.0
-        return TfIdfModel(self, vocab, idf, capped)
+        return TfIdfModel(self, terms, capped, idf)
 
 
 @dataclass(frozen=True)
 class TfIdfModel:
+    """A fitted vocabulary: the terms terms[c] for c in columns, where terms
+    is the fitted corpus's sorted term list (TextCorpus.ngram_counts), held
+    as that same object, so transforming rows of the fitted corpus needs no
+    term lookup. The term → column dict `vocab` is built only when read:
+    by a transform of another corpus, or by a caller."""
+
     config: TfIdf
-    vocab: dict[str, int]
+    terms: list[str]
+    columns: np.ndarray
     idf: np.ndarray
-    columns: np.ndarray  # each term's column in the fitted corpus's ngram_counts
 
     tag = "tfidf"
 
+    @cached_property
+    def vocab(self) -> dict[str, int]:
+        return _vocab_of(self.terms, self.columns)
+
     @property
     def dim(self) -> int:
-        return len(self.vocab)
+        return self.columns.size
 
     def transform(self, texts: list[str] | CorpusRows) -> CsrMatrix:
         cfg = self.config
-        out = _vocab_counts(
-            corpus_rows(texts), self.vocab, self.columns, "word", cfg.ngram_lo, cfg.ngram_hi
-        )
+        out = _vocab_counts(corpus_rows(texts), self, "word", cfg.ngram_lo, cfg.ngram_hi)
         out.data *= self.idf[out.indices]
         norms = out.row_norms()
         out.data /= np.repeat(np.where(norms > 0, norms, 1.0), np.diff(out.indptr))
@@ -452,6 +469,22 @@ def _buckets(terms: list[str], buckets: int) -> np.ndarray:
     return (np.frombuffer(digests, ">u8") % np.uint64(buckets)).astype(np.intp)
 
 
+def _upper_counts(texts: list[str], lengths: np.ndarray) -> np.ndarray:
+    """Each text's count of upper-case characters, sum(map(str.isupper, t)),
+    given the texts' lengths, from one pass over their code points: A-Z are
+    the upper-case ASCII characters, and each distinct non-ASCII code point
+    (a lone surrogate included) asks str.isupper once."""
+    points = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), np.uint32)
+    upper = (points >= 0x41) & (points <= 0x5A)
+    wide = np.flatnonzero(points >= 0x80)
+    if wide.size:
+        distinct, which = np.unique(points[wide], return_inverse=True)
+        cased = map(str.isupper, map(chr, distinct.tolist()))
+        upper[wide] = np.fromiter(cased, bool, distinct.size)[which]
+    text_of = np.searchsorted(np.cumsum(lengths), np.flatnonzero(upper), side="right")
+    return np.bincount(text_of, minlength=len(texts)).astype(float)
+
+
 @dataclass(frozen=True)
 class HashedNgram:
     """Stateless hashed word 1-3 grams, optionally with simple length
@@ -486,9 +519,10 @@ class HashedNgram:
         grams = _tally(rows, _buckets(terms, self.buckets)[cols], n, self.buckets)
         if not self.add_length_features:
             return grams
-        n_chars = np.fromiter(map(len, texts), float, n)
+        lengths = np.fromiter(map(len, texts), np.intp, n)
+        n_chars = lengths.astype(float)
         n_words = np.fromiter(map(len, map(str.split, texts)), float, n)
-        upper = np.fromiter(map(sum, map(map, repeat(str.isupper), texts)), float, n)
+        upper = _upper_counts(texts, lengths)
         ratio = np.divide(upper, n_chars, out=np.zeros(n), where=n_chars > 0)
         # every row stores its three length features, zeros included
         lengths = CsrMatrix(
@@ -534,18 +568,24 @@ class TopicFactorization:
         # rows keep the output activations at count scale
         norms = np.linalg.norm(H, axis=1, keepdims=True)
         norms = np.where(norms > 0, norms, 1.0)
-        vocab = {terms[c]: i for i, c in enumerate(seen)}
-        return TopicModel(self, vocab, H / norms, seen)
+        return TopicModel(self, terms, seen, H / norms)
 
 
 @dataclass(frozen=True)
 class TopicModel:
+    """Fitted topics over the n-grams terms[c] for c in columns, held as
+    TfIdfModel holds its vocabulary."""
+
     config: TopicFactorization
-    vocab: dict[str, int]
+    terms: list[str]
+    columns: np.ndarray
     components: np.ndarray  # k x n_grams, frozen at fit time
-    columns: np.ndarray  # each n-gram's column in the fitted corpus's ngram_counts
 
     tag = "topic"
+
+    @cached_property
+    def vocab(self) -> dict[str, int]:
+        return _vocab_of(self.terms, self.columns)
 
     @property
     def dim(self) -> int:
@@ -553,9 +593,8 @@ class TopicModel:
 
     def transform(self, texts: list[str] | CorpusRows) -> np.ndarray:
         cfg = self.config
-        V = _vocab_counts(
-            corpus_rows(texts), self.vocab, self.columns, "char", cfg.ngram_size, cfg.ngram_size
-        ).toarray()
+        size = cfg.ngram_size
+        V = _vocab_counts(corpus_rows(texts), self, "char", size, size).toarray()
         H = self.components
         rng = np.random.default_rng(cfg.seed + 1)
         W = rng.random((V.shape[0], self.dim)) + 0.01

@@ -20,7 +20,10 @@ part's rows side by side, row after row, from the parts' `indptr`s, with
 no sort, and `row_norms` reproduces numpy's pairwise row sum from the
 nonzeros alone (the implicit zeros add exactly nothing), in row blocks of
 at most _NNZ_BLOCK nonzeros, so neither allocates anything as wide as the
-matrix.
+matrix. Each column's leaf of the pairwise tree and its place in the leaf
+are looked up in small integer arrays, cached for a few widths, and a
+block of rows takes a fixed number of array passes plus one short pass per
+tree level, whatever its rows' shapes.
 
 The ridge primal's centered Gram Xcᵀ Xc has two builders here, chosen by
 `models._primal`. `centered_gram` works from the stored entries: the
@@ -32,6 +35,8 @@ into a dense scratch block of about _BLOCK elements, which the caller
 centers and multiplies; its bits are those of the dense matrix's blocks.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -195,12 +200,17 @@ class CsrMatrix:
     def row_norms(self) -> np.ndarray:
         """Bit-equal to np.sqrt((D * D).sum(axis=1)) for D = X.toarray().
 
-        numpy sums each dense row pairwise (_pairwise_leaves). An implicit
+        numpy sums each dense row pairwise (_pairwise_layout). An implicit
         zero adds exactly nothing, so summing the squared nonzeros in the
-        same tree, leaf by leaf and then up the tree, gives the same bits."""
+        same tree gives the same bits. Each (row, leaf) group holding
+        nonzeros is summed as numpy sums the leaf: its strided accumulators
+        in one bincount, then its tail in another, seeded with that sum. The
+        groups then merge up the tree: adjacent groups of a row merge at
+        their lowest common ancestor, computed once, deepest first; merges
+        at one depth are disjoint, and each adds a subtree's sum, held by its
+        first group, to its left neighbour's."""
         n, d = self.shape
-        starts, body_end, depth, path = _pairwise_leaves(d)
-        top = int(depth.max())
+        leaf_of, slot_of, top = _pairwise_layout(d)
         sq = np.zeros(n)
         lo = 0
         while lo < n:
@@ -209,51 +219,50 @@ class CsrMatrix:
             span = slice(self.indptr[lo], self.indptr[hi])
             cols = self.indices[span]
             val = self.data[span] * self.data[span]
-            rows = np.repeat(np.arange(lo, hi), np.diff(self.indptr[lo : hi + 1]))
-            lo = hi
+            # each entry's row within the block above its leaf's id: a key
+            # that increases in stored order, one run per (row, leaf) group
+            key = np.repeat(np.arange(hi - lo), np.diff(self.indptr[lo : hi + 1])) << top
+            key |= leaf_of[cols]
+            base, lo = lo, hi
             if not val.size:
                 continue
-            # one group per (row, leaf) holding nonzeros, in stored order
-            leaf = np.searchsorted(starts, cols, side="right") - 1
-            key = rows * len(starts) + leaf
             new = run_starts(key)
             first = np.flatnonzero(new)
             group = np.cumsum(new) - 1
-            pos = cols - starts[leaf]
-            body = body_end[leaf]
+            slot = slot_of[cols]
             # the strided accumulators add their columns in order from zero,
-            # as bincount does; a leaf narrower than _PW_UNROLL is all tail
-            # (bincount of nothing is an integer array)
-            in_body = np.flatnonzero(pos < body)
+            # as bincount does (the tail's slot, _PW_UNROLL, is left out)
             acc = np.bincount(
-                group[in_body] * _PW_UNROLL + pos[in_body] % _PW_UNROLL,
-                weights=val[in_body],
-                minlength=_PW_UNROLL * len(first),
-            ).reshape(-1, _PW_UNROLL).astype(float, copy=False)
+                group * (_PW_UNROLL + 1) + slot,
+                weights=val,
+                minlength=(_PW_UNROLL + 1) * first.size,
+            ).reshape(-1, _PW_UNROLL + 1)
             total = ((acc[:, 0] + acc[:, 1]) + (acc[:, 2] + acc[:, 3])) + (
                 (acc[:, 4] + acc[:, 5]) + (acc[:, 6] + acc[:, 7])
             )
-            # then the tail, one column after another
-            tail = np.flatnonzero(pos >= body)
-            tail_pos = pos[tail] - body[tail]
-            for k in range(_PW_UNROLL - 1):
-                at = tail[tail_pos == k]
-                total[group[at]] += val[at]
-            # up the tree: a node is its left child's sum plus its right's,
-            # an empty child adding exactly nothing
-            rows, node, level = rows[first], path[leaf[first]], depth[leaf[first]]
-            for t in range(top, 0, -1):
-                parent = node >> (top - t + 1)
-                at_t = level == t
-                pair = np.flatnonzero(
-                    at_t[:-1] & at_t[1:] & (rows[:-1] == rows[1:]) & (parent[:-1] == parent[1:])
+            # then the tail, one column after another (a leaf narrower than
+            # _PW_UNROLL is all tail, summed from zero)
+            tail = np.flatnonzero(slot == _PW_UNROLL)
+            if tail.size:
+                total = np.bincount(
+                    np.concatenate((np.arange(first.size), group[tail])),
+                    weights=np.concatenate((total, val[tail])),
                 )
-                total[pair] += total[pair + 1]
-                keep = np.ones(len(total), dtype=bool)
-                keep[pair + 1] = False
-                level[at_t] = t - 1
-                total, rows, node, level = total[keep], rows[keep], node[keep], level[keep]
-            sq[rows] = total
+            # the depth of each pair of adjacent groups' lowest common
+            # ancestor; negative between rows, which never merge
+            key = key[first]
+            depth = top - np.frexp(key[1:] ^ key[:-1])[1]
+            heads = np.flatnonzero(np.concatenate(([True], depth < 0)))  # rows' first groups
+            inner = np.flatnonzero(depth >= 0)
+            depth = depth[inner]
+            # the left operand starts at the ancestor's first group: the
+            # first key at or after the ancestor's lowest leaf id
+            low = top - depth
+            left = np.searchsorted(key, key[inner] >> low << low)
+            for t in range(top - 1, -1, -1):
+                at = np.flatnonzero(depth == t)
+                total[left[at]] += total[inner[at] + 1]
+            sq[base + (key[heads] >> top)] = total[heads]
         return np.sqrt(sq)
 
     # -- the centered Gram matrix -----------------------------------------
@@ -369,13 +378,22 @@ def run_starts(keys: np.ndarray) -> np.ndarray:
     return new
 
 
-def _pairwise_leaves(d: int):
-    """The leaves of numpy's pairwise sum of d elements, left to right: a
-    run of more than _PW_LEAF elements splits into halves, the left one
-    rounded down to a multiple of _PW_UNROLL. Returns each leaf's start,
-    the width of its strided part (the rest is its tail), its depth and
-    its path (its left/right turns from the root as bits, padded to the
-    deepest leaf's depth)."""
+@functools.lru_cache(maxsize=4)
+def _pairwise_layout(d: int):
+    """Where numpy's pairwise sum of d elements puts each element. A run of
+    more than _PW_LEAF elements splits into halves, the left one rounded
+    down to a multiple of _PW_UNROLL; a leaf sums its first multiple of
+    _PW_UNROLL elements in _PW_UNROLL strided accumulators, then adds the
+    rest, its tail, one after another.
+
+    Returns each column's leaf id, its slot and the depth `top` of the
+    deepest leaf. A leaf's id is its path from the root (0 for left, 1 for
+    right) as bits, padded to `top` bits: ids increase left to right, and
+    two leaves' lowest common ancestor is at depth top minus the bit length
+    of their ids' xor. The slot is the column's strided accumulator, or
+    _PW_UNROLL in the tail. Both are small unsigned integers, one array
+    element per column; they are cached for a few widths, read-only, since
+    every caller shares them."""
     leaves = []
 
     def split(start, width, depth, path):
@@ -389,7 +407,14 @@ def _pairwise_leaves(d: int):
 
     split(0, d, 0, 0)
     starts, widths, depth, path = (np.array(a, dtype=np.intp) for a in zip(*leaves))
-    return starts, widths - widths % _PW_UNROLL, depth, path << (depth.max() - depth)
+    top = int(depth.max())
+    leaf = np.repeat(np.arange(len(starts)), widths)
+    pos = np.arange(d) - starts[leaf]
+    body = (widths - widths % _PW_UNROLL)[leaf]
+    slot = np.where(pos < body, pos % _PW_UNROLL, _PW_UNROLL).astype(np.uint8)
+    ids = (path << (top - depth)).astype(np.min_scalar_type((1 << top) - 1))[leaf]
+    ids.flags.writeable = slot.flags.writeable = False
+    return ids, slot, top
 
 
 def dense_row_blocks(X):

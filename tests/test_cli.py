@@ -416,6 +416,23 @@ def test_topic_ngram_size_below_one_is_refused_before_ingest(size, dataset, tmp_
     assert capsys.readouterr().err == "eval failed: ngram_size must be at least 1\n"
 
 
+@pytest.mark.parametrize(
+    "value, reason",
+    [(0, "max_vocab must be at least 1"), (-3, "max_vocab must be at least 1"),
+     (2.5, "max_vocab must be an integer, got 2.5"),
+     (True, "max_vocab must be an integer, got True")],
+)
+def test_tfidf_max_vocab_that_is_not_a_positive_integer_is_refused_before_ingest(
+    value, reason, dataset, tmp_path, monkeypatch, capsys
+):
+    config = eval_config(tmp_path, dataset)
+    config.write_text(json.dumps({**json.loads(config.read_text()),
+                                  "embedders": [{"kind": "tfidf", "max_vocab": value}]}))
+    monkeypatch.setattr(cli, "ingest_dataset", _refuse_to_run)
+    assert main(["eval", str(config)]) == 3
+    assert capsys.readouterr().err == f"eval failed: {reason}\n"
+
+
 def test_eval_config_out_that_is_not_a_path_is_refused(dataset, tmp_path, capsys):
     assert main(["eval", str(eval_config(tmp_path, dataset, out=7))]) == 3
     assert capsys.readouterr().err == "eval failed: output directory must be a path, got 7\n"

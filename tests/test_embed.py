@@ -175,6 +175,12 @@ class TestTfIdfConfig:
             TfIdf(lo, hi)
 
 
+    @pytest.mark.parametrize("max_vocab", [0, -3, True, False, 2.5, 1.0, "5", None])
+    def test_refuses_max_vocab_that_is_not_a_positive_integer(self, max_vocab):
+        with pytest.raises(ValueError, match="max_vocab"):
+            TfIdf(max_vocab=max_vocab)
+
+
 class TestTfIdf:
     def test_idf_hand_computed(self):
         # corpus ["a b", "a c"]: idf(a) = ln((1+2)/(1+2)) + 1 = 1.0
@@ -278,6 +284,25 @@ class TestHashedNgram:
     def test_min_buckets(self):
         with pytest.raises(ValueError):
             HashedNgram(buckets=4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        texts=st.lists(
+            st.text(
+                st.one_of(
+                    st.sampled_from(["É", "é", "ß", "İ", "Σ", "σ", "ǅ", "Ǆ", "😀", "\ud800",
+                                     "\udfff", "A", "Z", "a", "@", "[", " "]),
+                    st.characters(),
+                ),
+                max_size=12,
+            ),
+            max_size=8,
+        )
+    )
+    def test_upper_case_counts_match_str_isupper(self, texts):
+        lengths = np.fromiter(map(len, texts), np.intp, len(texts))
+        want = np.array([float(sum(map(str.isupper, t))) for t in texts])
+        assert embed._upper_counts(texts, lengths).tobytes() == want.tobytes()
 
 
 class TestTopicFactorization:
@@ -634,9 +659,49 @@ class TestTextCorpus:
         assert list(corpus.rows()) == ["a b", "", "c"]
 
 
-def _reference_vocab_counts(docs, vocab, columns, kind, lo, hi):
+class TestFittedVocabulary:
+    TEXTS = ["Hoppy amber ale", "hoppy stout", "", "malty amber lager", "crisp lager",
+             "stout, stout", "amber"]
+
+    @pytest.mark.parametrize(
+        "embedder, grams",
+        [(TfIdf(1, 2), ("word", 1, 2)), (TfIdf(1, 1, max_vocab=3), ("word", 1, 1)),
+         (TfIdf(2, 3), ("word", 2, 3)),
+         (TopicFactorization(n_components=2, ngram_size=3, iters=5), ("char", 3, 3))],
+    )
+    def test_fitted_corpus_rows_need_no_term_lookup(self, embedder, grams):
+        corpus = TextCorpus(self.TEXTS)
+        model = embedder.fit(corpus.rows([0, 1, 2, 3, 6]))
+        terms, _ = corpus.ngram_counts(*grams)
+        assert model.terms is terms
+        rows = [4, 5, 0, 6]
+        fast = model.transform(corpus.rows(rows))
+        assert "vocab" not in vars(model)  # the fast path never built it
+        plain = model.transform([self.TEXTS[i] for i in rows])
+        assert "vocab" in vars(model)  # another corpus's terms are looked up
+        if isinstance(fast, CsrMatrix):
+            assert fast.shape == plain.shape
+            for name in ("data", "indices", "indptr"):
+                assert getattr(fast, name).tobytes() == getattr(plain, name).tobytes()
+        else:
+            assert fast.tobytes() == plain.tobytes()
+        assert model.vocab == {terms[c]: i for i, c in enumerate(model.columns)}
+        assert model.dim == (len(model.vocab) if isinstance(embedder, TfIdf) else 2)
+
+    @pytest.mark.parametrize(
+        "cls, name",
+        [(TfIdf, "fit"), (embed.TfIdfModel, "transform"), (TopicFactorization, "fit"),
+         (embed.TopicModel, "transform"), (HashedNgram, "transform")],
+    )
+    def test_traced_methods_stay_in_their_own_class(self, cls, name):
+        # perfbench/tracer.py wraps each of these in its class __dict__
+        assert callable(vars(cls).get(name))
+
+
+def _reference_vocab_counts(docs, model, kind, lo, hi):
     """The vocabulary counts from (corpus column, vocabulary column) pairs
     looked up in a term index, whatever corpus the vocabulary came from."""
+    vocab = model.vocab
     terms, counts = docs.corpus.ngram_counts(kind, lo, hi)
     index = {t: i for i, t in enumerate(terms)}
     found = [(index[term], i) for term, i in vocab.items() if term in index]
