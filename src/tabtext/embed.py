@@ -4,9 +4,8 @@ from __future__ import annotations
 import hashlib
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import compress, repeat
-from operator import methodcaller
 from pathlib import Path
 
 import numpy as np
@@ -458,15 +457,21 @@ class WordVecAvg:
 # Hashed n-grams
 
 
-_BLAKE2B_8 = partial(hashlib.blake2b, digest_size=8)
-_DIGEST = methodcaller("digest")
+_BLAKE2B_8 = hashlib.blake2b(digest_size=8)  # never updated: each term hashes a copy
 
 
 def _buckets(terms: list[str], buckets: int) -> np.ndarray:
     """Each term's bucket: its 8-byte blake2b digest, read big-endian, mod
-    buckets."""
-    digests = b"".join(map(_DIGEST, map(_BLAKE2B_8, map(str.encode, terms))))
-    return (np.frombuffer(digests, ">u8") % np.uint64(buckets)).astype(np.intp)
+    buckets. Copying one configured state costs less than a constructor
+    call per term."""
+    copy = _BLAKE2B_8.copy
+    digests = []
+    for term in terms:
+        h = copy()
+        h.update(term.encode())
+        digests.append(h.digest())
+        del h  # freed before the next copy, which can then reuse its memory
+    return (np.frombuffer(b"".join(digests), ">u8") % np.uint64(buckets)).astype(np.intp)
 
 
 def _upper_counts(texts: list[str], lengths: np.ndarray) -> np.ndarray:

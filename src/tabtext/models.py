@@ -3,6 +3,8 @@ adapter for external prediction commands."""
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 import shlex
 import tempfile
 from dataclasses import dataclass, field
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import core
 from .core import MISSING, TabTextError, Table, TaskKind, from_spec, require_memory
 from .embed import FeatureMatrix
 from .sparse import _BLOCK, CsrMatrix, all_finite, dense_row_blocks
@@ -46,11 +49,21 @@ class ExternalTimeout(TabTextError):
 # Model configurations
 
 
+def _check_penalty(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+        math.isfinite(value) and value >= 0
+    ):
+        raise ValueError(f"{name} must be a finite number of at least 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Ridge:
     alpha: float = 1.0
 
     tag = "ridge"
+
+    def __post_init__(self):
+        _check_penalty("alpha", self.alpha)
 
 
 @dataclass(frozen=True)
@@ -59,6 +72,13 @@ class Logistic:
     max_iter: int = 1000
 
     tag = "logistic"
+
+    def __post_init__(self):
+        _check_penalty("l2", self.l2)
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -337,6 +357,14 @@ def logistic_solve(
 _LEAF_L2 = 1.0
 _HESS_FLOOR = 1e-6
 
+# A fit keeps the node layouts it builds (`_Layouts`) while the bytes they
+# add to the presort stay within _KEEP_FACTOR presorts and within what the
+# memory budget leaves after the presort. Per presorted entry (17 bytes with
+# a one-byte rank), a root's candidates take at most 8 bytes and each
+# searched level below it at most 24 (S, V and candidates), so 4 presorts
+# hold the root and the two levels below it (56 bytes, 3.3 presorts).
+_KEEP_FACTOR = 4
+
 
 @dataclass
 class _Tree:
@@ -361,26 +389,33 @@ class _Tree:
         return self.value[node]
 
 
-def _best_split(S, V, gh):
+def _candidates(V):
+    """A node's candidate split positions: the flat positions c·m + i of its
+    d×m sorted values V where V[c, i] < V[c, i + 1], in (i, c) order."""
+    d, m = V.shape
+    i, c = np.divmod(np.flatnonzero((V[:, 1:] != V[:, :-1]).T), d)
+    return c * m + i
+
+
+def _best_split(S, V, gh, cand):
     """Exact greedy scan over all of one node's columns at once.
 
     Row c of S and V holds the node's row ids and values in its column's
     ascending order, ties by row id. gh carries each row's gradient and
     hessian as one complex number, so one cumsum gives both running sums,
     each rounded as its own cumsum would be. The node totals are row 0's
-    sums. Gains are scored only where adjacent sorted values differ, in
-    (position, column) order, so argmax breaks ties as a scan of the whole
-    node would. Returns (gain, row of S, threshold) or None when no valid
-    candidate exists (every column is constant within the node).
+    sums. Gains are scored only at the candidate positions cand
+    (`_candidates`), where adjacent sorted values differ, in (position,
+    column) order, so argmax breaks ties as a scan of the whole node would.
+    Returns (gain, row of S, threshold) or None when no valid candidate
+    exists (every column is constant within the node).
     """
-    d = S.shape[0]
-    sums = np.cumsum(gh[S], axis=1)
-    gs, hs = sums.real, sums.imag
-    G, H = gs[0, -1], hs[0, -1]
-    i, c = np.divmod(np.flatnonzero((V[:, 1:] != V[:, :-1]).T), d)
-    if i.size == 0:
+    if cand.size == 0:
         return None
-    GL, HL = gs[c, i], hs[c, i]
+    sums = gh.take(S).cumsum(axis=1)
+    G, H = sums[0, -1].real, sums[0, -1].imag
+    at = sums.take(cand)
+    GL, HL = at.real, at.imag
     GR, HR = G - GL, H - HL
     parent = G * G / (max(H, _HESS_FLOOR) + _LEAF_L2)
     gain = 0.5 * (
@@ -388,25 +423,121 @@ def _best_split(S, V, gh):
         + GR * GR / (np.maximum(HR, _HESS_FLOOR) + _LEAF_L2)
         - parent
     )
-    best = int(np.argmax(gain))
+    best = int(gain.argmax())
     if not np.isfinite(gain[best]):
         return None
-    i, c = i[best], c[best]
-    return float(gain[best]), int(c), float((V[c, i] + V[c, i + 1]) / 2.0)
+    c, i = divmod(int(cand[best]), S.shape[1])
+    return float(gain[best]), c, float((V[c, i] + V[c, i + 1]) / 2.0)
 
 
-def _grow_tree(X, live, S, V, g, h, max_depth):
+class _Layout:
+    """A node's part of the presort. It depends only on the training design
+    and the splits (j, thr) on the node's path, so a fit can keep it for
+    every tree that reaches the node again: the node's rows in ascending
+    order and, if the node is searched, the columns live that vary within it
+    with their rows of S and V, and its candidate positions once a search
+    has computed and kept them. children maps a split to the kept layouts of
+    the two children it makes; it is None when this layout is not kept."""
+
+    __slots__ = ("rows", "live", "S", "V", "cand", "children")
+
+    def __init__(self, rows, live=None, S=None, V=None):
+        self.rows, self.live, self.S, self.V = rows, live, S, V
+        self.cand = None
+        self.children = None
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.rows, self.live, self.S, self.V) if a is not None)
+
+
+def _split_layout(X, node, j, thr, searched, left_of):
+    """The layouts of node's two children at the split X[:, j] < thr, right
+    then left. A child holds only its rows unless it is searched (searched
+    says whether its depth allows it) and has two rows or more; then it also
+    holds its part of S and V, filtered in each column's sorted order, without
+    the columns constant within it (a column constant within a node is
+    constant below it; column 0 stays for the node totals). left_of is an
+    n-row scratch array."""
+    rows, S, V = node.rows, node.S, node.V
+    go_left = X[rows, j] < thr
+    if searched:
+        left_of[rows] = go_left  # whether a row goes left at this split
+        in_left = left_of[S]
+    d = S.shape[0] if searched else 0
+    pair = []
+    for is_left in (False, True):
+        sub = rows[go_left if is_left else ~go_left]
+        if not searched or sub.size < 2:
+            pair.append(_Layout(sub))
+            continue
+        kept = np.flatnonzero(in_left if is_left else ~in_left)
+        live = node.live
+        sub_S, sub_V = np.take(S, kept).reshape(d, -1), np.take(V, kept).reshape(d, -1)
+        varies = sub_V[:, -1] > sub_V[:, 0]
+        varies[0] = True
+        if not varies.all():
+            live, sub_S, sub_V = live[varies], sub_S[varies], sub_V[varies]
+        pair.append(_Layout(sub, live, sub_S, sub_V))
+    return pair
+
+
+class _Layouts:
+    """The layouts one fit keeps, from the root (the presort itself) down,
+    and the bytes they hold beyond the presort: at most bound. A layout is
+    kept only with its parent, so every kept layout is reachable from the
+    root; past the bound, layouts are built for one tree and dropped."""
+
+    def __init__(self, root: _Layout, bound: int):
+        self.root, self.bound, self.kept = root, bound, 0
+        root.children = {}
+
+    def _keep(self, nbytes: int) -> bool:
+        if self.kept + nbytes > self.bound:
+            return False
+        self.kept += nbytes
+        return True
+
+    def candidates(self, node: _Layout) -> np.ndarray:
+        """node's candidate positions, computed on its first search and kept
+        with it when they fit."""
+        cand = node.cand
+        if cand is None:
+            cand = _candidates(node.V)
+            if node.children is not None and self._keep(cand.nbytes):
+                node.cand = cand
+        return cand
+
+    def split(self, X, node: _Layout, j: int, thr: float, searched: bool, left_of):
+        """The layouts of node's children at the split X[:, j] < thr: the
+        kept pair if a tree made this split at this node before, else a new
+        one, kept if node is and the pair fits."""
+        key = (j, thr)
+        pair = None if node.children is None else node.children.get(key)
+        if pair is None:
+            pair = _split_layout(X, node, j, thr, searched, left_of)
+            if node.children is not None and self._keep(sum(c.nbytes for c in pair)):
+                for child in pair:
+                    child.children = {}
+                node.children[key] = pair
+        return pair
+
+
+def _grow_tree(X, layouts, g, h, max_depth):
     """One tree over the training rows, and each training row's leaf value.
 
-    Row c of S and V is the presort of column live[c]: its row ids and
-    values in ascending order. Each node holds its rows in ascending order
-    and its own part of S and V, without the columns constant within it; a
-    split filters them, in order, into the two children.
+    Each node searches its layout (`_Layout`) from the fit's layouts: the
+    root's is the presort, row c of its S and V the row ids and values of
+    column live[c] in ascending order. A split takes the children's layouts
+    the fit has kept for it, or filters new ones from the node's, in order.
+    A layout is a function of the design and the path of splits alone, so
+    reusing one gives the node the rows, S and V rows and candidates it
+    would have built; only the gradient sums are new in each tree.
     """
     n = X.shape[0]
     feature, threshold, left, right, value = [], [], [], [], []
     step = np.empty(n)
-    left_of = np.empty(n, dtype=bool)  # whether a row goes left at its last split
+    left_of = np.empty(n, dtype=bool)
     gh = np.empty(n, dtype=complex)
     gh.real, gh.imag = g, h
 
@@ -421,23 +552,18 @@ def _grow_tree(X, live, S, V, g, h, max_depth):
         step[rows] = value[-1]
 
     # depth first, left before right, so nodes are numbered in preorder; a
-    # node's arrays are dropped once its children's are built
-    pending = [(np.arange(n), live, S, V, 0, None)]
+    # layout not kept is dropped once its children's are built
+    pending = [(layouts.root, 0, None)]
     while pending:
-        rows, live, S, V, depth, link = pending.pop()
+        node, depth, link = pending.pop()
         if link is not None:
             side, parent = link
             side[parent] = len(feature)
+        rows = node.rows
         if depth >= max_depth or rows.size < 2:
             leaf(rows)
             continue
-        # a column constant within a node is constant below it; column 0
-        # stays for the node totals
-        varies = V[:, -1] > V[:, 0]
-        varies[0] = True
-        if not varies.all():
-            live, S, V = live[varies], S[varies], V[varies]
-        found = _best_split(S, V, gh)
+        found = _best_split(node.S, node.V, gh, layouts.candidates(node))
         if found is None:
             leaf(rows)
             continue
@@ -451,28 +577,17 @@ def _grow_tree(X, live, S, V, g, h, max_depth):
             if not (gain > -1e-12 and cancelling):
                 leaf(rows)
                 continue
-        j = int(live[c])
-        node = len(feature)
+        j = int(node.live[c])
+        at = len(feature)
         feature.append(j)
         threshold.append(thr)
         left.append(-1)
         right.append(-1)
         value.append(0.0)
-        go_left = X[rows, j] < thr
-        left_of[rows] = go_left
-        in_left = left_of[S]
-        d = S.shape[0]
-        for side, sel, kept in ((right, ~go_left, ~in_left), (left, go_left, in_left)):
-            kept = np.flatnonzero(kept)  # stays in each column's sorted order
-            pending.append((
-                rows[sel],
-                live,
-                np.take(S, kept).reshape(d, -1),
-                np.take(V, kept).reshape(d, -1),
-                depth + 1,
-                (side, node),
-            ))
-        del rows, S, V, go_left, in_left, kept  # only the children hold them now
+        pair = layouts.split(X, node, j, thr, depth + 1 < max_depth, left_of)
+        for side, child in zip((right, left), pair):
+            pending.append((child, depth + 1, (side, at)))
+        del pair, child  # a child's layout is held by pending, and dropped once searched
 
     tree = _Tree(
         np.array(feature, dtype=np.int64),
@@ -561,7 +676,19 @@ def _fit_gbdt(cfg: Gbdt, X: np.ndarray, Y: np.ndarray, task: TaskKind) -> _GbdtF
     column, which is the one kept, and dropping the later ones changes no
     other column's candidates. Equal values share a rank by the same `!=`
     test that marks candidates, which sorts consistently because `fit`
-    refuses non-finite values."""
+    refuses non-finite values.
+
+    The fit keeps the node layouts its trees build (`_Layouts`), for every
+    later tree and margin column: each node's rows, live columns, S and V
+    rows and candidate positions. They are kept while the bytes they add
+    stay within _KEEP_FACTOR presorts and within what the memory budget
+    leaves after the presort; past that, a tree builds its layouts and
+    drops them. A layout is a function of X and of the splits (j, thr) on
+    the node's path alone: the split X[:, j] < thr picks the same rows out
+    of the same parent, and the filter keeps their sorted order. So a kept
+    layout is bit for bit the one the node would build, and the trees
+    cannot change with what is kept; only gh[S], its cumsum and the gains
+    are computed anew in each tree."""
     n, k = Y.shape
     # presort once: the row ids and values of each column in ascending
     # order, ties by row id, skipping the columns constant on the training
@@ -570,13 +697,16 @@ def _fit_gbdt(cfg: Gbdt, X: np.ndarray, Y: np.ndarray, task: TaskKind) -> _GbdtF
     # np.union1d(0, ...) would do, but its np.unique imports numpy.ma
     live = np.flatnonzero(np.concatenate(([True], varies[1:])))
     rank_type = np.min_scalar_type(max(n - 1, 0))
-    require_memory(
-        (16 + rank_type.itemsize) * n * live.size, f"the booster's {n}×{live.size} presort"
-    )
+    presort = (16 + rank_type.itemsize) * n * live.size
+    require_memory(presort, f"the booster's {n}×{live.size} presort")
     V = X.T[live]
     S = np.argsort(V, axis=1, kind="stable")
     V.sort(axis=1, kind="stable")
     live, S, V = _merge_equal_orders(live, S, V, rank_type)
+    layouts = _Layouts(
+        _Layout(np.arange(n), live, S, V),
+        min(_KEEP_FACTOR * presort, core.MEMORY_BUDGET_BYTES - presort),
+    )
     base = Y.mean(axis=0) if task is TaskKind.REGRESSION else np.zeros(k)
     fit = _GbdtFit([], base, cfg.learning_rate)
     F = np.tile(base, (n, 1))
@@ -585,7 +715,7 @@ def _fit_gbdt(cfg: Gbdt, X: np.ndarray, Y: np.ndarray, task: TaskKind) -> _GbdtF
         G = P - Y
         round_trees = []
         for c in range(k):
-            tree, step = _grow_tree(X, live, S, V, G[:, c], H[:, c], cfg.max_depth)
+            tree, step = _grow_tree(X, layouts, G[:, c], H[:, c], cfg.max_depth)
             F[:, c] += cfg.learning_rate * step
             round_trees.append(tree)
         fit.trees.append(round_trees)

@@ -433,6 +433,25 @@ def test_tfidf_max_vocab_that_is_not_a_positive_integer_is_refused_before_ingest
     assert capsys.readouterr().err == f"eval failed: {reason}\n"
 
 
+@pytest.mark.parametrize(
+    "model, reason",
+    [({"kind": "ridge", "alpha": -1}, "alpha must be a finite number of at least 0, got -1"),
+     ({"kind": "ridge", "alpha": float("nan")},
+      "alpha must be a finite number of at least 0, got nan"),
+     ({"kind": "logistic", "l2": -1.0}, "l2 must be a finite number of at least 0, got -1.0"),
+     ({"kind": "logistic", "max_iter": 0}, "max_iter must be at least 1"),
+     ({"kind": "logistic", "max_iter": True}, "max_iter must be an integer, got True")],
+)
+def test_model_config_outside_its_domain_is_refused_before_ingest(
+    model, reason, dataset, tmp_path, monkeypatch, capsys
+):
+    config = eval_config(tmp_path, dataset)
+    config.write_text(json.dumps({**json.loads(config.read_text()), "models": [model]}))
+    monkeypatch.setattr(cli, "ingest_dataset", _refuse_to_run)
+    assert main(["eval", str(config)]) == 3
+    assert capsys.readouterr().err == f"eval failed: {reason}\n"
+
+
 def test_eval_config_out_that_is_not_a_path_is_refused(dataset, tmp_path, capsys):
     assert main(["eval", str(eval_config(tmp_path, dataset, out=7))]) == 3
     assert capsys.readouterr().err == "eval failed: output directory must be a path, got 7\n"

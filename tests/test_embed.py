@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import math
 import re
@@ -303,6 +304,22 @@ class TestHashedNgram:
         lengths = np.fromiter(map(len, texts), np.intp, len(texts))
         want = np.array([float(sum(map(str.isupper, t))) for t in texts])
         assert embed._upper_counts(texts, lengths).tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        terms=st.lists(
+            st.one_of(st.sampled_from(["", "a", "the cat", "É", "😀"]),
+                      st.text(st.characters(exclude_categories=("Cs",)), max_size=20)),
+            max_size=30,
+        ),
+        buckets=st.one_of(st.integers(1, 2**20), st.just(2**63)),
+    )
+    def test_buckets_match_one_blake2b_per_term(self, terms, buckets):
+        # the copied state must leave no bytes of one term in the next one's digest
+        want = [int.from_bytes(hashlib.blake2b(t.encode(), digest_size=8).digest(), "big") % buckets
+                for t in terms]
+        got = _buckets(terms, buckets)
+        assert got.dtype == np.intp and got.tolist() == want
 
 
 class TestTopicFactorization:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from unittest import mock
 
@@ -27,6 +28,7 @@ from tabtext.models import (
     SingularSystem,
     WidthMismatch,
     fit,
+    make_model,
     ridge_solve,
     run_external,
 )
@@ -35,6 +37,30 @@ from tabtext.sparse import CsrMatrix
 from references import csr_from_coo
 
 R, B, M = TaskKind.REGRESSION, TaskKind.BINARY, TaskKind.MULTICLASS
+
+
+class TestLinearConfigs:
+    @pytest.mark.parametrize("value", [-1.0, -1, float("nan"), float("inf"), True, False, "1",
+                                       None])
+    def test_penalties_outside_their_domain_are_refused(self, value):
+        with pytest.raises(ValueError, match="^alpha must be a finite number of at least 0"):
+            Ridge(alpha=value)
+        with pytest.raises(ValueError, match="^l2 must be a finite number of at least 0"):
+            Logistic(l2=value)
+
+    @pytest.mark.parametrize("value, reason", [
+        (0, "max_iter must be at least 1"), (-5, "max_iter must be at least 1"),
+        (True, "max_iter must be an integer"), (2.0, "max_iter must be an integer"),
+        (None, "max_iter must be an integer"),
+    ])
+    def test_max_iter_must_be_a_positive_integer(self, value, reason):
+        with pytest.raises(ValueError, match=f"^{reason}"):
+            Logistic(max_iter=value)
+
+    def test_boundary_values_are_accepted(self):
+        assert Ridge(alpha=0).alpha == 0 and Ridge(alpha=np.float64(2.5)).alpha == 2.5
+        assert Logistic(l2=0.0, max_iter=1).max_iter == 1
+        assert make_model({"kind": "ridge", "alpha": 3}) == Ridge(3)
 
 
 class TestRidge:
@@ -759,6 +785,142 @@ class TestGbdtMatchesWholeTableSearch:
         assert grow.call_count == 0 and argsort.call_count == 0
         monkeypatch.setattr(core, "MEMORY_BUDGET_BYTES", presort)
         fit(Gbdt(max_depth=2, n_rounds=2), X, y, B)
+
+
+def _fit_keeping(factor, cfg, X, Y, task):
+    """A booster fit with the keep bound at factor presorts, and its layouts."""
+    with mock.patch.object(models, "_KEEP_FACTOR", factor), \
+            mock.patch.object(models, "_grow_tree", wraps=models._grow_tree) as grow:
+        got = models._fit_gbdt(cfg, X, Y, task)
+    return got, grow.call_args_list[0].args[1]
+
+
+def _internal_splits(fit):
+    """Every internal node of every tree as (its path of splits and sides
+    from the root, its own split)."""
+    splits = []
+    for round_trees in fit.trees:
+        for tree in round_trees:
+            def walk(node, path):
+                if tree.feature[node] < 0:
+                    return
+                split = (int(tree.feature[node]), float(tree.threshold[node]))
+                splits.append((path, split))
+                walk(tree.left[node], path + ((split, "left"),))
+                walk(tree.right[node], path + ((split, "right"),))
+            walk(0, ())
+    return splits
+
+
+class TestGbdtKeptLayouts:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        table=tie_heavy_tables(),
+        task=st.sampled_from([R, B, M]),
+        max_depth=st.integers(1, 4),
+        n_rounds=st.integers(1, 8),
+    )
+    def test_any_bound_grows_the_whole_table_search_trees(self, table, task, max_depth,
+                                                          n_rounds):
+        # nothing kept, a few bytes (some small layouts or candidates fit,
+        # most do not) and everything: the same trees and loss, bit for bit
+        X, y = table
+        Y = {R: y[:, None].astype(float), B: (y[:, None] % 2).astype(float), M: np.eye(3)[y]}[task]
+        cfg = Gbdt(max_depth=max_depth, learning_rate=0.3, n_rounds=n_rounds)
+        ref = _reference_fit_gbdt(cfg, X, Y, task)
+        for factor in (0, 0.05, math.inf):
+            got, layouts = _fit_keeping(factor, cfg, X, Y, task)
+            assert 0 <= layouts.kept <= layouts.bound
+            assert np.array(got.train_loss).tobytes() == np.array(ref.train_loss).tobytes()
+            for got_round, ref_round in zip(got.trees, ref.trees, strict=True):
+                for a, b in zip(got_round, ref_round, strict=True):
+                    for name in ("feature", "threshold", "left", "right", "value"):
+                        x, z = getattr(a, name), getattr(b, name)
+                        assert x.dtype == z.dtype and x.tobytes() == z.tobytes(), name
+
+    def test_a_repeated_root_split_builds_its_children_once(self):
+        # y steps on column 0, so every tree makes the same root split and
+        # both children, searched at depth 1, find nothing to split
+        rng = np.random.default_rng(13)
+        X = rng.standard_normal((60, 4))
+        Y = (X[:, [0]] > 0.2).astype(float)
+        cfg = Gbdt(max_depth=2, learning_rate=0.3, n_rounds=12)
+        for factor, builds in ((models._KEEP_FACTOR, 1), (0, 12)):
+            with mock.patch.object(models, "_split_layout", wraps=models._split_layout) as split:
+                got, _ = _fit_keeping(factor, cfg, X, Y, R)
+            assert {(tuple(t.feature), t.threshold[0]) for [t] in got.trees} == \
+                {((0, -1, -1), got.trees[0][0].threshold[0])}
+            assert split.call_count == builds
+
+    @pytest.mark.parametrize("task", [R, B, M], ids=lambda t: t.value)
+    def test_each_split_at_each_node_is_built_once_per_fit(self, task):
+        # across rounds and the margin columns of a multiclass round
+        rng = np.random.default_rng(14)
+        X = np.round(rng.standard_normal((80, 5)), 1)
+        y = (X[:, 0] > 0).astype(int) + (X[:, 1] > 0.5)
+        Y = {R: y[:, None].astype(float), B: (y[:, None] % 2).astype(float), M: np.eye(3)[y]}[task]
+        cfg = Gbdt(max_depth=3, learning_rate=0.3, n_rounds=15)
+        for factor in (math.inf, 0):
+            with mock.patch.object(models, "_split_layout", wraps=models._split_layout) as split:
+                got, _ = _fit_keeping(factor, cfg, X, Y, task)
+            splits = _internal_splits(got)
+            want = len(set(splits)) if factor else len(splits)
+            assert split.call_count == want
+        assert len(set(splits)) < len(splits)
+
+    def test_the_budget_left_after_the_presort_bounds_what_is_kept(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        X = rng.standard_normal((40, 3))
+        Y = (X[:, [0]] > 0).astype(float)
+        presort = (16 + 1) * 40 * 3
+        for budget, bound in ((presort, 0), (presort + 100, 100), (2 << 30, 4 * presort)):
+            monkeypatch.setattr(core, "MEMORY_BUDGET_BYTES", budget)
+            _, layouts = _fit_keeping(models._KEEP_FACTOR, Gbdt(3, 0.3, 5), X, Y, R)
+            assert layouts.bound == bound and layouts.kept <= bound
+            if bound == 0:
+                assert layouts.root.children == {} and layouts.root.cand is None
+
+    def test_kept_bytes_never_pass_the_bound(self):
+        # traced memory held between trees, keeping layouts less not
+        # keeping any, is what the kept layouts hold: their arrays, at most
+        # the bound (two presorts here, which the layouts of the first trees
+        # nearly fill), plus a small object overhead per kept layout
+        rng = np.random.default_rng(16)
+        X = rng.standard_normal((1500, 12))
+        Y = np.eye(3)[rng.integers(0, 3, 1500)]
+        cfg = Gbdt(max_depth=3, learning_rate=0.3, n_rounds=6)
+        real_grow = models._grow_tree
+        held = {}
+        for factor in (2, 0):
+            after_tree = []
+
+            def grow(*args, **kwargs):
+                out = real_grow(*args, **kwargs)
+                after_tree.append(tracemalloc.get_traced_memory()[0])
+                return out
+
+            tracemalloc.start()
+            try:
+                with mock.patch.object(models, "_grow_tree", side_effect=grow) as spy:
+                    with mock.patch.object(models, "_KEEP_FACTOR", factor):
+                        models._fit_gbdt(cfg, X, Y, M)
+            finally:
+                tracemalloc.stop()
+            held[factor] = np.array(after_tree)
+            if factor:
+                layouts = spy.call_args_list[0].args[1]
+        kept_layouts = 0
+        stack = [layouts.root]
+        while stack:
+            node = stack.pop()
+            for pair in (node.children or {}).values():
+                kept_layouts += len(pair)
+                stack.extend(pair)
+        bound = 2 * (16 + 2) * 1500 * 12
+        assert layouts.bound == bound and 0.8 * bound < layouts.kept <= bound
+        extra = held[2] - held[0]
+        assert extra.max() <= bound + 1024 * kept_layouts
+        assert extra.max() >= layouts.kept
 
 
 class TestGbdt:
