@@ -104,6 +104,15 @@ def as_int(value, what: str) -> int:
     raise ValueError(f"{what} must be a JSON integer, got {value!r}")
 
 
+def check_count(name: str, value, minimum: int) -> None:
+    """Refuse a config field that is not an int of at least `minimum`; a
+    boolean or a float such as 2.0 is refused, not converted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}")
+
+
 def from_spec(spec, kinds, what: str):
     """Build the class of the union `kinds` whose tag is spec["kind"] from
     the rest of a config mapping, e.g. {"kind": "ridge", "alpha": 2.0}; a

@@ -10,7 +10,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MISSING, ColumnRole, FoldAssignment, TabTextError, Table, TaskKind, from_spec
+from .core import (
+    MISSING,
+    ColumnRole,
+    FoldAssignment,
+    TabTextError,
+    Table,
+    TaskKind,
+    check_count,
+    from_spec,
+)
 from .sparse import CsrMatrix, all_finite, hstack, run_starts
 
 
@@ -307,14 +316,11 @@ class TfIdf:
     tag = "tfidf"
 
     def __post_init__(self):
-        if self.ngram_lo < 1:
-            raise ValueError("ngram_lo must be at least 1")
+        check_count("ngram_lo", self.ngram_lo, 1)
+        check_count("ngram_hi", self.ngram_hi, 1)
         if self.ngram_lo > self.ngram_hi:
             raise ValueError("ngram_lo must not exceed ngram_hi")
-        if isinstance(self.max_vocab, bool) or not isinstance(self.max_vocab, int):
-            raise ValueError(f"max_vocab must be an integer, got {self.max_vocab!r}")
-        if self.max_vocab < 1:
-            raise ValueError("max_vocab must be at least 1")
+        check_count("max_vocab", self.max_vocab, 1)
 
     def fit(self, train_texts: list[str] | CorpusRows) -> "TfIdfModel":
         docs = corpus_rows(train_texts)
@@ -360,8 +366,9 @@ class TfIdfModel:
         cfg = self.config
         out = _vocab_counts(corpus_rows(texts), self, "word", cfg.ngram_lo, cfg.ngram_hi)
         out.data *= self.idf[out.indices]
-        norms = out.row_norms()
-        out.data /= np.repeat(np.where(norms > 0, norms, 1.0), np.diff(out.indptr))
+        # every stored count·idf is at least 1, so a row with entries has a
+        # positive norm
+        out.data /= np.repeat(out.row_norms(), np.diff(out.indptr))
         return out
 
 
@@ -501,8 +508,7 @@ class HashedNgram:
     tag = "hashed"
 
     def __post_init__(self):
-        if self.buckets < 16:
-            raise ValueError("buckets must be at least 16")
+        check_count("buckets", self.buckets, 16)
 
     def fit(self, train_texts: list[str]) -> "HashedNgram":
         return self
@@ -553,10 +559,10 @@ class TopicFactorization:
     tag = "topic"
 
     def __post_init__(self):
-        if self.n_components < 1:
-            raise ValueError("n_components must be at least 1")
-        if self.ngram_size < 1:
-            raise ValueError("ngram_size must be at least 1")
+        check_count("n_components", self.n_components, 1)
+        check_count("ngram_size", self.ngram_size, 1)
+        check_count("iters", self.iters, 1)
+        check_count("seed", self.seed, 0)
 
     def fit(self, train_texts: list[str] | CorpusRows) -> "TopicModel":
         docs = corpus_rows(train_texts)

@@ -13,7 +13,15 @@ from pathlib import Path
 import numpy as np
 
 from . import core
-from .core import MISSING, TabTextError, Table, TaskKind, from_spec, require_memory
+from .core import (
+    MISSING,
+    TabTextError,
+    Table,
+    TaskKind,
+    check_count,
+    from_spec,
+    require_memory,
+)
 from .embed import FeatureMatrix
 from .sparse import _BLOCK, CsrMatrix, all_finite, dense_row_blocks
 
@@ -75,10 +83,7 @@ class Logistic:
 
     def __post_init__(self):
         _check_penalty("l2", self.l2)
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int):
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        check_count("max_iter", self.max_iter, 1)
 
 
 @dataclass(frozen=True)
@@ -90,12 +95,11 @@ class Gbdt:
     tag = "gbdt"
 
     def __post_init__(self):
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError("learning_rate must be in (0, 1]")
-        if self.n_rounds < 1:
-            raise ValueError("n_rounds must be at least 1")
+        check_count("max_depth", self.max_depth, 1)
+        rate = self.learning_rate
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not 0.0 < rate <= 1.0:
+            raise ValueError(f"learning_rate must be a number in (0, 1], got {rate!r}")
+        check_count("n_rounds", self.n_rounds, 1)
 
 
 @dataclass(frozen=True)

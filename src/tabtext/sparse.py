@@ -17,13 +17,11 @@ the top k.
 
 Blocks are built in the order they are stored: `hstack` places each
 part's rows side by side, row after row, from the parts' `indptr`s, with
-no sort, and `row_norms` reproduces numpy's pairwise row sum from the
-nonzeros alone (the implicit zeros add exactly nothing), in row blocks of
-at most _NNZ_BLOCK nonzeros, so neither allocates anything as wide as the
-matrix. Each column's leaf of the pairwise tree and its place in the leaf
-are looked up in small integer arrays, cached for a few widths, and a
-block of rows takes a fixed number of array passes plus one short pass per
-tree level, whatever its rows' shapes.
+no sort, and `row_norms` sums each row's squared entries in that order
+in one bincount, so neither allocates anything as wide as the matrix.
+Unlike the column reductions, the row norms do not copy numpy's dense
+rounding (numpy sums a dense row pairwise): they are the left-to-right
+sum, which agrees with numpy's to rounding.
 
 The ridge primal's centered Gram Xcᵀ Xc has two builders here, chosen by
 `models._primal`. `centered_gram` works from the stored entries: the
@@ -36,22 +34,14 @@ centers and multiplies; its bits are those of the dense matrix's blocks.
 """
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .core import require_memory
 
 # Dense scratch elements per block of rows in col_var and dense_row_blocks.
 _BLOCK = 1 << 20
-# Nonzeros per block of rows in row_norms (at least one row a block).
-_NNZ_BLOCK = 1 << 14
 # Stored entries per block of rows in centered_gram (at least one row a block).
 _PAIR_BLOCK = 1 << 16
-# numpy's pairwise sum: a run of at most _PW_LEAF elements is one leaf,
-# summed in _PW_UNROLL strided accumulators.
-_PW_LEAF = 128
-_PW_UNROLL = 8
 
 
 class CsrMatrix:
@@ -198,72 +188,12 @@ class CsrMatrix:
         return acc / n
 
     def row_norms(self) -> np.ndarray:
-        """Bit-equal to np.sqrt((D * D).sum(axis=1)) for D = X.toarray().
-
-        numpy sums each dense row pairwise (_pairwise_layout). An implicit
-        zero adds exactly nothing, so summing the squared nonzeros in the
-        same tree gives the same bits. Each (row, leaf) group holding
-        nonzeros is summed as numpy sums the leaf: its strided accumulators
-        in one bincount, then its tail in another, seeded with that sum. The
-        groups then merge up the tree: adjacent groups of a row merge at
-        their lowest common ancestor, computed once, deepest first; merges
-        at one depth are disjoint, and each adds a subtree's sum, held by its
-        first group, to its left neighbour's."""
-        n, d = self.shape
-        leaf_of, slot_of, top = _pairwise_layout(d)
-        sq = np.zeros(n)
-        lo = 0
-        while lo < n:
-            end = np.searchsorted(self.indptr, self.indptr[lo] + _NNZ_BLOCK, side="right") - 1
-            hi = min(max(end, lo + 1), n)
-            span = slice(self.indptr[lo], self.indptr[hi])
-            cols = self.indices[span]
-            val = self.data[span] * self.data[span]
-            # each entry's row within the block above its leaf's id: a key
-            # that increases in stored order, one run per (row, leaf) group
-            key = np.repeat(np.arange(hi - lo), np.diff(self.indptr[lo : hi + 1])) << top
-            key |= leaf_of[cols]
-            base, lo = lo, hi
-            if not val.size:
-                continue
-            new = run_starts(key)
-            first = np.flatnonzero(new)
-            group = np.cumsum(new) - 1
-            slot = slot_of[cols]
-            # the strided accumulators add their columns in order from zero,
-            # as bincount does (the tail's slot, _PW_UNROLL, is left out)
-            acc = np.bincount(
-                group * (_PW_UNROLL + 1) + slot,
-                weights=val,
-                minlength=(_PW_UNROLL + 1) * first.size,
-            ).reshape(-1, _PW_UNROLL + 1)
-            total = ((acc[:, 0] + acc[:, 1]) + (acc[:, 2] + acc[:, 3])) + (
-                (acc[:, 4] + acc[:, 5]) + (acc[:, 6] + acc[:, 7])
-            )
-            # then the tail, one column after another (a leaf narrower than
-            # _PW_UNROLL is all tail, summed from zero)
-            tail = np.flatnonzero(slot == _PW_UNROLL)
-            if tail.size:
-                total = np.bincount(
-                    np.concatenate((np.arange(first.size), group[tail])),
-                    weights=np.concatenate((total, val[tail])),
-                )
-            # the depth of each pair of adjacent groups' lowest common
-            # ancestor; negative between rows, which never merge
-            key = key[first]
-            depth = top - np.frexp(key[1:] ^ key[:-1])[1]
-            heads = np.flatnonzero(np.concatenate(([True], depth < 0)))  # rows' first groups
-            inner = np.flatnonzero(depth >= 0)
-            depth = depth[inner]
-            # the left operand starts at the ancestor's first group: the
-            # first key at or after the ancestor's lowest leaf id
-            low = top - depth
-            left = np.searchsorted(key, key[inner] >> low << low)
-            for t in range(top - 1, -1, -1):
-                at = np.flatnonzero(depth == t)
-                total[left[at]] += total[inner[at] + 1]
-            sq[base + (key[heads] >> top)] = total[heads]
-        return np.sqrt(sq)
+        """Each row's Euclidean norm: its squared stored entries summed in
+        stored order from zero, bit-equal to np.sqrt(np.cumsum(D * D, axis=1)[:, -1])
+        for D = X.toarray(). Unlike _row_ids, it leaves no per-entry array
+        on the matrix."""
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        return np.sqrt(np.bincount(rows, weights=self.data * self.data, minlength=self.shape[0]))
 
     # -- the centered Gram matrix -----------------------------------------
 
@@ -376,45 +306,6 @@ def run_starts(keys: np.ndarray) -> np.ndarray:
     new = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=new[1:])
     return new
-
-
-@functools.lru_cache(maxsize=4)
-def _pairwise_layout(d: int):
-    """Where numpy's pairwise sum of d elements puts each element. A run of
-    more than _PW_LEAF elements splits into halves, the left one rounded
-    down to a multiple of _PW_UNROLL; a leaf sums its first multiple of
-    _PW_UNROLL elements in _PW_UNROLL strided accumulators, then adds the
-    rest, its tail, one after another.
-
-    Returns each column's leaf id, its slot and the depth `top` of the
-    deepest leaf. A leaf's id is its path from the root (0 for left, 1 for
-    right) as bits, padded to `top` bits: ids increase left to right, and
-    two leaves' lowest common ancestor is at depth top minus the bit length
-    of their ids' xor. The slot is the column's strided accumulator, or
-    _PW_UNROLL in the tail. Both are small unsigned integers, one array
-    element per column; they are cached for a few widths, read-only, since
-    every caller shares them."""
-    leaves = []
-
-    def split(start, width, depth, path):
-        if width <= _PW_LEAF:
-            leaves.append((start, width, depth, path))
-            return
-        half = width // 2
-        half -= half % _PW_UNROLL
-        split(start, half, depth + 1, path << 1)
-        split(start + half, width - half, depth + 1, path << 1 | 1)
-
-    split(0, d, 0, 0)
-    starts, widths, depth, path = (np.array(a, dtype=np.intp) for a in zip(*leaves))
-    top = int(depth.max())
-    leaf = np.repeat(np.arange(len(starts)), widths)
-    pos = np.arange(d) - starts[leaf]
-    body = (widths - widths % _PW_UNROLL)[leaf]
-    slot = np.where(pos < body, pos % _PW_UNROLL, _PW_UNROLL).astype(np.uint8)
-    ids = (path << (top - depth)).astype(np.min_scalar_type((1 << top) - 1))[leaf]
-    ids.flags.writeable = slot.flags.writeable = False
-    return ids, slot, top
 
 
 def dense_row_blocks(X):

@@ -440,7 +440,9 @@ def test_tfidf_max_vocab_that_is_not_a_positive_integer_is_refused_before_ingest
       "alpha must be a finite number of at least 0, got nan"),
      ({"kind": "logistic", "l2": -1.0}, "l2 must be a finite number of at least 0, got -1.0"),
      ({"kind": "logistic", "max_iter": 0}, "max_iter must be at least 1"),
-     ({"kind": "logistic", "max_iter": True}, "max_iter must be an integer, got True")],
+     ({"kind": "logistic", "max_iter": True}, "max_iter must be an integer, got True"),
+     ({"kind": "gbdt", "n_rounds": 2.5}, "n_rounds must be an integer, got 2.5"),
+     ({"kind": "gbdt", "max_depth": 1.5}, "max_depth must be an integer, got 1.5")],
 )
 def test_model_config_outside_its_domain_is_refused_before_ingest(
     model, reason, dataset, tmp_path, monkeypatch, capsys

@@ -175,6 +175,16 @@ class TestTfIdfConfig:
         with pytest.raises(ValueError, match="ngram_lo"):
             TfIdf(lo, hi)
 
+    @pytest.mark.parametrize("lo, hi, reason", [
+        (1.5, 2, "ngram_lo must be an integer, got 1.5"),
+        (True, 2, "ngram_lo must be an integer, got True"),
+        (1, 2.0, "ngram_hi must be an integer, got 2.0"),
+        (1, 0, "ngram_hi must be at least 1"),
+    ])
+    def test_refuses_ngram_bounds_that_are_not_integers(self, lo, hi, reason):
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            TfIdf(lo, hi)
+
 
     @pytest.mark.parametrize("max_vocab", [0, -3, True, False, 2.5, 1.0, "5", None])
     def test_refuses_max_vocab_that_is_not_a_positive_integer(self, max_vocab):
@@ -286,6 +296,11 @@ class TestHashedNgram:
         with pytest.raises(ValueError):
             HashedNgram(buckets=4)
 
+    @pytest.mark.parametrize("buckets", [100.5, 64.0, True, "64", None])
+    def test_refuses_buckets_that_are_not_integers(self, buckets):
+        with pytest.raises(ValueError, match=f"^buckets must be an integer, got {buckets!r}$"):
+            HashedNgram(buckets=buckets)
+
     @settings(max_examples=200, deadline=None)
     @given(
         texts=st.lists(
@@ -349,6 +364,20 @@ class TestTopicFactorization:
     def test_refuses_ngram_size_below_one(self, size):
         with pytest.raises(ValueError, match="ngram_size must be at least 1"):
             TopicFactorization(ngram_size=size)
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("n_components", 2.5, "n_components must be an integer, got 2.5"),
+        ("n_components", 0, "n_components must be at least 1"),
+        ("ngram_size", True, "ngram_size must be an integer, got True"),
+        ("iters", -1, "iters must be at least 1"),
+        ("iters", 0, "iters must be at least 1"),
+        ("iters", 10.0, "iters must be an integer, got 10.0"),
+        ("seed", -1, "seed must be at least 0"),
+        ("seed", 0.5, "seed must be an integer, got 0.5"),
+    ])
+    def test_refuses_counts_that_are_not_integers_in_range(self, field, value, reason):
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            TopicFactorization(**{field: value})
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):

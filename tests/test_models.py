@@ -924,6 +924,25 @@ class TestGbdtKeptLayouts:
 
 
 class TestGbdt:
+    @pytest.mark.parametrize("field, value, reason", [
+        ("max_depth", True, "max_depth must be an integer, got True"),
+        ("max_depth", 1.5, "max_depth must be an integer, got 1.5"),
+        ("max_depth", 0, "max_depth must be at least 1"),
+        ("n_rounds", 2.5, "n_rounds must be an integer, got 2.5"),
+        ("n_rounds", 0, "n_rounds must be at least 1"),
+        ("learning_rate", True, r"learning_rate must be a number in \(0, 1\], got True"),
+        ("learning_rate", 0.0, r"learning_rate must be a number in \(0, 1\], got 0.0"),
+        ("learning_rate", 1.5, r"learning_rate must be a number in \(0, 1\], got 1.5"),
+        ("learning_rate", float("nan"), r"learning_rate must be a number in \(0, 1\], got nan"),
+        ("learning_rate", "0.3", r"learning_rate must be a number in \(0, 1\], got '0.3'"),
+    ])
+    def test_config_outside_its_domain_is_refused(self, field, value, reason):
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            Gbdt(**{field: value})
+
+    def test_boundary_config_is_accepted(self):
+        assert Gbdt(max_depth=1, learning_rate=1, n_rounds=1) == Gbdt(1, 1.0, 1)
+
     def test_xor_shattered_at_depth_two(self):
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = ["a", "b", "b", "a"]

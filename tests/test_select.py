@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tabtext import core
+from tabtext import core, select
 from tabtext.core import MemoryBudgetExceeded, TaskKind
 from tabtext.embed import FeatureMatrix
 from tabtext.models import ridge_solve
 from tabtext.select import (
     SELECTOR_KINDS,
+    DegenerateClasses,
     IndexOutOfRange,
+    NoConvergence,
     NotBinary,
     SelectorNotApplicable,
     _top_k,
@@ -127,6 +129,12 @@ class TestAnova:
         f = select_anova(X, y, 3).scores
         t = select_ttest(X, y, 3).scores
         assert np.allclose(f, t**2, atol=1e-6, rtol=1e-9)
+
+    @pytest.mark.parametrize("y", [[0, 0, 1, 1, 2], [1] * 5])
+    def test_class_of_one_row_or_one_class_is_refused(self, y):
+        X = np.random.default_rng(5).standard_normal((5, 3))
+        with pytest.raises(DegenerateClasses):
+            select_anova(X, y, 1)
 
 
 class TestVariance:
@@ -425,6 +433,18 @@ class TestLasso:
         y = np.digitize(X[:, 0], [-0.5, 0.5]).tolist()  # 3 classes from feature 0
         result = select_l1(X, y, M, 1)
         assert 0 in result.selected
+
+    @pytest.mark.parametrize("task", [R, B])
+    def test_select_l1_warns_at_the_sweep_limit(self, task, monkeypatch):
+        rng = np.random.default_rng(14)
+        X = rng.standard_normal((40, 6))
+        y = X[:, 1] + 0.1 * rng.standard_normal(40)
+        if task is B:
+            y = (y > 0).astype(int).tolist()
+        monkeypatch.setattr(select, "L1_MAX_ITER", 1)
+        with pytest.warns(NoConvergence, match="sweep limit"):
+            result = select_l1(X, y, task, 3)
+        assert len(result.selected) == 3
 
     def test_default_k_formula(self):
         from tabtext.select import default_k
