@@ -25,7 +25,9 @@ class MemoryBudgetExceeded(TabTextError):
 
 
 # The largest single array the pipeline may allocate (a densified feature
-# matrix, a ridge system); larger requests fail fast instead of exhausting RAM.
+# matrix, a ridge system), or the arrays a layer holds at once when it charges
+# them together (the booster's presort, split scan and kept layouts); larger
+# requests fail fast instead of exhausting RAM.
 MEMORY_BUDGET_BYTES = 2 << 30
 
 

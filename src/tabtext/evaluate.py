@@ -12,7 +12,15 @@ from pathlib import Path
 import numpy as np
 
 from . import select
-from .core import ColumnRole, TabTextError, Table, TaskKind, k_fold_split, subsample_rows
+from .core import (
+    ColumnRole,
+    TabTextError,
+    Table,
+    TaskKind,
+    check_count,
+    k_fold_split,
+    subsample_rows,
+)
 from .embed import (
     EmbedderKind,
     FeatureMatrix,
@@ -79,8 +87,10 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k_folds < 2 or self.feature_cap < 1 or self.row_cap < 1:
-            raise ValueError("k_folds must be >= 2 and caps positive")
+        check_count("k_folds", self.k_folds, 2)
+        check_count("feature_cap", self.feature_cap, 1)
+        check_count("row_cap", self.row_cap, 1)
+        check_count("seed", self.seed, 0)
 
     @property
     def dataset_name(self) -> str:

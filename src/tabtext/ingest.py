@@ -26,6 +26,7 @@ from .core import (
     Table,
     TaskKind,
     as_int,
+    check_count,
     parse_task,
 )
 
@@ -75,6 +76,9 @@ class DatasetManifest:
     role_overrides: dict[str, ColumnRole] = field(default_factory=dict)
     row_cap: int = DEFAULT_ROW_CAP
     delimiter: str = ","
+
+    def __post_init__(self):
+        check_count("row_cap", self.row_cap, 1)
 
 
 def manifest_from_dict(raw: dict) -> DatasetManifest:
@@ -166,7 +170,7 @@ def _read_records(raw, manifest: DatasetManifest) -> tuple[list | None, list, Co
     try:
         header = next(reader, None)
         records = filter(None, reader)  # a blank line reads as an empty record
-        rows = list(map(tuple, islice(records, max(manifest.row_cap, 0))))
+        rows = list(map(tuple, islice(records, manifest.row_cap)))
         over_cap = Counter(map(len, records))  # width -> records past the cap
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise ParseError(f"line {reader.line_num}: {exc}") from None

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import core
 from .core import (
     MISSING,
     TabTextError,
@@ -361,13 +360,9 @@ def logistic_solve(
 _LEAF_L2 = 1.0
 _HESS_FLOOR = 1e-6
 
-# A fit keeps the node layouts it builds (`_Layouts`) while the bytes they
-# add to the presort stay within _KEEP_FACTOR presorts and within what the
-# memory budget leaves after the presort. Per presorted entry (17 bytes with
-# a one-byte rank), a root's candidates take at most 8 bytes and each
-# searched level below it at most 24 (S, V and candidates), so 4 presorts
-# hold the root and the two levels below it (56 bytes, 3.3 presorts).
-_KEEP_FACTOR = 4
+# The bytes of node layouts (`_Layouts`) a fit keeps beyond its presort: about
+# 1.5 times the most a break-suite fit keeps with no bound (1.9 MiB)
+_LAYOUT_CAP = 3 << 20
 
 
 @dataclass
@@ -406,9 +401,9 @@ def _best_split(S, V, gh, cand):
 
     Row c of S and V holds the node's row ids and values in its column's
     ascending order, ties by row id. gh carries each row's gradient and
-    hessian as one complex number, so one cumsum gives both running sums,
-    each rounded as its own cumsum would be. The node totals are row 0's
-    sums. Gains are scored only at the candidate positions cand
+    hessian as one complex number, so one cumsum, taken in place, gives both
+    running sums, each rounded as its own cumsum would be. The node totals
+    are row 0's sums. Gains are scored only at the candidate positions cand
     (`_candidates`), where adjacent sorted values differ, in (position,
     column) order, so argmax breaks ties as a scan of the whole node would.
     Returns (gain, row of S, threshold) or None when no valid candidate
@@ -416,7 +411,8 @@ def _best_split(S, V, gh, cand):
     """
     if cand.size == 0:
         return None
-    sums = gh.take(S).cumsum(axis=1)
+    sums = gh.take(S)
+    np.cumsum(sums, axis=1, out=sums)
     G, H = sums[0, -1].real, sums[0, -1].imag
     at = sums.take(cand)
     GL, HL = at.real, at.imag
@@ -685,14 +681,14 @@ def _fit_gbdt(cfg: Gbdt, X: np.ndarray, Y: np.ndarray, task: TaskKind) -> _GbdtF
     The fit keeps the node layouts its trees build (`_Layouts`), for every
     later tree and margin column: each node's rows, live columns, S and V
     rows and candidate positions. They are kept while the bytes they add
-    stay within _KEEP_FACTOR presorts and within what the memory budget
-    leaves after the presort; past that, a tree builds its layouts and
-    drops them. A layout is a function of X and of the splits (j, thr) on
-    the node's path alone: the split X[:, j] < thr picks the same rows out
-    of the same parent, and the filter keeps their sorted order. So a kept
-    layout is bit for bit the one the node would build, and the trees
-    cannot change with what is kept; only gh[S], its cumsum and the gains
-    are computed anew in each tree."""
+    stay within _LAYOUT_CAP; past that, a tree builds its layouts and drops
+    them. The fit charges the memory budget, before it sorts, with the
+    presort, one search's gh[S] and _LAYOUT_CAP. A layout is a function of X
+    and of the splits (j, thr) on the node's path alone: the split
+    X[:, j] < thr picks the same rows out of the same parent, and the filter
+    keeps their sorted order. So a kept layout is bit for bit the one the
+    node would build, and the trees cannot change with what is kept; only
+    gh[S], its cumsum and the gains are computed anew in each tree."""
     n, k = Y.shape
     # presort once: the row ids and values of each column in ascending
     # order, ties by row id, skipping the columns constant on the training
@@ -701,16 +697,14 @@ def _fit_gbdt(cfg: Gbdt, X: np.ndarray, Y: np.ndarray, task: TaskKind) -> _GbdtF
     # np.union1d(0, ...) would do, but its np.unique imports numpy.ma
     live = np.flatnonzero(np.concatenate(([True], varies[1:])))
     rank_type = np.min_scalar_type(max(n - 1, 0))
-    presort = (16 + rank_type.itemsize) * n * live.size
-    require_memory(presort, f"the booster's {n}×{live.size} presort")
+    # 8 bytes each for S and V, the rank, and 16 for a search's complex gh[S]
+    need = (32 + rank_type.itemsize) * n * live.size + _LAYOUT_CAP
+    require_memory(need, f"the booster's {n}×{live.size} presort, scan and kept layouts")
     V = X.T[live]
     S = np.argsort(V, axis=1, kind="stable")
     V.sort(axis=1, kind="stable")
     live, S, V = _merge_equal_orders(live, S, V, rank_type)
-    layouts = _Layouts(
-        _Layout(np.arange(n), live, S, V),
-        min(_KEEP_FACTOR * presort, core.MEMORY_BUDGET_BYTES - presort),
-    )
+    layouts = _Layouts(_Layout(np.arange(n), live, S, V), _LAYOUT_CAP)
     base = Y.mean(axis=0) if task is TaskKind.REGRESSION else np.zeros(k)
     fit = _GbdtFit([], base, cfg.learning_rate)
     F = np.tile(base, (n, 1))

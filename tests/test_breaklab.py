@@ -1,9 +1,10 @@
 import csv
 import io
+import math
 
 import pytest
 
-from tabtext import breaklab
+from tabtext import breaklab, models
 from tabtext.breaklab import (
     BREAK_COLUMN,
     AmbiguityDilution,
@@ -216,6 +217,23 @@ class TestRunBreakSuite:
                                         scenarios=[NoText()])
                 key = ("no_text", table.name, emb.tag)
                 assert mat.values[key] == alone.values[key]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_fit_keeps_its_layouts_within_the_cap(self, seed, monkeypatch):
+        # what each fit of the default suite keeps with no bound at all stays
+        # under the shipped layout cap, so the cap never stops a small
+        # table's trees from reusing the node layouts earlier trees built
+        made = []
+
+        class Unbounded(models._Layouts):
+            def __init__(self, root, bound):
+                super().__init__(root, math.inf)
+                made.append(self)
+
+        monkeypatch.setattr(models, "_Layouts", Unbounded)
+        run_break_suite([make_break_table(seed=seed)], suite_embedders(), suite_model(), seed)
+        assert len(made) == 13
+        assert max(layouts.kept for layouts in made) < models._LAYOUT_CAP
 
     def test_noise_ordering_sweep(self):
         # tf-idf holds at 100 while word-vec degrades as noise words pile up

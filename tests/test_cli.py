@@ -100,6 +100,8 @@ class TestIngestCommand:
           "manifest 'role_overrides' must map columns to roles, got ['a']"),
          ("row_cap", 2.5, "manifest 'row_cap' must be a JSON integer, got 2.5"),
          ("row_cap", True, "manifest 'row_cap' must be a JSON integer, got True"),
+         ("row_cap", -5, "row_cap must be at least 1"),
+         ("row_cap", 0, "row_cap must be at least 1"),
          ("delimiter", ";;", "manifest 'delimiter' must be one character, got ';;'"),
          ("delimiter", "", "manifest 'delimiter' must be one character, got ''")],
     )
@@ -449,6 +451,23 @@ def test_model_config_outside_its_domain_is_refused_before_ingest(
 ):
     config = eval_config(tmp_path, dataset)
     config.write_text(json.dumps({**json.loads(config.read_text()), "models": [model]}))
+    monkeypatch.setattr(cli, "ingest_dataset", _refuse_to_run)
+    assert main(["eval", str(config)]) == 3
+    assert capsys.readouterr().err == f"eval failed: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "key, value, reason",
+    [("seed", -1, "seed must be at least 0"),
+     ("k_folds", 1, "k_folds must be at least 2"),
+     ("feature_cap", 0, "feature_cap must be at least 1"),
+     ("row_cap", -5, "row_cap must be at least 1")],
+)
+def test_grid_field_outside_its_domain_is_refused_before_ingest(
+    key, value, reason, dataset, tmp_path, monkeypatch, capsys
+):
+    config = eval_config(tmp_path, dataset)
+    config.write_text(json.dumps({**json.loads(config.read_text()), key: value}))
     monkeypatch.setattr(cli, "ingest_dataset", _refuse_to_run)
     assert main(["eval", str(config)]) == 3
     assert capsys.readouterr().err == f"eval failed: {reason}\n"

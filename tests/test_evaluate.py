@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -243,6 +244,24 @@ class TestRunExperiment:
             ExperimentSpec(
                 manifest=clf_manifest(), embedder=TfIdf(), selector=None,
                 model=Logistic(), with_text=True, k_folds=1,
+            )
+
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [("k_folds", 2.5, "k_folds must be an integer, got 2.5"),
+         ("k_folds", 1, "k_folds must be at least 2"),
+         ("feature_cap", 2.5, "feature_cap must be an integer, got 2.5"),
+         ("feature_cap", 0, "feature_cap must be at least 1"),
+         ("row_cap", True, "row_cap must be an integer, got True"),
+         ("row_cap", 0, "row_cap must be at least 1"),
+         ("seed", True, "seed must be an integer, got True"),
+         ("seed", -1, "seed must be at least 0")],
+    )
+    def test_field_outside_its_domain_is_refused(self, field, value, reason):
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            ExperimentSpec(
+                manifest=clf_manifest(), embedder=TfIdf(), selector=None,
+                model=Logistic(), with_text=True, **{field: value},
             )
 
     @pytest.mark.parametrize(

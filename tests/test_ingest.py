@@ -29,6 +29,7 @@ from tabtext.ingest import (
     ingest_dataset,
     load_csv,
     load_manifest,
+    manifest_from_dict,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures" / "ingest"
@@ -371,6 +372,22 @@ class TestGoldenFixture:
 
 
 class TestManifest:
+    @pytest.mark.parametrize(
+        "row_cap, reason",
+        [(2.5, "row_cap must be an integer, got 2.5"),
+         (True, "row_cap must be an integer, got True"),
+         (0, "row_cap must be at least 1"),
+         (-5, "row_cap must be at least 1")],
+    )
+    def test_row_cap_outside_its_domain_is_refused(self, row_cap, reason):
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            DatasetManifest("d", "unused.csv", "y", TaskKind.BINARY, row_cap=row_cap)
+        raw = {"name": "d", "csv_path": "unused.csv", "target_column": "y", "task": "binary",
+               "row_cap": row_cap}
+        if isinstance(row_cap, int) and not isinstance(row_cap, bool):
+            with pytest.raises(ValueError, match=re.escape(reason)):
+                manifest_from_dict(raw)
+
     def test_load_manifest_with_overrides(self, tmp_path):
         csv_path = tmp_path / "d.csv"
         csv_path.write_text("a,y\nfoo,1\nbar,0\nfoo,1\nbaz,0\nqux,1\nzap,0\n")
@@ -708,7 +725,8 @@ _CSV_CELL = st.one_of(
 def _csv_files(draw):
     """CSV text with a header of 1-4 columns, a few distinct records repeated
     (duplicates), blank lines, in one file of three a ragged record, and
-    maybe a BOM; the target is a header name or "zz"."""
+    maybe a BOM; the target is a header name or "zz"; and a row cap from 1
+    (the least a manifest takes) to one past the records."""
     width = draw(st.integers(1, 4))
     header = draw(st.lists(st.sampled_from(["y", "a", "b", "c", "Unnamed: 0"]),
                            min_size=width, max_size=width))
@@ -729,7 +747,7 @@ def _csv_files(draw):
             buf.write("\n")
     bom = draw(st.sampled_from(["", "\ufeff"]))
     target = draw(st.sampled_from([*header, "zz"]))
-    return bom + buf.getvalue(), target, draw(st.integers(-1, len(records) + 1))
+    return bom + buf.getvalue(), target, draw(st.integers(1, len(records) + 1))
 
 
 def _loaded_by(load, manifest):

@@ -771,25 +771,29 @@ class TestGbdtMatchesWholeTableSearch:
     def test_presort_is_budgeted_before_anything_runs(self, monkeypatch):
         # columns 0 and 1 are constant: the presort holds column 0, whose
         # order gives the node totals, and columns 2–4, with a one-byte rank
-        # per entry (40 rows) to find the columns that order them alike
+        # per entry (40 rows) to find the columns that order them alike; a
+        # search's complex gh[S] takes 16 bytes per entry, and the fit
+        # charges the layout cap with them
         rng = np.random.default_rng(11)
         X = rng.standard_normal((40, 5))
         X[:, [0, 1]] = 3.0
         y = (X[:, 2] > 0).tolist()
-        presort = (16 + 1) * 40 * 4
-        monkeypatch.setattr(core, "MEMORY_BUDGET_BYTES", presort - 1)
+        need = (16 + 1 + 16) * 40 * 4 + models._LAYOUT_CAP
+        monkeypatch.setattr(core, "MEMORY_BUDGET_BYTES", need - 1)
         with mock.patch.object(models, "_grow_tree") as grow, \
                 mock.patch.object(models.np, "argsort", wraps=np.argsort) as argsort:
             with pytest.raises(MemoryBudgetExceeded, match="presort"):
                 fit(Gbdt(max_depth=2, n_rounds=2), X, y, B)
         assert grow.call_count == 0 and argsort.call_count == 0
-        monkeypatch.setattr(core, "MEMORY_BUDGET_BYTES", presort)
+        monkeypatch.setattr(core, "MEMORY_BUDGET_BYTES", need)
         fit(Gbdt(max_depth=2, n_rounds=2), X, y, B)
 
 
-def _fit_keeping(factor, cfg, X, Y, task):
-    """A booster fit with the keep bound at factor presorts, and its layouts."""
-    with mock.patch.object(models, "_KEEP_FACTOR", factor), \
+def _fit_keeping(cap, cfg, X, Y, task):
+    """A booster fit with the layout cap at cap bytes, and its layouts; the
+    memory budget grows by the cap, which the fit charges."""
+    with mock.patch.object(models, "_LAYOUT_CAP", cap), \
+            mock.patch.object(core, "MEMORY_BUDGET_BYTES", core.MEMORY_BUDGET_BYTES + cap), \
             mock.patch.object(models, "_grow_tree", wraps=models._grow_tree) as grow:
         got = models._fit_gbdt(cfg, X, Y, task)
     return got, grow.call_args_list[0].args[1]
@@ -828,8 +832,8 @@ class TestGbdtKeptLayouts:
         Y = {R: y[:, None].astype(float), B: (y[:, None] % 2).astype(float), M: np.eye(3)[y]}[task]
         cfg = Gbdt(max_depth=max_depth, learning_rate=0.3, n_rounds=n_rounds)
         ref = _reference_fit_gbdt(cfg, X, Y, task)
-        for factor in (0, 0.05, math.inf):
-            got, layouts = _fit_keeping(factor, cfg, X, Y, task)
+        for cap in (0, 200, math.inf):
+            got, layouts = _fit_keeping(cap, cfg, X, Y, task)
             assert 0 <= layouts.kept <= layouts.bound
             assert np.array(got.train_loss).tobytes() == np.array(ref.train_loss).tobytes()
             for got_round, ref_round in zip(got.trees, ref.trees, strict=True):
@@ -845,9 +849,9 @@ class TestGbdtKeptLayouts:
         X = rng.standard_normal((60, 4))
         Y = (X[:, [0]] > 0.2).astype(float)
         cfg = Gbdt(max_depth=2, learning_rate=0.3, n_rounds=12)
-        for factor, builds in ((models._KEEP_FACTOR, 1), (0, 12)):
+        for cap, builds in ((models._LAYOUT_CAP, 1), (0, 12)):
             with mock.patch.object(models, "_split_layout", wraps=models._split_layout) as split:
-                got, _ = _fit_keeping(factor, cfg, X, Y, R)
+                got, _ = _fit_keeping(cap, cfg, X, Y, R)
             assert {(tuple(t.feature), t.threshold[0]) for [t] in got.trees} == \
                 {((0, -1, -1), got.trees[0][0].threshold[0])}
             assert split.call_count == builds
@@ -860,38 +864,40 @@ class TestGbdtKeptLayouts:
         y = (X[:, 0] > 0).astype(int) + (X[:, 1] > 0.5)
         Y = {R: y[:, None].astype(float), B: (y[:, None] % 2).astype(float), M: np.eye(3)[y]}[task]
         cfg = Gbdt(max_depth=3, learning_rate=0.3, n_rounds=15)
-        for factor in (math.inf, 0):
+        for cap in (math.inf, 0):
             with mock.patch.object(models, "_split_layout", wraps=models._split_layout) as split:
-                got, _ = _fit_keeping(factor, cfg, X, Y, task)
+                got, _ = _fit_keeping(cap, cfg, X, Y, task)
             splits = _internal_splits(got)
-            want = len(set(splits)) if factor else len(splits)
+            want = len(set(splits)) if cap else len(splits)
             assert split.call_count == want
         assert len(set(splits)) < len(splits)
 
-    def test_the_budget_left_after_the_presort_bounds_what_is_kept(self, monkeypatch):
+    def test_the_layout_cap_bounds_what_is_kept_at_any_budget(self, monkeypatch):
+        # from the least budget that admits the fit up: the cap is charged,
+        # never clipped to what the budget leaves
         rng = np.random.default_rng(15)
         X = rng.standard_normal((40, 3))
         Y = (X[:, [0]] > 0).astype(float)
-        presort = (16 + 1) * 40 * 3
-        for budget, bound in ((presort, 0), (presort + 100, 100), (2 << 30, 4 * presort)):
+        need = (16 + 1 + 16) * 40 * 3 + models._LAYOUT_CAP
+        for budget in (need, need + 100, 2 << 30):
             monkeypatch.setattr(core, "MEMORY_BUDGET_BYTES", budget)
-            _, layouts = _fit_keeping(models._KEEP_FACTOR, Gbdt(3, 0.3, 5), X, Y, R)
-            assert layouts.bound == bound and layouts.kept <= bound
-            if bound == 0:
-                assert layouts.root.children == {} and layouts.root.cand is None
+            with mock.patch.object(models, "_grow_tree", wraps=models._grow_tree) as grow:
+                models._fit_gbdt(Gbdt(3, 0.3, 5), X, Y, R)
+            layouts = grow.call_args_list[0].args[1]
+            assert layouts.bound == models._LAYOUT_CAP and 0 < layouts.kept <= layouts.bound
 
     def test_kept_bytes_never_pass_the_bound(self):
         # traced memory held between trees, keeping layouts less not
         # keeping any, is what the kept layouts hold: their arrays, at most
-        # the bound (two presorts here, which the layouts of the first trees
-        # nearly fill), plus a small object overhead per kept layout
+        # the shipped cap (which the layouts of the first trees nearly fill
+        # here), plus a small object overhead per kept layout
         rng = np.random.default_rng(16)
         X = rng.standard_normal((1500, 12))
         Y = np.eye(3)[rng.integers(0, 3, 1500)]
         cfg = Gbdt(max_depth=3, learning_rate=0.3, n_rounds=6)
         real_grow = models._grow_tree
         held = {}
-        for factor in (2, 0):
+        for cap in (models._LAYOUT_CAP, 0):
             after_tree = []
 
             def grow(*args, **kwargs):
@@ -902,12 +908,12 @@ class TestGbdtKeptLayouts:
             tracemalloc.start()
             try:
                 with mock.patch.object(models, "_grow_tree", side_effect=grow) as spy:
-                    with mock.patch.object(models, "_KEEP_FACTOR", factor):
+                    with mock.patch.object(models, "_LAYOUT_CAP", cap):
                         models._fit_gbdt(cfg, X, Y, M)
             finally:
                 tracemalloc.stop()
-            held[factor] = np.array(after_tree)
-            if factor:
+            held[cap] = np.array(after_tree)
+            if cap:
                 layouts = spy.call_args_list[0].args[1]
         kept_layouts = 0
         stack = [layouts.root]
@@ -916,9 +922,9 @@ class TestGbdtKeptLayouts:
             for pair in (node.children or {}).values():
                 kept_layouts += len(pair)
                 stack.extend(pair)
-        bound = 2 * (16 + 2) * 1500 * 12
+        bound = models._LAYOUT_CAP
         assert layouts.bound == bound and 0.8 * bound < layouts.kept <= bound
-        extra = held[2] - held[0]
+        extra = held[bound] - held[0]
         assert extra.max() <= bound + 1024 * kept_layouts
         assert extra.max() >= layouts.kept
 
